@@ -1,5 +1,7 @@
 #include "mallard/execution/aggregate_function.h"
 
+#include <cstring>
+
 namespace mallard {
 
 TypeId AggregateFunction::ResolveType(AggType type, TypeId arg_type) {
@@ -16,54 +18,6 @@ TypeId AggregateFunction::ResolveType(AggType type, TypeId arg_type) {
       return arg_type;
   }
   return TypeId::kInvalid;
-}
-
-void AggregateFunction::Update(AggType type, const Vector* arg, idx_t row,
-                               AggState* state) {
-  if (type == AggType::kCountStar) {
-    state->count++;
-    return;
-  }
-  if (!arg->validity().RowIsValid(row)) return;  // NULLs ignored
-  switch (type) {
-    case AggType::kCount:
-      state->count++;
-      break;
-    case AggType::kSum:
-    case AggType::kAvg:
-      state->count++;
-      switch (arg->type()) {
-        case TypeId::kInteger:
-          state->isum += arg->data<int32_t>()[row];
-          state->dsum += arg->data<int32_t>()[row];
-          break;
-        case TypeId::kBigInt:
-          state->isum += arg->data<int64_t>()[row];
-          state->dsum += static_cast<double>(arg->data<int64_t>()[row]);
-          break;
-        case TypeId::kDouble:
-          state->dsum += arg->data<double>()[row];
-          break;
-        default:
-          break;
-      }
-      state->seen = true;
-      break;
-    case AggType::kMin:
-    case AggType::kMax: {
-      Value v = arg->GetValue(row);
-      if (!state->seen) {
-        state->extreme = v;
-        state->seen = true;
-      } else if (type == AggType::kMin ? v.Compare(state->extreme) < 0
-                                       : v.Compare(state->extreme) > 0) {
-        state->extreme = v;
-      }
-      break;
-    }
-    default:
-      break;
-  }
 }
 
 void AggregateFunction::UpdateValue(AggType type, const Value& v,
@@ -95,33 +49,6 @@ void AggregateFunction::UpdateValue(AggType type, const Value& v,
       }
       break;
     default:
-      break;
-  }
-}
-
-void AggregateFunction::Combine(AggType type, const AggState& src,
-                                AggState* dst) {
-  switch (type) {
-    case AggType::kCountStar:
-    case AggType::kCount:
-      dst->count += src.count;
-      break;
-    case AggType::kSum:
-    case AggType::kAvg:
-      dst->count += src.count;
-      dst->isum += src.isum;
-      dst->dsum += src.dsum;
-      dst->seen = dst->seen || src.seen;
-      break;
-    case AggType::kMin:
-    case AggType::kMax:
-      if (!src.seen) break;
-      if (!dst->seen || (type == AggType::kMin
-                             ? src.extreme.Compare(dst->extreme) < 0
-                             : src.extreme.Compare(dst->extreme) > 0)) {
-        dst->extreme = src.extreme;
-        dst->seen = true;
-      }
       break;
   }
 }
@@ -181,7 +108,7 @@ struct SumF64 {
   double sum;
   int64_t count;
 };
-struct MinMax32 {
+struct alignas(8) MinMax32 {
   int32_t value;
   int32_t seen;
 };
@@ -190,6 +117,38 @@ struct MinMax64 {
   T value;
   int64_t seen;
 };
+struct MinMaxString {
+  char* data;  // owned by the state row owner's arena
+  uint32_t size;
+  uint32_t seen;
+  StringRef value() const { return StringRef(data, size); }
+};
+
+// Spill runs store state rows byte for byte, so the slot layouts are
+// part of the spill row format.
+static_assert(sizeof(SumI64) == 16 && alignof(SumI64) == 8, "SumI64");
+static_assert(sizeof(SumF64) == 16 && alignof(SumF64) == 8, "SumF64");
+static_assert(sizeof(MinMax32) == 8 && alignof(MinMax32) == 8, "MinMax32");
+static_assert(sizeof(MinMax64<int64_t>) == 16 &&
+                  alignof(MinMax64<int64_t>) == 8,
+              "MinMax64<int64_t>");
+static_assert(sizeof(MinMax64<double>) == 16 &&
+                  alignof(MinMax64<double>) == 8,
+              "MinMax64<double>");
+static_assert(sizeof(MinMaxString) == 16 && alignof(MinMaxString) == 8,
+              "MinMaxString");
+
+// Makes `v` the slot's extreme. The slot's previous bytes belong to it
+// alone, so a value that fits their 8-byte-rounded allocation overwrites
+// them in place instead of leaving dead bytes in the arena.
+void SetExtreme(MinMaxString* s, StringRef v, ArenaAllocator* strings) {
+  if (!s->seen || v.size > ((s->size + 7u) & ~7u)) {
+    s->data = reinterpret_cast<char*>(strings->Allocate(v.size));
+  }
+  if (v.size > 0) std::memcpy(s->data, v.data, v.size);
+  s->size = v.size;
+  s->seen = 1;
+}
 
 template <typename T, typename State>
 void UpdateSumSlot(const Vector& arg, idx_t count, const idx_t* group_ids,
@@ -226,6 +185,49 @@ void UpdateMinMaxSlot(const Vector& arg, idx_t count, const idx_t* group_ids,
   }
 }
 
+template <bool kIsMin>
+void UpdateMinMax(TypeId arg_type, const Vector& arg, idx_t count,
+                  const idx_t* group_ids, const uint32_t* sel, uint8_t* base,
+                  idx_t row_size, uint32_t offset, ArenaAllocator* strings) {
+  switch (arg_type) {
+    case TypeId::kBoolean:
+      UpdateMinMaxSlot<int8_t, MinMax32, kIsMin>(arg, count, group_ids, sel,
+                                                 base, row_size, offset);
+      return;
+    case TypeId::kInteger:
+    case TypeId::kDate:
+      UpdateMinMaxSlot<int32_t, MinMax32, kIsMin>(arg, count, group_ids, sel,
+                                                  base, row_size, offset);
+      return;
+    case TypeId::kBigInt:
+    case TypeId::kTimestamp:
+      UpdateMinMaxSlot<int64_t, MinMax64<int64_t>, kIsMin>(
+          arg, count, group_ids, sel, base, row_size, offset);
+      return;
+    case TypeId::kDouble:
+      UpdateMinMaxSlot<double, MinMax64<double>, kIsMin>(
+          arg, count, group_ids, sel, base, row_size, offset);
+      return;
+    case TypeId::kVarchar: {
+      // StringAt also reads dictionary vectors straight off a scan.
+      const ValidityMask& validity = arg.validity();
+      for (idx_t i = 0; i < count; i++) {
+        idx_t r = sel ? sel[i] : i;
+        if (!validity.RowIsValid(r)) continue;
+        MinMaxString* s = reinterpret_cast<MinMaxString*>(
+            base + group_ids[i] * row_size + offset);
+        StringRef v = arg.StringAt(r);
+        if (!s->seen || (kIsMin ? v < s->value() : s->value() < v)) {
+          SetExtreme(s, v, strings);
+        }
+      }
+      return;
+    }
+    default:
+      return;  // the untyped NULL: every value is NULL
+  }
+}
+
 template <typename State, bool kIsMin>
 void CombineMinMaxSlot(const uint8_t* src_base, idx_t src_first, idx_t count,
                        const idx_t* dst_ids, uint8_t* dst_base,
@@ -244,6 +246,45 @@ void CombineMinMaxSlot(const uint8_t* src_base, idx_t src_first, idx_t count,
   }
 }
 
+template <bool kIsMin>
+void CombineMinMax(TypeId arg_type, const uint8_t* src_base, idx_t src_first,
+                   idx_t count, const idx_t* dst_ids, uint8_t* dst_base,
+                   idx_t row_size, uint32_t offset,
+                   ArenaAllocator* dst_strings) {
+  switch (arg_type) {
+    case TypeId::kBoolean:
+    case TypeId::kInteger:
+    case TypeId::kDate:
+      CombineMinMaxSlot<MinMax32, kIsMin>(src_base, src_first, count, dst_ids,
+                                          dst_base, row_size, offset);
+      return;
+    case TypeId::kBigInt:
+    case TypeId::kTimestamp:
+      CombineMinMaxSlot<MinMax64<int64_t>, kIsMin>(
+          src_base, src_first, count, dst_ids, dst_base, row_size, offset);
+      return;
+    case TypeId::kDouble:
+      CombineMinMaxSlot<MinMax64<double>, kIsMin>(
+          src_base, src_first, count, dst_ids, dst_base, row_size, offset);
+      return;
+    case TypeId::kVarchar:
+      for (idx_t i = 0; i < count; i++) {
+        const MinMaxString* src = reinterpret_cast<const MinMaxString*>(
+            src_base + (src_first + i) * row_size + offset);
+        if (!src->seen) continue;
+        MinMaxString* dst = reinterpret_cast<MinMaxString*>(
+            dst_base + dst_ids[i] * row_size + offset);
+        if (!dst->seen || (kIsMin ? src->value() < dst->value()
+                                  : dst->value() < src->value())) {
+          SetExtreme(dst, src->value(), dst_strings);
+        }
+      }
+      return;
+    default:
+      return;
+  }
+}
+
 template <typename State>
 void CombineSumSlot(const uint8_t* src_base, idx_t src_first, idx_t count,
                     const idx_t* dst_ids, uint8_t* dst_base, idx_t row_size,
@@ -258,47 +299,33 @@ void CombineSumSlot(const uint8_t* src_base, idx_t src_first, idx_t count,
   }
 }
 
-/// Bytes of a slot's state; 0 = no fixed-width encoding exists.
+/// Bytes of a slot's state.
 uint32_t SlotSize(AggType type, TypeId arg_type) {
   switch (type) {
     case AggType::kCountStar:
-      return 8;
     case AggType::kCount:
       // COUNT(x) only reads the argument's validity mask; any argument
       // type works.
       return 8;
     case AggType::kSum:
     case AggType::kAvg:
-      switch (arg_type) {
-        case TypeId::kInteger:
-        case TypeId::kBigInt:
-        case TypeId::kDouble:
-          return 16;
-        default:
-          return 0;
-      }
+      return 16;  // the binder admits numeric arguments only
     case AggType::kMin:
     case AggType::kMax:
-      switch (arg_type) {
-        case TypeId::kInteger:
-        case TypeId::kDate:
-          return 8;
-        case TypeId::kBigInt:
-        case TypeId::kTimestamp:
-        case TypeId::kDouble:
-          return 16;
-        default:
-          return 0;  // VARCHAR/BOOLEAN extremes keep the AggState path
-      }
+      break;
   }
-  return 0;
+  switch (arg_type) {
+    case TypeId::kBigInt:
+    case TypeId::kTimestamp:
+    case TypeId::kDouble:
+    case TypeId::kVarchar:
+      return 16;
+    default:
+      return 8;  // INTEGER, DATE, BOOLEAN and the untyped NULL
+  }
 }
 
 }  // namespace
-
-bool AggStateLayout::Compactable(AggType type, TypeId arg_type) {
-  return SlotSize(type, arg_type) != 0;
-}
 
 AggStateLayout AggStateLayout::Plan(
     const std::vector<BoundAggregate>& aggregates) {
@@ -306,20 +333,21 @@ AggStateLayout AggStateLayout::Plan(
   uint32_t offset = 0;
   for (const auto& agg : aggregates) {
     TypeId arg_type = agg.arg ? agg.arg->return_type() : TypeId::kInvalid;
-    uint32_t size = SlotSize(agg.type, arg_type);
-    if (size == 0) return AggStateLayout{};  // compact() == false
     layout.slots_.push_back(
         AggStateSlot{agg.type, arg_type, agg.return_type, offset});
-    offset += size;  // slots are 8 or 16 bytes: 8-alignment is preserved
+    if ((agg.type == AggType::kMin || agg.type == AggType::kMax) &&
+        arg_type == TypeId::kVarchar) {
+      layout.string_offsets_.push_back(offset);
+    }
+    offset += SlotSize(agg.type, arg_type);  // 8 or 16: stays 8-aligned
   }
   layout.row_size_ = offset;
-  layout.compact_ = true;
   return layout;
 }
 
 void AggStateLayout::Update(idx_t slot_index, const Vector* arg, idx_t count,
                             const idx_t* group_ids, const uint32_t* sel,
-                            uint8_t* base) const {
+                            uint8_t* base, ArenaAllocator* strings) const {
   const AggStateSlot& slot = slots_[slot_index];
   const idx_t row_size = row_size_;
   const uint32_t offset = slot.offset;
@@ -356,46 +384,19 @@ void AggStateLayout::Update(idx_t slot_index, const Vector* arg, idx_t count,
         return;
     }
   }
-  const bool is_min = slot.type == AggType::kMin;
-  switch (slot.arg_type) {
-    case TypeId::kInteger:
-    case TypeId::kDate:
-      if (is_min) {
-        UpdateMinMaxSlot<int32_t, MinMax32, true>(*arg, count, group_ids, sel,
-                                                  base, row_size, offset);
-      } else {
-        UpdateMinMaxSlot<int32_t, MinMax32, false>(*arg, count, group_ids,
-                                                   sel, base, row_size,
-                                                   offset);
-      }
-      return;
-    case TypeId::kBigInt:
-    case TypeId::kTimestamp:
-      if (is_min) {
-        UpdateMinMaxSlot<int64_t, MinMax64<int64_t>, true>(
-            *arg, count, group_ids, sel, base, row_size, offset);
-      } else {
-        UpdateMinMaxSlot<int64_t, MinMax64<int64_t>, false>(
-            *arg, count, group_ids, sel, base, row_size, offset);
-      }
-      return;
-    case TypeId::kDouble:
-      if (is_min) {
-        UpdateMinMaxSlot<double, MinMax64<double>, true>(
-            *arg, count, group_ids, sel, base, row_size, offset);
-      } else {
-        UpdateMinMaxSlot<double, MinMax64<double>, false>(
-            *arg, count, group_ids, sel, base, row_size, offset);
-      }
-      return;
-    default:
-      return;
+  if (slot.type == AggType::kMin) {
+    UpdateMinMax<true>(slot.arg_type, *arg, count, group_ids, sel, base,
+                       row_size, offset, strings);
+  } else {
+    UpdateMinMax<false>(slot.arg_type, *arg, count, group_ids, sel, base,
+                        row_size, offset, strings);
   }
 }
 
 void AggStateLayout::Combine(const uint8_t* src_base, idx_t src_first,
                              idx_t count, const idx_t* dst_ids,
-                             uint8_t* dst_base) const {
+                             uint8_t* dst_base,
+                             ArenaAllocator* dst_strings) const {
   const idx_t row_size = row_size_;
   for (const AggStateSlot& slot : slots_) {
     const uint32_t offset = slot.offset;
@@ -420,49 +421,14 @@ void AggStateLayout::Combine(const uint8_t* src_base, idx_t src_first,
         }
         break;
       case AggType::kMin:
-      case AggType::kMax: {
-        const bool is_min = slot.type == AggType::kMin;
-        switch (slot.arg_type) {
-          case TypeId::kInteger:
-          case TypeId::kDate:
-            if (is_min) {
-              CombineMinMaxSlot<MinMax32, true>(src_base, src_first, count,
-                                                dst_ids, dst_base, row_size,
-                                                offset);
-            } else {
-              CombineMinMaxSlot<MinMax32, false>(src_base, src_first, count,
-                                                 dst_ids, dst_base, row_size,
-                                                 offset);
-            }
-            break;
-          case TypeId::kBigInt:
-          case TypeId::kTimestamp:
-            if (is_min) {
-              CombineMinMaxSlot<MinMax64<int64_t>, true>(
-                  src_base, src_first, count, dst_ids, dst_base, row_size,
-                  offset);
-            } else {
-              CombineMinMaxSlot<MinMax64<int64_t>, false>(
-                  src_base, src_first, count, dst_ids, dst_base, row_size,
-                  offset);
-            }
-            break;
-          case TypeId::kDouble:
-            if (is_min) {
-              CombineMinMaxSlot<MinMax64<double>, true>(
-                  src_base, src_first, count, dst_ids, dst_base, row_size,
-                  offset);
-            } else {
-              CombineMinMaxSlot<MinMax64<double>, false>(
-                  src_base, src_first, count, dst_ids, dst_base, row_size,
-                  offset);
-            }
-            break;
-          default:
-            break;
-        }
+        CombineMinMax<true>(slot.arg_type, src_base, src_first, count,
+                            dst_ids, dst_base, row_size, offset, dst_strings);
         break;
-      }
+      case AggType::kMax:
+        CombineMinMax<false>(slot.arg_type, src_base, src_first, count,
+                             dst_ids, dst_base, row_size, offset,
+                             dst_strings);
+        break;
     }
   }
 }
@@ -502,6 +468,11 @@ Value AggStateLayout::Finalize(idx_t slot_index, const uint8_t* row) const {
     case AggType::kMin:
     case AggType::kMax:
       switch (slot.arg_type) {
+        case TypeId::kBoolean: {
+          const MinMax32* s = reinterpret_cast<const MinMax32*>(p);
+          return s->seen ? Value::Boolean(s->value != 0)
+                         : Value::Null(slot.result_type);
+        }
         case TypeId::kInteger: {
           const MinMax32* s = reinterpret_cast<const MinMax32*>(p);
           return s->seen ? Value::Integer(s->value)
@@ -530,11 +501,41 @@ Value AggStateLayout::Finalize(idx_t slot_index, const uint8_t* row) const {
           return s->seen ? Value::Double(s->value)
                          : Value::Null(slot.result_type);
         }
+        case TypeId::kVarchar: {
+          const MinMaxString* s = reinterpret_cast<const MinMaxString*>(p);
+          return s->seen ? Value::Varchar(s->value().ToString())
+                         : Value::Null(slot.result_type);
+        }
         default:
           return Value::Null(slot.result_type);
       }
   }
   return Value();
+}
+
+void AggStateLayout::AppendStrings(const uint8_t* row,
+                                   std::vector<uint8_t>* out) const {
+  for (uint32_t offset : string_offsets_) {
+    const MinMaxString* s =
+        reinterpret_cast<const MinMaxString*>(row + offset);
+    if (!s->seen) continue;
+    size_t pos = out->size();
+    out->resize(pos + 4 + s->size);
+    std::memcpy(out->data() + pos, &s->size, 4);
+    if (s->size > 0) std::memcpy(out->data() + pos + 4, s->data, s->size);
+  }
+}
+
+void AggStateLayout::LoadStrings(const uint8_t* tail, uint8_t* row,
+                                 ArenaAllocator* strings) const {
+  for (uint32_t offset : string_offsets_) {
+    MinMaxString* s = reinterpret_cast<MinMaxString*>(row + offset);
+    if (!s->seen) continue;
+    std::memcpy(&s->size, tail, 4);
+    s->data = reinterpret_cast<char*>(strings->Allocate(s->size));
+    std::memcpy(s->data, tail + 4, s->size);
+    tail += 4 + s->size;
+  }
 }
 
 }  // namespace mallard

@@ -10,23 +10,15 @@
 
 namespace mallard {
 
-AggregateHashTable::AggregateHashTable(std::vector<TypeId> group_types,
-                                       idx_t aggregate_count,
-                                       idx_t initial_capacity)
+AggregateHashTable::AggregateHashTable(
+    std::vector<TypeId> group_types,
+    const std::vector<BoundAggregate>& aggregates, idx_t initial_capacity)
     : group_types_(std::move(group_types)),
-      aggregate_count_(aggregate_count) {
+      layout_(AggStateLayout::Plan(aggregates)) {
   idx_t capacity = NextPowerOfTwo(std::max<idx_t>(2, initial_capacity));
   entries_.assign(capacity, Entry{0, kInvalidIndex});
   mask_ = capacity - 1;
   hash_scratch_.resize(kVectorSize);
-}
-
-AggregateHashTable::AggregateHashTable(
-    std::vector<TypeId> group_types,
-    const std::vector<BoundAggregate>& aggregates, idx_t initial_capacity)
-    : AggregateHashTable(std::move(group_types), aggregates.size(),
-                         initial_capacity) {
-  layout_ = AggStateLayout::Plan(aggregates);
 }
 
 void AggregateHashTable::Resize(idx_t new_capacity) {
@@ -118,18 +110,12 @@ idx_t AggregateHashTable::AppendGroup(const DataChunk& groups, idx_t row,
   }
   chunk.SetCardinality(local + 1);
   group_hashes_.push_back(hash);
-  if (layout_.compact()) {
-    // New rows are value-initialized to zero — the initial state of
-    // every compact slot.
-    state_rows_.resize(state_rows_.size() + layout_.row_size());
-  } else {
-    states_.resize(states_.size() + aggregate_count_);
-  }
+  // New rows are value-initialized to zero — the initial state of every
+  // slot.
+  state_rows_.resize(state_rows_.size() + layout_.row_size());
   // Spill accounting: retained hash + directory share (two 16-byte
   // entries at the <=50% load factor) + state + key payload.
-  uint64_t group_bytes = 8 + 2 * sizeof(Entry);
-  group_bytes += layout_.compact() ? layout_.row_size()
-                                   : aggregate_count_ * sizeof(AggState);
+  uint64_t group_bytes = 8 + 2 * sizeof(Entry) + layout_.row_size();
   for (idx_t c = 0; c < group_types_.size(); c++) {
     switch (group_types_[c]) {
       case TypeId::kBoolean:
@@ -161,22 +147,21 @@ void AggregateHashTable::Reset(idx_t initial_capacity) {
   group_count_ = 0;
   group_chunks_.clear();
   group_hashes_.clear();
-  states_.clear();
   state_rows_.clear();
+  strings_.Reset();
   approx_bytes_ = 0;
 }
 
 void AggregateHashTable::MergeRows(const DataChunk& keys, idx_t count,
                                    const uint64_t* hashes,
                                    const uint8_t* state_rows) {
-  assert(layout_.compact());
   merge_ids_.resize(kVectorSize);
   EnsureCapacity(count);
   for (idx_t r = 0; r < count; r++) {
     merge_ids_[r] = FindOrCreateOne(keys, r, hashes[r]);
   }
   layout_.Combine(state_rows, 0, count, merge_ids_.data(),
-                  state_rows_.data());
+                  state_rows_.data(), &strings_);
 }
 
 idx_t AggregateHashTable::FindOrCreateOne(const DataChunk& groups, idx_t row,
@@ -217,195 +202,14 @@ void AggregateHashTable::FindOrCreateGroupsSel(const DataChunk& groups,
   }
 }
 
-void AggregateHashTable::UpdateStates(const BoundAggregate& aggregate,
-                                      idx_t agg_index, const Vector* arg,
+void AggregateHashTable::UpdateStates(idx_t agg_index, const Vector* arg,
                                       idx_t count, const idx_t* group_ids,
                                       const uint32_t* sel) {
-  if (layout_.compact()) {
-    layout_.Update(agg_index, arg, count, group_ids, sel,
-                   state_rows_.data());
-    return;
-  }
-  AggState* states = states_.data() + agg_index;
-  const idx_t stride = aggregate_count_;
-  auto state_at = [&](idx_t i) -> AggState* {
-    return states + group_ids[i] * stride;
-  };
-  auto row_at = [&](idx_t i) -> idx_t { return sel ? sel[i] : i; };
-  if (aggregate.type == AggType::kCountStar) {
-    for (idx_t i = 0; i < count; i++) state_at(i)->count++;
-    return;
-  }
-  const ValidityMask& validity = arg->validity();
-  switch (aggregate.type) {
-    case AggType::kCount:
-      for (idx_t i = 0; i < count; i++) {
-        if (validity.RowIsValid(row_at(i))) state_at(i)->count++;
-      }
-      return;
-    case AggType::kSum:
-    case AggType::kAvg:
-      switch (arg->type()) {
-        case TypeId::kInteger: {
-          const int32_t* data = arg->data<int32_t>();
-          for (idx_t i = 0; i < count; i++) {
-            idx_t r = row_at(i);
-            if (!validity.RowIsValid(r)) continue;
-            AggState* s = state_at(i);
-            s->count++;
-            s->isum += data[r];
-            s->dsum += data[r];
-            s->seen = true;
-          }
-          return;
-        }
-        case TypeId::kBigInt: {
-          const int64_t* data = arg->data<int64_t>();
-          for (idx_t i = 0; i < count; i++) {
-            idx_t r = row_at(i);
-            if (!validity.RowIsValid(r)) continue;
-            AggState* s = state_at(i);
-            s->count++;
-            s->isum += data[r];
-            s->dsum += static_cast<double>(data[r]);
-            s->seen = true;
-          }
-          return;
-        }
-        case TypeId::kDouble: {
-          const double* data = arg->data<double>();
-          for (idx_t i = 0; i < count; i++) {
-            idx_t r = row_at(i);
-            if (!validity.RowIsValid(r)) continue;
-            AggState* s = state_at(i);
-            s->count++;
-            s->dsum += data[r];
-            s->seen = true;
-          }
-          return;
-        }
-        default:
-          break;
-      }
-      break;
-    case AggType::kMin:
-    case AggType::kMax: {
-      const bool is_min = aggregate.type == AggType::kMin;
-      // Typed comparisons on the raw arrays; a Value is boxed only when
-      // the running extreme actually improves.
-      switch (arg->type()) {
-        case TypeId::kInteger: {
-          const int32_t* data = arg->data<int32_t>();
-          for (idx_t i = 0; i < count; i++) {
-            idx_t r = row_at(i);
-            if (!validity.RowIsValid(r)) continue;
-            AggState* s = state_at(i);
-            int32_t v = data[r];
-            if (!s->seen || (is_min ? v < s->extreme.GetInteger()
-                                    : v > s->extreme.GetInteger())) {
-              s->extreme = Value::Integer(v);
-              s->seen = true;
-            }
-          }
-          return;
-        }
-        case TypeId::kDate: {
-          const int32_t* data = arg->data<int32_t>();
-          for (idx_t i = 0; i < count; i++) {
-            idx_t r = row_at(i);
-            if (!validity.RowIsValid(r)) continue;
-            AggState* s = state_at(i);
-            int32_t v = data[r];
-            if (!s->seen || (is_min ? v < s->extreme.GetDate()
-                                    : v > s->extreme.GetDate())) {
-              s->extreme = Value::Date(v);
-              s->seen = true;
-            }
-          }
-          return;
-        }
-        case TypeId::kBigInt: {
-          const int64_t* data = arg->data<int64_t>();
-          for (idx_t i = 0; i < count; i++) {
-            idx_t r = row_at(i);
-            if (!validity.RowIsValid(r)) continue;
-            AggState* s = state_at(i);
-            int64_t v = data[r];
-            if (!s->seen || (is_min ? v < s->extreme.GetBigInt()
-                                    : v > s->extreme.GetBigInt())) {
-              s->extreme = Value::BigInt(v);
-              s->seen = true;
-            }
-          }
-          return;
-        }
-        case TypeId::kTimestamp: {
-          const int64_t* data = arg->data<int64_t>();
-          for (idx_t i = 0; i < count; i++) {
-            idx_t r = row_at(i);
-            if (!validity.RowIsValid(r)) continue;
-            AggState* s = state_at(i);
-            int64_t v = data[r];
-            if (!s->seen || (is_min ? v < s->extreme.GetTimestamp()
-                                    : v > s->extreme.GetTimestamp())) {
-              s->extreme = Value::Timestamp(v);
-              s->seen = true;
-            }
-          }
-          return;
-        }
-        case TypeId::kDouble: {
-          const double* data = arg->data<double>();
-          for (idx_t i = 0; i < count; i++) {
-            idx_t r = row_at(i);
-            if (!validity.RowIsValid(r)) continue;
-            AggState* s = state_at(i);
-            double v = data[r];
-            if (!s->seen || (is_min ? v < s->extreme.GetDouble()
-                                    : v > s->extreme.GetDouble())) {
-              s->extreme = Value::Double(v);
-              s->seen = true;
-            }
-          }
-          return;
-        }
-        case TypeId::kVarchar: {
-          for (idx_t i = 0; i < count; i++) {
-            idx_t r = row_at(i);
-            if (!validity.RowIsValid(r)) continue;
-            AggState* s = state_at(i);
-            StringRef v = arg->StringAt(r);
-            bool better = !s->seen;
-            if (!better) {
-              const std::string& cur = s->extreme.GetString();
-              StringRef cur_ref(cur.data(),
-                                static_cast<uint32_t>(cur.size()));
-              better = is_min ? v < cur_ref : cur_ref < v;
-            }
-            if (better) {
-              s->extreme = Value::Varchar(v.ToString());
-              s->seen = true;
-            }
-          }
-          return;
-        }
-        default:
-          break;
-      }
-      break;
-    }
-    default:
-      break;
-  }
-  // Fallback for type combinations without a dedicated kernel.
-  for (idx_t i = 0; i < count; i++) {
-    AggregateFunction::Update(aggregate.type, arg, row_at(i), state_at(i));
-  }
+  layout_.Update(agg_index, arg, count, group_ids, sel, state_rows_.data(),
+                 &strings_);
 }
 
-void AggregateHashTable::Merge(const AggregateHashTable& other,
-                               const std::vector<BoundAggregate>& aggregates) {
-  assert(layout_.compact() == other.layout_.compact());
+void AggregateHashTable::Merge(const AggregateHashTable& other) {
   merge_ids_.resize(kVectorSize);
   EnsureCapacity(other.group_count_);
   for (idx_t base = 0; base < other.group_count_; base += kVectorSize) {
@@ -417,30 +221,9 @@ void AggregateHashTable::Merge(const AggregateHashTable& other,
       merge_ids_[r] =
           FindOrCreateOne(keys, r, other.group_hashes_[base + r]);
     }
-    if (layout_.compact()) {
-      layout_.Combine(other.state_rows_.data(), base, count,
-                      merge_ids_.data(), state_rows_.data());
-      continue;
-    }
-    for (idx_t r = 0; r < count; r++) {
-      const AggState* src =
-          other.states_.data() + (base + r) * aggregate_count_;
-      AggState* dst = states_.data() + merge_ids_[r] * aggregate_count_;
-      for (idx_t a = 0; a < aggregate_count_; a++) {
-        AggregateFunction::Combine(aggregates[a].type, src[a], &dst[a]);
-      }
-    }
+    layout_.Combine(other.state_rows_.data(), base, count, merge_ids_.data(),
+                    state_rows_.data(), &strings_);
   }
-}
-
-Value AggregateHashTable::FinalizeState(idx_t group_id, idx_t agg_index,
-                                        const BoundAggregate& aggregate) const {
-  if (layout_.compact()) {
-    return layout_.Finalize(
-        agg_index, state_rows_.data() + group_id * layout_.row_size());
-  }
-  return AggregateFunction::Finalize(aggregate.type, aggregate.return_type,
-                                     State(group_id, agg_index));
 }
 
 void AggregateHashTable::EmitKeys(idx_t start, idx_t count,
@@ -506,18 +289,16 @@ void RadixPartitionedAggregateTable::FindOrCreateGroups(
   }
 }
 
-void RadixPartitionedAggregateTable::UpdateStates(
-    const BoundAggregate& aggregate, idx_t agg_index, const Vector* arg,
-    idx_t count) {
+void RadixPartitionedAggregateTable::UpdateStates(idx_t agg_index,
+                                                  const Vector* arg,
+                                                  idx_t count) {
   if (partitions_.size() == 1) {
-    partitions_[0]->UpdateStates(aggregate, agg_index, arg, count,
-                                 ids_.data());
+    partitions_[0]->UpdateStates(agg_index, arg, count, ids_.data());
     return;
   }
-  (void)count;
   for (idx_t p = 0; p < kPartitions; p++) {
     if (part_count_[p] == 0) continue;
-    partitions_[p]->UpdateStates(aggregate, agg_index, arg, part_count_[p],
+    partitions_[p]->UpdateStates(agg_index, arg, part_count_[p],
                                  part_ids_.data() + p * kVectorSize,
                                  part_sel_.data() + p * kVectorSize);
   }
@@ -528,9 +309,6 @@ void RadixPartitionedAggregateTable::UpdateStates(
 void RadixPartitionedAggregateTable::EnableSpilling(
     const ResourceGovernor* governor, BufferManager* buffers,
     uint64_t divisor, const std::vector<BoundAggregate>* aggregates) {
-  // The AggState fallback (MIN/MAX over VARCHAR) has no fixed-width
-  // serialization; those queries stay fully in memory.
-  if (!partitions_[0]->CompactLayout()) return;
   governor_ = governor;
   buffers_ = buffers;
   spill_divisor_ = std::max<uint64_t>(1, divisor);
@@ -564,6 +342,7 @@ Status RadixPartitionedAggregateTable::SerializeTable(
     std::memcpy(scratch.data() + 8, table->StateRow(g), row_size);
     key_codec_->EncodeRow(table->GroupChunk(g / kVectorSize),
                           g % kVectorSize, &scratch);
+    table->layout().AppendStrings(table->StateRow(g), &scratch);
     idx_t dest = PartitionOfShift(hash, shift);
     auto& sink = (*sinks)[dest];
     if (!sink) sink = std::make_unique<SpillRowStore>(buffers_);
@@ -693,18 +472,23 @@ Status RadixPartitionedAggregateTable::ProcessEmitJob(EmitJob job,
     emit_table_->Reset(1024);
   }
   const uint64_t budget = EmitBudget();
-  const idx_t row_size = emit_table_->layout().row_size();
+  const AggStateLayout& layout = emit_table_->layout();
+  const idx_t row_size = layout.row_size();
   const bool can_split = job.shift <= kMaxRadixShift;
   DataChunk keys;
   keys.Initialize(group_types_);
   std::vector<uint64_t> hashes(kVectorSize);
   std::vector<uint8_t> states(kVectorSize * row_size);
+  // The batch's VARCHAR extremes: the run cursor pins one segment at a
+  // time, so a batch cannot point into the rows it was read from.
+  ArenaAllocator batch_strings;
   idx_t batch = 0;
   auto flush = [&]() {
     if (batch == 0) return;
     keys.SetCardinality(batch);
     emit_table_->MergeRows(keys, batch, hashes.data(), states.data());
     keys.Reset();
+    batch_strings.Reset();
     batch = 0;
   };
   bool splitting = false;
@@ -727,8 +511,11 @@ Status RadixPartitionedAggregateTable::ProcessEmitJob(EmitJob job,
         continue;
       }
       hashes[batch] = hash;
-      std::memcpy(states.data() + batch * row_size, row + 8, row_size);
-      key_codec_->DecodeRow(row + 8 + row_size, &keys, batch);
+      uint8_t* state = states.data() + batch * row_size;
+      std::memcpy(state, row + 8, row_size);
+      const uint8_t* key = row + 8 + row_size;
+      size_t key_bytes = key_codec_->DecodeRow(key, &keys, batch);
+      layout.LoadStrings(key + key_bytes, state, &batch_strings);
       batch++;
       if (batch < kVectorSize) continue;
       flush();

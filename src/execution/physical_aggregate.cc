@@ -41,9 +41,11 @@ std::vector<ExprPtr> PhysicalUngroupedAggregate::CopyArgExprs() const {
 
 Status PhysicalUngroupedAggregate::AggregateSource(
     ExecutionContext* context, PhysicalOperator* source,
-    const std::vector<ExprPtr>& arg_exprs, std::vector<AggState>* states) {
+    const std::vector<ExprPtr>& arg_exprs, State* state) {
   DataChunk chunk;
   chunk.Initialize(source->types());
+  // Every input row updates the one state row: group id 0.
+  const std::vector<idx_t> group_ids(kVectorSize, 0);
   std::vector<Vector> arg_vectors;
   for (const auto& agg : aggregates_) {
     arg_vectors.emplace_back(agg.arg ? agg.arg->return_type()
@@ -60,24 +62,22 @@ Status PhysicalUngroupedAggregate::AggregateSource(
             *arg_exprs[a], chunk, &arg_vectors[a]));
         arg = &arg_vectors[a];
       }
-      for (idx_t r = 0; r < chunk.size(); r++) {
-        AggregateFunction::Update(aggregates_[a].type, arg, r,
-                                  &(*states)[a]);
-      }
+      layout_.Update(a, arg, chunk.size(), group_ids.data(), nullptr,
+                     state->row.data(), &state->strings);
     }
   }
   return Status::OK();
 }
 
 Status PhysicalUngroupedAggregate::ParallelAggregate(
-    ExecutionContext* context, std::vector<AggState>* states, bool* done) {
+    ExecutionContext* context, State* state, bool* done) {
   std::vector<std::vector<ExprPtr>> arg_exprs;
-  std::vector<std::vector<AggState>> partials;
+  std::vector<State> partials;
   MALLARD_RETURN_NOT_OK(parallel::RunMorselPipeline(
       context, child(0), done,
       [&](idx_t workers) {
-        partials.assign(workers, std::vector<AggState>(aggregates_.size()));
         for (idx_t w = 0; w < workers; w++) {
+          partials.emplace_back(layout_.row_size());
           arg_exprs.push_back(CopyArgExprs());
         }
       },
@@ -85,11 +85,10 @@ Status PhysicalUngroupedAggregate::ParallelAggregate(
         return AggregateSource(context, scan, arg_exprs[w], &partials[w]);
       }));
   if (!*done) return Status::OK();
-  for (const auto& partial : partials) {
-    for (idx_t a = 0; a < aggregates_.size(); a++) {
-      AggregateFunction::Combine(aggregates_[a].type, partial[a],
-                                 &(*states)[a]);
-    }
+  const idx_t dst_id = 0;
+  for (const State& partial : partials) {
+    layout_.Combine(partial.row.data(), 0, 1, &dst_id, state->row.data(),
+                    &state->strings);
   }
   return Status::OK();
 }
@@ -98,18 +97,16 @@ Status PhysicalUngroupedAggregate::GetChunk(ExecutionContext* context,
                                             DataChunk* out) {
   out->Reset();
   if (done_) return Status::OK();
-  std::vector<AggState> states(aggregates_.size());
+  layout_ = AggStateLayout::Plan(aggregates_);
+  State state(layout_.row_size());
   bool parallel_done = false;
-  MALLARD_RETURN_NOT_OK(ParallelAggregate(context, &states, &parallel_done));
+  MALLARD_RETURN_NOT_OK(ParallelAggregate(context, &state, &parallel_done));
   if (!parallel_done) {
     MALLARD_RETURN_NOT_OK(
-        AggregateSource(context, child(0), CopyArgExprs(), &states));
+        AggregateSource(context, child(0), CopyArgExprs(), &state));
   }
   for (idx_t a = 0; a < aggregates_.size(); a++) {
-    out->SetValue(a, 0,
-                  AggregateFunction::Finalize(aggregates_[a].type,
-                                              aggregates_[a].return_type,
-                                              states[a]));
+    out->SetValue(a, 0, layout_.Finalize(a, state.row.data()));
   }
   out->SetCardinality(1);
   done_ = true;
@@ -193,7 +190,7 @@ Status PhysicalHashAggregate::SinkSource(
             *arg_exprs[a], chunk, &arg_vectors[a]));
         arg = &arg_vectors[a];
       }
-      table->UpdateStates(aggregates_[a], a, arg, count);
+      table->UpdateStates(a, arg, count);
     }
     // The partition-sink budget consultation: externalizes the largest
     // partition whenever resident groups exceed the operator's share.
@@ -264,7 +261,7 @@ Status PhysicalHashAggregate::ParallelSink(ExecutionContext* context,
     MALLARD_RETURN_NOT_OK(parallel::RunPartitionedTasks(
         context, table_->PartitionCount(), [&](idx_t p) -> Status {
           for (RadixPartitionedAggregateTable* other : rest) {
-            table_->partition(p).Merge(other->partition(p), aggregates_);
+            table_->partition(p).Merge(other->partition(p));
           }
           // Partitions merge on different threads; each checks its own
           // 1/16 share of the budget (disjoint state, atomic flag).
@@ -334,7 +331,7 @@ Status PhysicalHashAggregate::GetChunk(ExecutionContext* context,
       idx_t group = emit_offset_ + i;
       for (idx_t a = 0; a < aggregates_.size(); a++) {
         out->SetValue(groups_.size() + a, i,
-                      emit_current_->FinalizeState(group, a, aggregates_[a]));
+                      emit_current_->FinalizeState(group, a));
       }
     }
     emit_offset_ += produced;

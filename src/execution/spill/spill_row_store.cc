@@ -22,8 +22,9 @@ Status SpillRowStore::Append(const uint8_t* row, uint32_t len) {
     tail_data_ = nullptr;
     MALLARD_ASSIGN_OR_RETURN(
         BufferHandle handle,
-        buffers_->Allocate(std::max(segment_bytes_, needed),
+        buffers_->Allocate(std::max(next_segment_bytes_, needed),
                            /*spillable=*/true));
+    next_segment_bytes_ = std::min(segment_bytes_, 2 * next_segment_bytes_);
     tail_data_ = handle.data();
     segments_.push_back(Segment{handle.buffer(), 0});
     tail_pin_ = std::move(handle);

@@ -22,12 +22,10 @@ class ResourceGovernor;
 /// columnar chunks (kVectorSize rows each, creation order) so emission
 /// is a plain chunk copy and key comparison is typed array access.
 ///
-/// Aggregate states: when every aggregate in the list has a fixed-width
-/// encoding (see AggStateLayout) the states are compact byte rows —
+/// Aggregate states are compact byte rows (see AggStateLayout) —
 /// `layout.row_size()` bytes per group, updated/combined by typed batch
-/// kernels. Otherwise (MIN/MAX over VARCHAR) states fall back to a flat
-/// `AggState` array, `aggregate_count` per group. Construction with only
-/// an aggregate *count* (tests) always uses the AggState fallback.
+/// kernels. The bytes of MIN/MAX extremes over VARCHAR live in the
+/// table's string arena.
 ///
 /// Each group's hash is retained in creation order (`group_hashes_`), so
 /// merging partial tables and radix-partitioning groups never re-hash.
@@ -43,22 +41,12 @@ class ResourceGovernor;
 /// per-row map lookups or Value boxing on the hot path.
 class AggregateHashTable {
  public:
-  /// Generic-state construction (aggregate semantics unknown): states
-  /// are AggState structs. `initial_capacity` is rounded up to a power
-  /// of two; tests pass a tiny value to force collisions and exercise
-  /// linear probing.
-  AggregateHashTable(std::vector<TypeId> group_types, idx_t aggregate_count,
-                     idx_t initial_capacity = 1024);
-
-  /// Preferred construction: plans a compact fixed-width state layout
-  /// over `aggregates` and uses it when every aggregate is compactable,
-  /// falling back to AggState rows otherwise.
+  /// Plans the state layout over `aggregates`. `initial_capacity` is
+  /// rounded up to a power of two; tests pass a tiny value to force
+  /// collisions and exercise linear probing.
   AggregateHashTable(std::vector<TypeId> group_types,
                      const std::vector<BoundAggregate>& aggregates,
                      idx_t initial_capacity = 1024);
-
-  /// True when states are compact fixed-width rows (tests/benches).
-  bool CompactLayout() const { return layout_.compact(); }
 
   /// Maps the first `count` rows of `groups` to dense group ids
   /// (creating groups for unseen keys) and writes them to `group_ids`.
@@ -75,28 +63,26 @@ class AggregateHashTable {
   /// Folds rows of `arg` into the states selected by `group_ids` for
   /// aggregate slot `agg_index`: input row i — or sel[i] when `sel` is
   /// given — updates group_ids[i]. One type dispatch per call, typed
-  /// loops inside; the AggState fallback boxes a Value only when a
-  /// MIN/MAX extreme improves.
-  void UpdateStates(const BoundAggregate& aggregate, idx_t agg_index,
-                    const Vector* arg, idx_t count, const idx_t* group_ids,
-                    const uint32_t* sel = nullptr);
+  /// loops inside.
+  void UpdateStates(idx_t agg_index, const Vector* arg, idx_t count,
+                    const idx_t* group_ids, const uint32_t* sel = nullptr);
 
   /// Folds every group of `other` (a thread-local partial aggregate over
   /// a disjoint row subset) into this table: unseen keys create new
-  /// groups, existing keys combine states — a typed batch kernel for
-  /// compact layouts, AggregateFunction::Combine otherwise. Uses
-  /// `other`'s stored group hashes (no re-hashing). `aggregates` must be
-  /// the same list both tables were updated with, and both tables must
-  /// share the same layout mode.
-  void Merge(const AggregateHashTable& other,
-             const std::vector<BoundAggregate>& aggregates);
+  /// groups, existing keys combine states with the layout's batch
+  /// kernel. Uses `other`'s stored group hashes (no re-hashing). Both
+  /// tables must have been built over the same aggregate list.
+  void Merge(const AggregateHashTable& other);
 
   idx_t GroupCount() const { return group_count_; }
   idx_t Capacity() const { return entries_.size(); }
 
-  /// Approximate bytes held per group (keys + states + directory share),
-  /// maintained incrementally — the spill decision's accounting.
-  uint64_t ApproxBytes() const { return approx_bytes_; }
+  /// Approximate bytes held (keys + states + directory share, maintained
+  /// incrementally, plus the string arena) — the spill decision's
+  /// accounting. Dead VARCHAR extremes count until Reset().
+  uint64_t ApproxBytes() const {
+    return approx_bytes_ + strings_.TotalCapacity();
+  }
 
   /// Drops every group and shrinks the directory back to
   /// `initial_capacity` — the table is reusable afterwards. Used when a
@@ -106,8 +92,8 @@ class AggregateHashTable {
   /// Merges `count` externalized groups back in: row r of `keys` (with
   /// retained hash hashes[r]) carries the contiguous compact state row
   /// r of `state_rows`. Unseen keys create groups, existing keys batch-
-  /// combine — the external-aggregation reload path. Compact layouts
-  /// only (spilling is gated on CompactLayout()).
+  /// combine — the external-aggregation reload path. VARCHAR extremes
+  /// of `state_rows` are copied into this table's arena.
   void MergeRows(const DataChunk& keys, idx_t count, const uint64_t* hashes,
                  const uint8_t* state_rows);
 
@@ -120,20 +106,15 @@ class AggregateHashTable {
 
   const AggStateLayout& layout() const { return layout_; }
 
-  /// Compact state row of one group (compact layouts only).
+  /// State row of one group.
   const uint8_t* StateRow(idx_t group_id) const {
     return state_rows_.data() + group_id * layout_.row_size();
   }
 
-  /// Generic-state accessor (AggState fallback layouts only).
-  const AggState& State(idx_t group_id, idx_t agg_index) const {
-    return states_[group_id * aggregate_count_ + agg_index];
+  /// Produces the result of aggregate `agg_index` for `group_id`.
+  Value FinalizeState(idx_t group_id, idx_t agg_index) const {
+    return layout_.Finalize(agg_index, StateRow(group_id));
   }
-
-  /// Produces the result of aggregate `agg_index` for `group_id`,
-  /// whichever state representation is in use.
-  Value FinalizeState(idx_t group_id, idx_t agg_index,
-                      const BoundAggregate& aggregate) const;
 
   /// Copies group key rows [start, start+count) into the leading
   /// columns of `out`. `start` must be kVectorSize-aligned and the
@@ -155,7 +136,6 @@ class AggregateHashTable {
   idx_t FindOrCreateOne(const DataChunk& groups, idx_t row, uint64_t hash);
 
   std::vector<TypeId> group_types_;
-  idx_t aggregate_count_;
   AggStateLayout layout_;
   std::vector<Entry> entries_;
   uint64_t mask_ = 0;
@@ -164,8 +144,8 @@ class AggregateHashTable {
   // g%kVectorSize holds group g.
   std::vector<std::unique_ptr<DataChunk>> group_chunks_;
   std::vector<uint64_t> group_hashes_;  // creation order, for merge/radix
-  std::vector<AggState> states_;   // fallback: group * aggregate_count_
-  std::vector<uint8_t> state_rows_;  // compact: group * layout_.row_size()
+  std::vector<uint8_t> state_rows_;  // group * layout_.row_size()
+  ArenaAllocator strings_;  // bytes of the VARCHAR extremes in state_rows_
   std::vector<uint64_t> hash_scratch_;
   std::vector<idx_t> merge_ids_;  // Merge scratch
   uint64_t approx_bytes_ = 0;
@@ -187,17 +167,17 @@ class AggregateHashTable {
 /// External aggregation (EnableSpilling): after every sunk chunk the
 /// operator calls MaybeSpill, which re-reads the governor's budget and,
 /// while over it, externalizes the largest partition's groups into a
-/// spill *run* — rows of [group hash | compact state row | encoded key]
-/// in a spillable SpillRowStore — and resets that partition's table (an
-/// unpartitioned table first upgrades itself to 16 partitions so the
-/// runs have a radix home). The same group may appear in several runs
-/// and in the resident table; emission (NextEmitTable) walks partitions
-/// one at a time, merging a partition's resident groups and all its runs
-/// back into one bounded table via MergeRows before its groups are
-/// finalized — and when even one partition's merged groups exceed the
-/// emission budget, its runs are re-routed by the next 4 hash bits and
-/// processed recursively. Spilling is only engaged for compact state
-/// layouts (the VARCHAR MIN/MAX fallback never spills).
+/// spill *run* — rows of [group hash | state row | encoded key | one
+/// [u32 len | bytes] per seen VARCHAR extreme] in a spillable
+/// SpillRowStore — and resets that partition's table (an unpartitioned
+/// table first upgrades itself to 16 partitions so the runs have a radix
+/// home). The same group may appear in several runs and in the resident
+/// table; emission (NextEmitTable) walks partitions one at a time,
+/// merging a partition's resident groups and all its runs back into one
+/// bounded table via MergeRows before its groups are finalized — and
+/// when even one partition's merged groups exceed the emission budget,
+/// its runs are re-routed by the next 4 hash bits and processed
+/// recursively.
 class RadixPartitionedAggregateTable {
  public:
   static constexpr idx_t kRadixBits = 4;
@@ -227,8 +207,7 @@ class RadixPartitionedAggregateTable {
 
   /// Folds rows of `arg` into aggregate slot `agg_index` of the groups
   /// resolved by the preceding FindOrCreateGroups call.
-  void UpdateStates(const BoundAggregate& aggregate, idx_t agg_index,
-                    const Vector* arg, idx_t count);
+  void UpdateStates(idx_t agg_index, const Vector* arg, idx_t count);
 
   idx_t PartitionCount() const { return partitions_.size(); }
   AggregateHashTable& partition(idx_t p) { return *partitions_[p]; }
@@ -243,9 +222,7 @@ class RadixPartitionedAggregateTable {
   /// Enables spilling: resident groups are kept under
   /// governor->EffectiveMemoryBudget() / divisor, re-read at every
   /// MaybeSpill. `aggregates` must outlive the table (the operator's
-  /// member list); needed to build replacement/merge tables. No-op
-  /// protection: spilling only ever engages when the state layout is
-  /// compact.
+  /// member list); needed to build replacement/merge tables.
   void EnableSpilling(const ResourceGovernor* governor,
                       BufferManager* buffers, uint64_t divisor,
                       const std::vector<BoundAggregate>* aggregates);

@@ -11,7 +11,9 @@
 
 namespace mallard {
 
-/// Aggregation without GROUP BY: exactly one output row.
+/// Aggregation without GROUP BY: exactly one output row, from one state
+/// row of the same AggStateLayout the hash aggregate uses (every input
+/// row has group id 0).
 class PhysicalUngroupedAggregate final : public PhysicalOperator {
  public:
   PhysicalUngroupedAggregate(std::vector<BoundAggregate> aggregates,
@@ -26,21 +28,28 @@ class PhysicalUngroupedAggregate final : public PhysicalOperator {
   }
 
  private:
-  /// Thread-local partial states combined with AggregateFunction::Combine;
+  /// One state row of layout_ and the arena its VARCHAR extremes live in.
+  struct State {
+    explicit State(idx_t row_size) : row(row_size, 0) {}
+    std::vector<uint8_t> row;
+    ArenaAllocator strings;
+  };
+
+  /// Thread-local partial state rows combined with AggStateLayout::Combine;
   /// sets `*done` when the parallel path ran.
-  Status ParallelAggregate(ExecutionContext* context,
-                           std::vector<AggState>* states, bool* done);
+  Status ParallelAggregate(ExecutionContext* context, State* state,
+                           bool* done);
   /// The accumulation loop shared by the serial path and every parallel
   /// worker: pull chunks from `source`, evaluate `arg_exprs` (null
-  /// entry = COUNT(*)), fold into `states`. One body keeps serial and
+  /// entry = COUNT(*)), fold into `state`. One body keeps serial and
   /// parallel semantics from diverging.
   Status AggregateSource(ExecutionContext* context, PhysicalOperator* source,
-                         const std::vector<ExprPtr>& arg_exprs,
-                         std::vector<AggState>* states);
+                         const std::vector<ExprPtr>& arg_exprs, State* state);
   /// One nullable Copy of each aggregate's argument expression.
   std::vector<ExprPtr> CopyArgExprs() const;
 
   std::vector<BoundAggregate> aggregates_;
+  AggStateLayout layout_;  // planned at each execution
   bool done_ = false;
 };
 

@@ -1,6 +1,7 @@
 #ifndef MALLARD_EXECUTION_SPILL_SPILL_ROW_STORE_H_
 #define MALLARD_EXECUTION_SPILL_SPILL_ROW_STORE_H_
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -23,15 +24,21 @@ namespace mallard {
 /// transparently), so a scan over an arbitrarily large store keeps at
 /// most one segment resident beyond the evictable pool.
 ///
-/// Rows never straddle a segment boundary. Not thread-safe; each store
-/// has a single writer, and reads happen after FinishAppend().
+/// Segments grow geometrically from kFirstSegmentBytes up to
+/// `segment_bytes`, so a small run does not spill a mostly empty
+/// full-size segment. Rows never straddle a segment boundary (a row
+/// larger than a segment gets a segment of its own). Not thread-safe;
+/// each store has a single writer, and reads happen after FinishAppend().
 class SpillRowStore {
  public:
   static constexpr uint64_t kDefaultSegmentBytes = 256 * 1024;
+  static constexpr uint64_t kFirstSegmentBytes = 16 * 1024;
 
   explicit SpillRowStore(BufferManager* buffers,
                          uint64_t segment_bytes = kDefaultSegmentBytes)
-      : buffers_(buffers), segment_bytes_(segment_bytes) {}
+      : buffers_(buffers),
+        segment_bytes_(segment_bytes),
+        next_segment_bytes_(std::min(kFirstSegmentBytes, segment_bytes)) {}
 
   /// Appends one row ([u32 length][bytes]).
   Status Append(const uint8_t* row, uint32_t len);
@@ -64,6 +71,7 @@ class SpillRowStore {
 
   BufferManager* buffers_;
   uint64_t segment_bytes_;
+  uint64_t next_segment_bytes_;
   std::vector<Segment> segments_;
   BufferHandle tail_pin_;
   uint8_t* tail_data_ = nullptr;

@@ -203,7 +203,7 @@ TEST_F(JoinHashTableTest, MultiColumnVarcharKeys) {
 // --- AggregateHashTable unit tests -----------------------------------------
 
 TEST(AggregateHashTableTest, TinyCapacityForcesProbingAndResize) {
-  AggregateHashTable table({TypeId::kBigInt}, /*aggregate_count=*/1,
+  AggregateHashTable table({TypeId::kBigInt}, /*aggregates=*/{},
                            /*initial_capacity=*/2);
   DataChunk groups;
   groups.Initialize({TypeId::kBigInt});
@@ -230,7 +230,7 @@ TEST(AggregateHashTableTest, TinyCapacityForcesProbingAndResize) {
 }
 
 TEST(AggregateHashTableTest, NullKeyIsItsOwnGroup) {
-  AggregateHashTable table({TypeId::kInteger}, 1);
+  AggregateHashTable table({TypeId::kInteger}, {});
   DataChunk groups;
   groups.Initialize({TypeId::kInteger});
   groups.column(0).data<int32_t>()[0] = 5;
@@ -248,7 +248,7 @@ TEST(AggregateHashTableTest, NullKeyIsItsOwnGroup) {
 
 TEST(AggregateHashTableTest, ManyGroupsEmitAcrossVectors) {
   const idx_t kGroups = 12000;  // > 5 vectors of group keys
-  AggregateHashTable table({TypeId::kBigInt}, 1);
+  AggregateHashTable table({TypeId::kBigInt}, {});
   DataChunk groups;
   groups.Initialize({TypeId::kBigInt});
   std::vector<idx_t> ids(kVectorSize);
@@ -279,7 +279,7 @@ TEST(AggregateHashTableTest, ManyGroupsEmitAcrossVectors) {
   EXPECT_EQ(seen.size(), kGroups);
 }
 
-// --- Compact fixed-width aggregate states ----------------------------------
+// --- Aggregate state rows --------------------------------------------------
 
 namespace {
 ExprPtr AggArg(TypeId type) {
@@ -297,72 +297,146 @@ std::vector<BoundAggregate> FixedWidthAggregates() {
 }
 }  // namespace
 
-TEST(AggStateLayoutTest, CompactStatesMatchGenericStates) {
-  // The same updates through the compact fixed-width rows and through
-  // the generic AggState fallback must finalize identically — including
-  // NULL handling (every 7th argument NULL, one all-NULL group).
-  auto aggs = FixedWidthAggregates();
-  AggregateHashTable compact({TypeId::kBigInt}, aggs);
-  AggregateHashTable generic({TypeId::kBigInt}, aggs.size());
-  ASSERT_TRUE(compact.CompactLayout());
-  ASSERT_FALSE(generic.CompactLayout());
-
-  DataChunk groups;
-  groups.Initialize({TypeId::kBigInt});
-  Vector arg(TypeId::kBigInt);
-  std::vector<idx_t> ids(kVectorSize);
-  for (int pass = 0; pass < 3; pass++) {
-    const idx_t n = 900;
-    for (idx_t r = 0; r < n; r++) {
-      groups.column(0).data<int64_t>()[r] = static_cast<int64_t>(r % 37);
-      arg.data<int64_t>()[r] = static_cast<int64_t>(pass * 1000 + r) - 450;
-      if (r % 7 == 0) arg.validity().SetInvalid(r);
-      if (r % 37 == 5) arg.validity().SetInvalid(r);  // group 5: mixed
-    }
-    // Group 36 never sees a valid argument: SUM/AVG/MIN/MAX must
-    // finalize NULL while COUNT(*) stays nonzero.
-    for (idx_t r = 36; r < n; r += 37) arg.validity().SetInvalid(r);
-    groups.SetCardinality(n);
-    for (AggregateHashTable* table : {&compact, &generic}) {
-      table->FindOrCreateGroups(groups, n, ids.data());
-      for (idx_t a = 0; a < aggs.size(); a++) {
-        const Vector* v = aggs[a].arg ? &arg : nullptr;
-        table->UpdateStates(aggs[a], a, v, n, ids.data());
+// The argument of row `r` in pass `pass` for an input of `type` (NULL on
+// every 7th row and in group 36): negative and positive values, with
+// empty strings and strings longer than 12 bytes among the VARCHARs.
+Value ReferenceInput(TypeId type, idx_t r, int pass) {
+  if (r % 7 == 0 || r % 37 == 36) return Value::Null(type);  // 36: all NULL
+  int64_t k = static_cast<int64_t>((r * 7919 + pass * 104729) % 1000) - 450;
+  switch (type) {
+    case TypeId::kInteger:
+      return Value::Integer(static_cast<int32_t>(k));
+    case TypeId::kBigInt:
+      return Value::BigInt(k * 1000000007LL);
+    case TypeId::kDouble:
+      return Value::Double(static_cast<double>(k) * 0.25);
+    case TypeId::kDate:
+      return Value::Date(static_cast<int32_t>(k * 13));
+    case TypeId::kTimestamp:
+      return Value::Timestamp(k * 86400000000LL + 17);
+    case TypeId::kBoolean:
+      return Value::Boolean(k % 3 == 0);
+    case TypeId::kVarchar:
+      if (k % 5 == 0) return Value::Varchar("");
+      if (k % 5 == 1) {
+        return Value::Varchar("a string longer than twelve bytes #" +
+                              std::to_string(k));
       }
-    }
-    arg.Reset();
+      return Value::Varchar("s" + std::to_string(k));
+    default:
+      return Value::Null(type);  // the untyped NULL literal
   }
-  ASSERT_EQ(compact.GroupCount(), generic.GroupCount());
-  for (idx_t g = 0; g < compact.GroupCount(); g++) {
-    for (idx_t a = 0; a < aggs.size(); a++) {
-      Value c = compact.FinalizeState(g, a, aggs[a]);
-      Value e = generic.FinalizeState(g, a, aggs[a]);
-      EXPECT_EQ(c.ToString(), e.ToString())
-          << "group " << g << " aggregate " << a;
+}
+
+// Loads `values` into `arg`; with `dictionary` set, as a dictionary
+// vector over the distinct strings (the shape a dictionary-encoded
+// column segment hands to the aggregate).
+void LoadReferenceInput(const std::vector<Value>& values, bool dictionary,
+                        Vector* arg) {
+  arg->Reset();
+  std::map<std::string, uint32_t> codes;
+  if (dictionary) {
+    for (const Value& v : values) {
+      if (!v.is_null()) codes.emplace(v.GetString(), 0);
+    }
+    auto dict = std::make_shared<VectorDictionary>();
+    for (auto& [str, code] : codes) {
+      code = static_cast<uint32_t>(dict->entries.size());
+      dict->entries.push_back(dict->heap.AddString(
+          str.data(), static_cast<uint32_t>(str.size())));
+    }
+    arg->SetDictionary(dict, values.size());
+  }
+  for (idx_t r = 0; r < values.size(); r++) {
+    if (values[r].is_null()) {
+      arg->validity().SetInvalid(r);
+    } else if (dictionary) {
+      arg->data<uint32_t>()[r] = codes.at(values[r].GetString());
+    } else {
+      arg->SetValue(r, values[r]);
     }
   }
 }
 
-TEST(AggStateLayoutTest, VarcharExtremesAreNotCompactable) {
-  EXPECT_FALSE(AggStateLayout::Compactable(AggType::kMin, TypeId::kVarchar));
-  EXPECT_FALSE(AggStateLayout::Compactable(AggType::kMax, TypeId::kVarchar));
-  // COUNT only reads validity: compactable for any argument type.
-  EXPECT_TRUE(AggStateLayout::Compactable(AggType::kCount, TypeId::kVarchar));
-  std::vector<BoundAggregate> aggs;
-  aggs.push_back({AggType::kSum, AggArg(TypeId::kBigInt), TypeId::kBigInt});
-  aggs.push_back(
-      {AggType::kMin, AggArg(TypeId::kVarchar), TypeId::kVarchar});
-  // One non-compactable aggregate sends the whole table to the AggState
-  // fallback (states must live side by side per group).
-  AggregateHashTable table({TypeId::kInteger}, aggs);
-  EXPECT_FALSE(table.CompactLayout());
+TEST(AggStateLayoutTest, MatchesBaselineForEveryAggregateAndType) {
+  // Every (aggregate, argument type) pair the binder admits, through the
+  // state rows of an AggregateHashTable, must finalize exactly like the
+  // baseline row engine's boxed AggState — including the all-NULL group
+  // 36, where COUNT(*) stays nonzero and everything else is NULL or 0.
+  struct Input {
+    TypeId type;
+    bool dictionary;
+  };
+  const Input inputs[] = {
+      {TypeId::kInteger, false}, {TypeId::kBigInt, false},
+      {TypeId::kDouble, false},  {TypeId::kDate, false},
+      {TypeId::kTimestamp, false}, {TypeId::kBoolean, false},
+      {TypeId::kVarchar, false}, {TypeId::kVarchar, true},
+      {TypeId::kInvalid, false}};
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(std::string(TypeIdToString(input.type)) +
+                 (input.dictionary ? " (dictionary)" : ""));
+    std::vector<BoundAggregate> aggs;
+    std::vector<AggType> types = {AggType::kCountStar, AggType::kCount,
+                                  AggType::kMin, AggType::kMax};
+    if (TypeIsNumeric(input.type)) {
+      types.push_back(AggType::kSum);
+      types.push_back(AggType::kAvg);
+    }
+    for (AggType type : types) {
+      bool star = type == AggType::kCountStar;
+      aggs.push_back({type, star ? nullptr : AggArg(input.type),
+                      AggregateFunction::ResolveType(type, input.type)});
+    }
+    AggregateHashTable table({TypeId::kBigInt}, aggs);
+    std::vector<std::vector<AggState>> reference(
+        37, std::vector<AggState>(aggs.size()));
+
+    DataChunk groups;
+    groups.Initialize({TypeId::kBigInt});
+    Vector arg(input.type);
+    std::vector<idx_t> ids(kVectorSize);
+    for (int pass = 0; pass < 3; pass++) {
+      const idx_t n = 900;
+      std::vector<Value> values;
+      for (idx_t r = 0; r < n; r++) {
+        groups.column(0).data<int64_t>()[r] = static_cast<int64_t>(r % 37);
+        values.push_back(ReferenceInput(input.type, r, pass));
+      }
+      groups.SetCardinality(n);
+      LoadReferenceInput(values, input.dictionary, &arg);
+      table.FindOrCreateGroups(groups, n, ids.data());
+      for (idx_t a = 0; a < aggs.size(); a++) {
+        table.UpdateStates(a, aggs[a].arg ? &arg : nullptr, n, ids.data());
+        for (idx_t r = 0; r < n; r++) {
+          AggregateFunction::UpdateValue(aggs[a].type, values[r],
+                                         &reference[r % 37][a]);
+        }
+      }
+    }
+    // Keys 0..36 first appear in that order, so group id == key.
+    ASSERT_EQ(table.GroupCount(), 37u);
+    for (idx_t g = 0; g < table.GroupCount(); g++) {
+      for (idx_t a = 0; a < aggs.size(); a++) {
+        Value got = table.FinalizeState(g, a);
+        Value want = AggregateFunction::Finalize(
+            aggs[a].type, aggs[a].return_type, reference[g][a]);
+        EXPECT_EQ(got.type(), want.type());
+        EXPECT_EQ(got.is_null(), want.is_null());
+        EXPECT_EQ(got.ToString(), want.ToString())
+            << "group " << g << " " << AggregateFunction::Name(aggs[a].type);
+      }
+    }
+  }
 }
 
 TEST(AggStateLayoutTest, CompactMergeMatchesSingleTable) {
-  // Two partial compact tables over disjoint row halves, merged, must
-  // equal one table that saw every row — the batch Combine kernel under
-  // the parallel merge.
+  // Two partial tables over disjoint row halves, merged, must equal one
+  // table that saw every row — the batch Combine kernel under the
+  // parallel merge, including VARCHAR extremes copied between arenas.
   auto aggs = FixedWidthAggregates();
+  aggs.push_back({AggType::kMin, AggArg(TypeId::kVarchar), TypeId::kVarchar});
+  aggs.push_back({AggType::kMax, AggArg(TypeId::kVarchar), TypeId::kVarchar});
   AggregateHashTable merged({TypeId::kBigInt}, aggs);
   AggregateHashTable partial({TypeId::kBigInt}, aggs);
   AggregateHashTable reference({TypeId::kBigInt}, aggs);
@@ -370,27 +444,34 @@ TEST(AggStateLayoutTest, CompactMergeMatchesSingleTable) {
   DataChunk groups;
   groups.Initialize({TypeId::kBigInt});
   Vector arg(TypeId::kBigInt);
+  Vector text(TypeId::kVarchar);
   std::vector<idx_t> ids(kVectorSize);
   auto feed = [&](AggregateHashTable* table, idx_t begin, idx_t end) {
     idx_t n = 0;
     for (idx_t i = begin; i < end; i++, n++) {
       groups.column(0).data<int64_t>()[n] = static_cast<int64_t>(i % 101);
       arg.data<int64_t>()[n] = static_cast<int64_t>(i * 3) - 1000;
+      text.SetString(n, std::string(i % 17, 'x') + std::to_string(i * 7 % 13));
       if (i % 11 == 0) arg.validity().SetInvalid(n);
+      if (i % 13 == 0) text.validity().SetInvalid(n);
     }
     groups.SetCardinality(n);
     table->FindOrCreateGroups(groups, n, ids.data());
     for (idx_t a = 0; a < aggs.size(); a++) {
-      table->UpdateStates(aggs[a], a, aggs[a].arg ? &arg : nullptr, n,
-                          ids.data());
+      const Vector* v = nullptr;
+      if (aggs[a].arg) {
+        v = aggs[a].arg->return_type() == TypeId::kVarchar ? &text : &arg;
+      }
+      table->UpdateStates(a, v, n, ids.data());
     }
     arg.Reset();
+    text.Reset();
   };
   feed(&merged, 0, 1000);
   feed(&partial, 1000, 2000);
   feed(&reference, 0, 1000);
   feed(&reference, 1000, 2000);
-  merged.Merge(partial, aggs);
+  merged.Merge(partial);
   ASSERT_EQ(merged.GroupCount(), reference.GroupCount());
   // Group creation order differs between merged and reference only when
   // the second half introduces new keys; with 101 keys over 1000 rows
@@ -398,8 +479,8 @@ TEST(AggStateLayoutTest, CompactMergeMatchesSingleTable) {
   for (idx_t g = 0; g < merged.GroupCount(); g++) {
     EXPECT_EQ(merged.GroupHash(g), reference.GroupHash(g));
     for (idx_t a = 0; a < aggs.size(); a++) {
-      EXPECT_EQ(merged.FinalizeState(g, a, aggs[a]).ToString(),
-                reference.FinalizeState(g, a, aggs[a]).ToString())
+      EXPECT_EQ(merged.FinalizeState(g, a).ToString(),
+                reference.FinalizeState(g, a).ToString())
           << "group " << g << " aggregate " << a;
     }
   }
@@ -431,7 +512,7 @@ TEST(RadixPartitionedTableTest, PartitionsGroupsByHashHighBits) {
     for (RadixPartitionedAggregateTable* t : {&table, &single}) {
       t->FindOrCreateGroups(groups, n);
       for (idx_t a = 0; a < aggs.size(); a++) {
-        t->UpdateStates(aggs[a], a, aggs[a].arg ? &arg : nullptr, n);
+        t->UpdateStates(a, aggs[a].arg ? &arg : nullptr, n);
       }
     }
     fed += n;
@@ -446,12 +527,12 @@ TEST(RadixPartitionedTableTest, PartitionsGroupsByHashHighBits) {
     for (idx_t g = 0; g < part.GroupCount(); g++) {
       EXPECT_EQ(RadixPartitionedAggregateTable::PartitionOf(part.GroupHash(g)),
                 p);
-      part_rows += part.FinalizeState(g, 0, aggs[0]).GetBigInt();
+      part_rows += part.FinalizeState(g, 0).GetBigInt();
     }
   }
   for (idx_t g = 0; g < single.partition(0).GroupCount(); g++) {
     single_rows +=
-        single.partition(0).FinalizeState(g, 0, aggs[0]).GetBigInt();
+        single.partition(0).FinalizeState(g, 0).GetBigInt();
   }
   EXPECT_EQ(part_rows, static_cast<int64_t>(kRows));
   EXPECT_EQ(single_rows, static_cast<int64_t>(kRows));

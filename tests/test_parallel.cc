@@ -605,10 +605,10 @@ TEST_F(ParallelSqlTest, RadixMergeEquivalenceAcrossGroupCounts) {
   EXPECT_EQ(serial, RowsAtThreads(4, sql));
 }
 
-TEST_F(ParallelSqlTest, VarcharExtremesKeepGenericStatesUnderParallelism) {
-  // MIN/MAX over VARCHAR has no fixed-width state: thread-local tables
-  // fall back to generic AggState rows, and the radix merge must still
-  // combine them correctly at any thread count.
+TEST_F(ParallelSqlTest, VarcharExtremesMergeUnderParallelism) {
+  // MIN/MAX over VARCHAR keep their bytes in each thread-local table's
+  // arena; the radix merge copies winning extremes into the surviving
+  // table's arena and must combine them correctly at any thread count.
   ASSERT_TRUE(
       con_->Query("CREATE TABLE vt (s VARCHAR, w VARCHAR, v BIGINT)").ok());
   std::string ins;

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "mallard/execution/spill/spill_row_store.h"
 #include "mallard/main/appender.h"
@@ -146,6 +148,9 @@ TEST(SpillRowStoreTest, RoundtripUnderTinyLimit) {
 // Grace hash join / external aggregation equivalence
 // ---------------------------------------------------------------------------
 
+constexpr const char* kVarcharAggQuery =
+    "SELECT g, min(s), max(s) FROM t GROUP BY g";
+
 class SpillQueryTest : public ::testing::Test {
  protected:
   void TearDown() override { FaultInjector::Get().Reset(); }
@@ -190,13 +195,21 @@ class SpillQueryTest : public ::testing::Test {
     ASSERT_TRUE((*probe)->Close().ok());
   }
 
+  // t (g, v, s): `rows` rows over `groups` groups. s is a short string,
+  // except in row 1, where it is kHugeString bytes — group 1's MAX(s),
+  // whose spill row is larger than a spill segment.
+  static constexpr idx_t kHugeString = 320 * 1024;
   void PopulateAgg(idx_t rows, idx_t groups) {
-    ASSERT_TRUE(con_->Query("CREATE TABLE t (g INTEGER, v INTEGER)").ok());
+    ASSERT_TRUE(
+        con_->Query("CREATE TABLE t (g INTEGER, v INTEGER, s VARCHAR)").ok());
     auto app = Appender::Create(db_.get(), "t");
     ASSERT_TRUE(app.ok());
     for (idx_t r = 0; r < rows; r++) {
+      std::string s = r == 1 ? std::string(kHugeString, 'z')
+                             : "v" + std::to_string(r * 7919 % 100003);
       (*app)->Append(static_cast<int32_t>(r % groups))
-          .Append(static_cast<int32_t>(r));
+          .Append(static_cast<int32_t>(r))
+          .Append(s);
       ASSERT_TRUE((*app)->EndRow().ok());
     }
     ASSERT_TRUE((*app)->Close().ok());
@@ -228,6 +241,37 @@ class SpillQueryTest : public ::testing::Test {
       }
     }
     return {r.RowCount(), sum};
+  }
+
+  // Every row of a result as text, sorted: results under different
+  // budgets emit rows in different orders.
+  static std::vector<std::string> SortedRows(const MaterializedQueryResult& r) {
+    std::vector<std::string> rows;
+    for (const auto& chunk : r.Chunks()) {
+      for (idx_t row = 0; row < chunk->size(); row++) {
+        std::string text;
+        for (idx_t col = 0; col < chunk->ColumnCount(); col++) {
+          text += chunk->GetValue(col, row).ToString() + "|";
+        }
+        rows.push_back(std::move(text));
+      }
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+
+  // Runs kVarcharAggQuery; with `expect_spill` it must spill.
+  std::vector<std::string> VarcharAggRows(bool expect_spill) {
+    int64_t before = SpilledBytes();
+    auto r = con_->Query(kVarcharAggQuery);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return {};
+    if (expect_spill) {
+      EXPECT_GT(SpilledBytes(), before);
+    } else {
+      EXPECT_EQ(SpilledBytes(), before);
+    }
+    return SortedRows(**r);
   }
 
   int64_t SpilledBytes() {
@@ -296,6 +340,7 @@ TEST_F(SpillQueryTest, ExternalAggMatchesInMemoryAcrossBudgets) {
   const idx_t kRowCount = 200000;
   const idx_t kGroups = 150000;
   std::pair<idx_t, double> expected;
+  std::vector<std::string> varchar_expected;
   {
     Open(1ull << 30);
     PopulateAgg(kRowCount, kGroups);
@@ -304,6 +349,8 @@ TEST_F(SpillQueryTest, ExternalAggMatchesInMemoryAcrossBudgets) {
     ASSERT_EQ((*r)->RowCount(), kGroups);
     expected = Digest(**r);
     EXPECT_EQ(SpilledBytes(), 0);
+    varchar_expected = VarcharAggRows(/*expect_spill=*/false);
+    ASSERT_EQ(varchar_expected.size(), kGroups);
   }
   {
     Open(24ull << 20);  // ~2x working set
@@ -319,6 +366,8 @@ TEST_F(SpillQueryTest, ExternalAggMatchesInMemoryAcrossBudgets) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(Digest(**r), expected);
     EXPECT_GT(SpilledBytes(), 0);
+    // MIN/MAX over VARCHAR spills too, huge extreme included.
+    EXPECT_EQ(VarcharAggRows(/*expect_spill=*/true), varchar_expected);
   }
 }
 
@@ -330,12 +379,14 @@ TEST_F(SpillQueryTest, ParallelSinksSpillUnderTightBudget) {
   const idx_t kGroups = 120000;
   std::pair<idx_t, double> agg_expected;
   std::pair<idx_t, double> join_expected;
+  std::vector<std::string> varchar_expected;
   {
     Open(1ull << 30, /*threads=*/1);
     PopulateAgg(kRowCount, kGroups);
     auto r = con_->Query(kAggQuery);
     ASSERT_TRUE(r.ok());
     agg_expected = Digest(**r);
+    varchar_expected = VarcharAggRows(/*expect_spill=*/false);
   }
   {
     Open(2ull << 20, /*threads=*/4);
@@ -343,6 +394,9 @@ TEST_F(SpillQueryTest, ParallelSinksSpillUnderTightBudget) {
     auto r = con_->Query(kAggQuery);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(Digest(**r), agg_expected);
+    // Workers spill VARCHAR extremes independently; the coordinator
+    // adopts their runs and merges them with the resident partitions.
+    EXPECT_EQ(VarcharAggRows(/*expect_spill=*/true), varchar_expected);
   }
   const idx_t kJoinRows = 60000;
   {
