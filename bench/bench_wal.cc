@@ -23,11 +23,20 @@
 //     checkpoint), reopen, and time Database::Open — which is dominated
 //     by WAL replay. The contract: replay is linear in WAL bytes.
 //
+//  3. Checkpoint cost after a small change: a checkpointed table of N
+//     rows takes one small committed change — 20 appended rows, one
+//     updated row or one deleted row — and is checkpointed again. An
+//     incremental checkpoint rewrites only the row groups the change
+//     touched, so its cost should track the change, not N. Reported as
+//     the median over kCheckpointReps changes, next to the full first
+//     checkpoint of the same table.
+//
 // Output: human table on stdout; `--json BENCH_wal.json` writes the
 // machine-readable points (field contract in docs/BENCHMARKS.md).
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -35,6 +44,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "mallard/main/appender.h"
 #include "mallard/main/connection.h"
 #include "mallard/main/database.h"
 #include "mallard/storage/file_handle.h"
@@ -153,6 +163,93 @@ RecoveryPoint RunRecoveryWorkload(int commits) {
   return point;
 }
 
+constexpr int kCheckpointReps = 7;
+
+struct CheckpointPoint {
+  double full_ms = 0;  // the first checkpoint, writing every group
+  double median_ms = 0;
+  double groups_written = 0;  // per checkpoint, from PRAGMA checkpoint_stats
+  double groups_reused = 0;
+  double file_mb = 0;  // database file after the last checkpoint
+};
+
+// Sum of one column of `PRAGMA checkpoint_stats`; 0 where the PRAGMA
+// does not exist.
+double CheckpointCounter(Connection* con, const std::string& name) {
+  auto r = con->Query("PRAGMA checkpoint_stats");
+  if (!r.ok()) return 0;
+  for (idx_t c = 0; c < (*r)->ColumnCount(); c++) {
+    if ((*r)->names()[c] == name) {
+      return static_cast<double>((*r)->GetValue(c, 0).GetBigInt());
+    }
+  }
+  return 0;
+}
+
+CheckpointPoint RunCheckpointWorkload(int64_t rows, const std::string& delta) {
+  std::string path = BenchPath();
+  Cleanup(path);
+  CheckpointPoint point;
+  {
+    DBConfig config;
+    config.checkpoint_on_close = false;
+    auto db = Database::Open(path, config);
+    if (!db.ok()) return point;
+    Connection con(db->get());
+    (void)con.Query(
+        "CREATE TABLE r (ts BIGINT, sensor INTEGER, value DOUBLE, tag "
+        "VARCHAR)");
+    {
+      auto appender = Appender::Create(db->get(), "r");
+      if (!appender.ok()) return point;
+      for (int64_t i = 0; i < rows; i++) {
+        (*appender)->Append(i);
+        (*appender)->Append(static_cast<int32_t>(i % 1000));
+        (*appender)->Append(static_cast<double>(i % 977) * 0.5);
+        (*appender)->Append("tag-" + std::to_string(i % 16));
+        if (!(*appender)->EndRow().ok()) return point;
+      }
+      if (!(*appender)->Close().ok()) return point;
+    }
+    auto start = Clock::now();
+    if (!(*db)->Checkpoint().ok()) return point;
+    point.full_ms = Ms(start);
+
+    double written = CheckpointCounter(&con, "groups_written");
+    double reused = CheckpointCounter(&con, "groups_reused");
+    std::vector<double> ms;
+    for (int rep = 0; rep < kCheckpointReps; rep++) {
+      int64_t row = (rows / kCheckpointReps) * rep + 17;
+      std::string sql;
+      if (delta == "append") {
+        sql = "INSERT INTO r VALUES ";
+        for (int i = 0; i < 20; i++) {
+          sql += (i ? ",(" : "(") + std::to_string(rows + rep * 20 + i) +
+                 ", 1, 0.5, 'new')";
+        }
+      } else if (delta == "update") {
+        sql = "UPDATE r SET value = -1 WHERE ts = " + std::to_string(row);
+      } else {
+        sql = "DELETE FROM r WHERE ts = " + std::to_string(row);
+      }
+      (void)con.Query(sql);
+      start = Clock::now();
+      if (!(*db)->Checkpoint().ok()) return point;
+      ms.push_back(Ms(start));
+    }
+    std::sort(ms.begin(), ms.end());
+    point.median_ms = ms[ms.size() / 2];
+    point.groups_written =
+        (CheckpointCounter(&con, "groups_written") - written) / kCheckpointReps;
+    point.groups_reused =
+        (CheckpointCounter(&con, "groups_reused") - reused) / kCheckpointReps;
+    point.file_mb = static_cast<double>((*db)->blocks()->TotalBlocks() + 2) *
+                    kBlockSize / (1024.0 * 1024.0);
+  }
+  Cleanup(path);
+  return point;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -206,6 +303,28 @@ int main(int argc, char** argv) {
                  commits_per_sec,
                  {{"wal_bytes", double(p.wal_bytes)},
                   {"replay_ms", p.replay_ms}});
+  }
+
+  std::printf("\ncheckpoint after a small change, median of %d\n",
+              kCheckpointReps);
+  std::printf("%8s %8s %10s %14s %8s %8s %8s\n", "rows", "delta", "full_ms",
+              "checkpoint_ms", "written", "reused", "file_mb");
+  for (int64_t rows : {200000, 1000000}) {
+    for (const std::string delta : {"append", "update", "delete"}) {
+      CheckpointPoint p = RunCheckpointWorkload(rows, delta);
+      std::printf("%8lld %8s %10.1f %14.2f %8.1f %8.1f %8.1f\n",
+                  static_cast<long long>(rows), delta.c_str(), p.full_ms,
+                  p.median_ms, p.groups_written, p.groups_reused, p.file_mb);
+      reporter.Add("checkpoint/rows=" + std::to_string(rows) + "/delta=" +
+                       delta,
+                   kCheckpointReps, p.median_ms * 1e6,
+                   p.median_ms > 0 ? rows / (p.median_ms / 1000.0) : 0,
+                   {{"checkpoint_ms", p.median_ms},
+                    {"full_checkpoint_ms", p.full_ms},
+                    {"groups_written", p.groups_written},
+                    {"groups_reused", p.groups_reused},
+                    {"file_mb", p.file_mb}});
+    }
   }
   return 0;
 }

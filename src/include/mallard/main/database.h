@@ -23,6 +23,7 @@
 #include "mallard/parallel/task_scheduler.h"
 #include "mallard/storage/block_manager.h"
 #include "mallard/storage/buffer_manager.h"
+#include "mallard/storage/checkpoint.h"
 #include "mallard/storage/wal.h"
 #include "mallard/transaction/transaction_manager.h"
 
@@ -82,7 +83,14 @@ class Database {
   /// Writes an online checkpoint and truncates the WAL. Commits are
   /// briefly blocked (they queue on the commit gate); readers and
   /// in-flight statements proceed on their MVCC snapshots throughout.
+  /// Only row groups changed by a commit since the last checkpoint are
+  /// rewritten; the rest keep their blocks.
   Status Checkpoint();
+
+  /// Cumulative counters of the successful checkpoints since Open
+  /// (`PRAGMA checkpoint_stats`). Thread-safe; waits for a running
+  /// checkpoint to finish.
+  CheckpointStats checkpoint_stats();
 
  private:
   explicit Database(DBConfig config);
@@ -101,6 +109,7 @@ class Database {
   SharedPlanCache plan_cache_;
   std::atomic<uint64_t> next_session_id_{1};
   std::mutex checkpoint_lock_;
+  CheckpointStats checkpoint_stats_;  // guarded by checkpoint_lock_
   // Declared last: destroyed first, so pool threads are gone before any
   // engine state they might reference.
   std::unique_ptr<TaskScheduler> scheduler_;

@@ -65,6 +65,18 @@ class MetaBlockStreamWriter {
   bool finished_ = false;
 };
 
+/// Directory entry of one checkpointed row-group payload: the chain that
+/// holds it plus what reload verifies it against. A row group no commit
+/// has touched since keeps its entries, so the next checkpoint points at
+/// the same chain again instead of rewriting it.
+struct GroupChain {
+  uint64_t rows = 0;
+  uint64_t payload_len = 0;
+  uint32_t payload_crc = 0;
+  block_id_t head = kInvalidBlock;
+  std::vector<block_id_t> blocks;
+};
+
 /// Reads a block chain written by MetaBlockWriter back into memory.
 class MetaBlockReader {
  public:

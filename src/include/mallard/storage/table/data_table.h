@@ -92,6 +92,9 @@ class DataTable {
   idx_t ApproxRowCount() const;
   /// Current number of row groups — the morsel count of a parallel scan.
   idx_t RowGroupCount() const;
+  /// The current row groups in order. Groups are never removed, so the
+  /// pointers stay valid for the table's lifetime.
+  std::vector<RowGroup*> RowGroups() const;
 
   /// Garbage-collects undo chains across all row groups.
   void CleanupUpdates(uint64_t lowest_active_start);
@@ -99,9 +102,10 @@ class DataTable {
   /// --- checkpoint load ----------------------------------------------------
   /// Appends the next row group from a verified checkpoint payload
   /// ([count u64][ncols u32][segments], RowGroup::Deserialize layout).
-  /// `expected_rows` comes from the checkpoint directory entry and must
-  /// match the payload's own row count.
-  Status LoadCheckpointGroup(BinaryReader* reader, idx_t expected_rows);
+  /// `chain` is the group's checkpoint directory entry: its row count
+  /// must match the payload's own, and the loaded group starts clean,
+  /// holding `chain` for the next checkpoint to reuse.
+  Status LoadCheckpointGroup(BinaryReader* reader, GroupChain chain);
   /// Appends a quarantined placeholder covering `rows` rows whose
   /// checkpoint payload failed verification. The slot is kept so later
   /// groups retain their row ids; scans over it fail with kCorruption

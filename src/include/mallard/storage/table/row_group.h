@@ -2,10 +2,13 @@
 #define MALLARD_STORAGE_TABLE_ROW_GROUP_H_
 
 #include <memory>
+#include <optional>
+#include <set>
 #include <shared_mutex>
 #include <string>
 #include <vector>
 
+#include "mallard/storage/meta_block.h"
 #include "mallard/storage/table/column_segment.h"
 #include "mallard/storage/table/update_segment.h"
 #include "mallard/transaction/transaction.h"
@@ -56,6 +59,9 @@ class RowGroup {
   /// others until commit. Returns rows appended.
   idx_t Append(Transaction* txn, const DataChunk& chunk, idx_t chunk_offset,
                idx_t max_count);
+  /// The Commit* stamps mark the group dirty: a committed change is what
+  /// makes its checkpointed chains stale, while an uncommitted or
+  /// reverted one never does. Each takes the unique lock itself.
   void CommitAppend(uint64_t commit_id, idx_t start, idx_t count);
   void RevertAppend(idx_t start, idx_t count);
 
@@ -72,11 +78,14 @@ class RowGroup {
   Status Update(Transaction* txn, idx_t column_index, const uint32_t* rows,
                 const uint32_t* value_idx, idx_t count,
                 const Vector& new_values);
+  void CommitUpdate(uint64_t commit_id, UpdateInfo* info);
   void RollbackUpdate(idx_t column_index, UpdateInfo* info);
 
   /// --- read path (caller holds shared lock) -----------------------------
   /// Row visibility for `txn`.
   bool RowIsVisible(const Transaction& txn, idx_t row) const;
+  /// Number of rows visible to `txn`.
+  idx_t VisibleCount(const Transaction& txn) const;
   /// Zone-map check of all filters; false = whole row group skippable.
   /// Conservative when the column has uncommitted updates.
   bool CheckZonemaps(const std::vector<TableFilter>& filters) const;
@@ -96,9 +105,22 @@ class RowGroup {
   void CleanupUpdates(uint64_t lowest_active_start);
 
   /// --- checkpoint --------------------------------------------------------
-  /// Serializes only rows visible at checkpoint time (no active
-  /// transactions), compacting away deleted/aborted rows.
-  void Serialize(BinaryWriter* writer) const;
+  /// The checkpoint chains that hold exactly this group's committed rows,
+  /// or nullopt while the group is dirty: never checkpointed, or a commit
+  /// touched it after its chains were written. Caller holds the lock.
+  const std::optional<std::vector<GroupChain>>& persisted() const {
+    return persisted_;
+  }
+  /// Records the chains a checkpoint wrote (or a load read) for this
+  /// group; the caller must be past the root swap that made them live.
+  /// Takes the unique lock.
+  void SetPersisted(std::vector<GroupChain> chains);
+  /// Marks the group dirty if one of its chains uses a block in
+  /// `damaged`, so the next checkpoint rewrites it from memory instead
+  /// of carrying the damage into the new root. Returns whether it did.
+  /// Takes the unique lock.
+  bool ForgetChainsUsing(const std::set<block_id_t>& damaged);
+
   static Result<std::unique_ptr<RowGroup>> Deserialize(
       BinaryReader* reader, idx_t start, const std::vector<TypeId>& types);
 
@@ -131,6 +153,7 @@ class RowGroup {
   /// than fabricate rows.
   bool quarantined_ = false;
   std::string quarantine_reason_;
+  std::optional<std::vector<GroupChain>> persisted_;
   mutable std::shared_mutex lock_;
 };
 

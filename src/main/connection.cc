@@ -759,6 +759,19 @@ Result<std::unique_ptr<MaterializedQueryResult>> Connection::ExecutePragma(
          stats.bytes_written, stats.pending_bytes,
          stats.torn_tail_recoveries});
   }
+  if (name == "checkpoint_stats") {
+    // One row of checkpoint counters; the incremental-checkpoint tests
+    // assert that an unchanged table is carried over, not rewritten.
+    if (db_->in_memory()) {
+      return Status::InvalidArgument(
+          "checkpoint_stats requires a persistent database");
+    }
+    CheckpointStats stats = db_->checkpoint_stats();
+    return CountersResult(
+        {"checkpoints", "groups_written", "groups_reused", "blocks_written"},
+        {stats.checkpoints, stats.groups_written, stats.groups_reused,
+         stats.blocks_written});
+  }
   if (name == "statement_timeout_ms") {
     if (stmt.value.empty()) {
       // Readback: this connection's per-statement wall-clock budget.

@@ -117,7 +117,8 @@ Status Database::Checkpoint() {
   TransactionManager::CommitBlock commit_block(&transactions_);
   auto snapshot = transactions_.Begin();
   Status status = WriteCheckpoint(&catalog_, blocks_.get(), &transactions_,
-                                  *snapshot, governor_.get());
+                                  *snapshot, governor_.get(),
+                                  &checkpoint_stats_);
   transactions_.Rollback(snapshot.get());
   MALLARD_RETURN_NOT_OK(status);
   // The WAL may be truncated only now: the new block tree and its root
@@ -129,6 +130,11 @@ Status Database::Checkpoint() {
   // "stale log == fully checkpointed log" true.
   if (wal_) MALLARD_RETURN_NOT_OK(wal_->Truncate(blocks_->header().iteration));
   return Status::OK();
+}
+
+CheckpointStats Database::checkpoint_stats() {
+  std::lock_guard<std::mutex> guard(checkpoint_lock_);
+  return checkpoint_stats_;
 }
 
 Database::~Database() {

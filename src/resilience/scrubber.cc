@@ -1,6 +1,7 @@
 #include "mallard/resilience/scrubber.h"
 
 #include <chrono>
+#include <set>
 #include <thread>
 
 #include "mallard/catalog/catalog.h"
@@ -37,10 +38,13 @@ ScrubReport IntegrityScrubber::Run() {
     Pace();
   };
 
+  std::set<block_id_t> damaged;
   if (blocks_) {
     std::vector<block_id_t> live = blocks_->LiveBlocks();
     for (block_id_t id : live) {
-      record("block " + std::to_string(id), blocks_->VerifyBlock(id));
+      Status status = blocks_->VerifyBlock(id);
+      if (!status.ok()) damaged.insert(id);
+      record("block " + std::to_string(id), std::move(status));
     }
     report.findings.push_back(ScrubFinding{
         "blocks", true,
@@ -66,10 +70,24 @@ ScrubReport IntegrityScrubber::Run() {
                table->ValidateGroup(g));
       }
       idx_t quarantined = table->QuarantinedGroupCount();
-      report.findings.push_back(ScrubFinding{
-          "table '" + table->name() + "'", quarantined == 0,
-          std::to_string(groups) + " row groups verified, " +
-              std::to_string(quarantined) + " quarantined"});
+      std::string detail = std::to_string(groups) + " row groups verified, " +
+                           std::to_string(quarantined) + " quarantined";
+      // A loaded group's rows are intact in memory even when a block of
+      // its chain is not: the next checkpoint rewrites the group instead
+      // of carrying the damaged chain over.
+      idx_t rewrite = 0;
+      if (!damaged.empty()) {
+        for (RowGroup* rg : table->RowGroups()) {
+          if (rg->ForgetChainsUsing(damaged)) rewrite++;
+        }
+      }
+      if (rewrite > 0) {
+        detail += ", " + std::to_string(rewrite) +
+                  " on damaged blocks to rewrite at the next checkpoint";
+      }
+      report.findings.push_back(ScrubFinding{"table '" + table->name() + "'",
+                                             quarantined == 0,
+                                             std::move(detail)});
     });
   }
 

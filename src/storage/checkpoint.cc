@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <optional>
+#include <set>
+#include <shared_mutex>
+#include <utility>
 
 #include "mallard/common/checksum.h"
 #include "mallard/governor/resource_governor.h"
@@ -16,22 +20,59 @@ namespace mallard {
 
 namespace {
 
-/// Streams one table's rows — as visible to `snapshot` — into per-group
-/// block chains plus a directory entry in the catalog chain. Each row
-/// group's payload ([count u64][ncols u32][per-column segment], the
-/// RowGroup::Deserialize layout) lives in its own chain so corruption of
-/// a data block quarantines exactly one group on reload instead of
-/// sinking the whole catalog load. The directory records, per group:
+/// Directory entry of one group payload:
 ///   [rows u64][payload_len u64][payload_crc u32][head i64]
 ///   [n_blocks u32][block ids i64...]
-/// The CRC spans the reassembled payload end to end — it catches damage
-/// the per-block CRCs cannot, such as a stale-but-valid block landing in
-/// the chain. Block ids of all group chains are added to `group_blocks`
-/// so the checkpoint's live set covers them.
+void WriteEntry(const GroupChain& chain, BinaryWriter* w) {
+  w->WriteU64(chain.rows);
+  w->WriteU64(chain.payload_len);
+  w->WriteU32(chain.payload_crc);
+  w->WriteU64(static_cast<uint64_t>(chain.head));
+  w->WriteU32(static_cast<uint32_t>(chain.blocks.size()));
+  for (block_id_t id : chain.blocks) w->WriteU64(static_cast<uint64_t>(id));
+}
+
+Status ReadEntry(BinaryReader* r, GroupChain* chain) {
+  uint64_t head = 0;
+  uint32_t n_blocks = 0;
+  MALLARD_RETURN_NOT_OK(r->ReadU64(&chain->rows));
+  MALLARD_RETURN_NOT_OK(r->ReadU64(&chain->payload_len));
+  MALLARD_RETURN_NOT_OK(r->ReadU32(&chain->payload_crc));
+  MALLARD_RETURN_NOT_OK(r->ReadU64(&head));
+  MALLARD_RETURN_NOT_OK(r->ReadU32(&n_blocks));
+  chain->head = static_cast<block_id_t>(head);
+  for (uint32_t b = 0; b < n_blocks; b++) {
+    uint64_t id = 0;
+    MALLARD_RETURN_NOT_OK(r->ReadU64(&id));
+    chain->blocks.push_back(static_cast<block_id_t>(id));
+  }
+  return Status::OK();
+}
+
+/// What one checkpoint has put into its image so far.
+struct CheckpointWork {
+  std::set<block_id_t> group_blocks;  // every group chain, reused or new
+  /// Dirty groups and their fresh chains; they take them over only after
+  /// the root swap, so a failed checkpoint leaves every group as it was.
+  std::vector<std::pair<RowGroup*, std::vector<GroupChain>>> rewritten;
+  CheckpointStats stats;
+};
+
+/// Writes one table's row groups — as visible to `snapshot` — plus their
+/// directory entries into the catalog chain. Each payload
+/// ([count u64][ncols u32][per-column segment], the RowGroup::Deserialize
+/// layout) lives in its own chain so corruption of a data block
+/// quarantines exactly one group on reload instead of sinking the whole
+/// catalog load. The directory's payload CRC spans the reassembled
+/// payload end to end — it catches damage the per-block CRCs cannot,
+/// such as a stale-but-valid block landing in the chain.
+///
+/// A clean group's entries are copied as they are. A dirty group is
+/// scanned and serialized afresh, compacting away its deleted and
+/// aborted rows; a group without visible rows gets no entry at all.
 Status CheckpointTable(const DataTable& table, const Transaction& snapshot,
                        const ResourceGovernor* governor, BlockManager* blocks,
-                       MetaBlockStreamWriter* dir,
-                       std::set<block_id_t>* group_blocks) {
+                       MetaBlockStreamWriter* dir, CheckpointWork* work) {
   // Refuse to rewrite a table that still carries quarantined groups: the
   // new image could no longer represent their rows, so completing the
   // checkpoint would convert detected corruption into silent data loss.
@@ -39,13 +80,13 @@ Status CheckpointTable(const DataTable& table, const Transaction& snapshot,
 
   BinaryWriter& w = dir->writer();
   std::vector<TypeId> types = table.ColumnTypes();
-  idx_t visible = table.VisibleRowCount(snapshot);
 
-  // Serialized-group granularity: the default row group size, shrunk
+  // Serialized-payload granularity: the default row group size, shrunk
   // under memory pressure so the staging segments (the only per-table
-  // buffering besides one group payload) respect the governor's budget.
-  // ~16 bytes/value is a deliberately pessimistic estimate; staging gets
-  // at most a quarter of the budget.
+  // buffering besides one payload) respect the governor's budget — a
+  // dirty group may then take several payloads. ~16 bytes/value is a
+  // deliberately pessimistic estimate; staging gets at most a quarter of
+  // the budget.
   idx_t group_rows = kRowGroupSize;
   if (governor) {
     uint64_t bytes_per_row =
@@ -55,29 +96,44 @@ Status CheckpointTable(const DataTable& table, const Transaction& snapshot,
     group_rows = static_cast<idx_t>(std::min<uint64_t>(
         kRowGroupSize, std::max<uint64_t>(kVectorSize, budget_rows)));
   }
-  uint64_t num_groups =
-      visible == 0 ? 0 : (visible + group_rows - 1) / group_rows;
-  w.WriteU64(num_groups);
+
+  // The directory states the payload count up front: a clean group
+  // brings its own entries, a dirty one one payload per `group_rows` of
+  // its visible rows.
+  std::vector<RowGroup*> groups = table.RowGroups();
+  std::vector<std::optional<std::vector<GroupChain>>> clean(groups.size());
+  std::vector<uint64_t> payloads(groups.size(), 0);
+  uint64_t num_payloads = 0;
+  for (idx_t g = 0; g < groups.size(); g++) {
+    std::shared_lock<std::shared_mutex> guard(groups[g]->lock());
+    clean[g] = groups[g]->persisted();
+    if (clean[g]) {
+      payloads[g] = clean[g]->size();
+    } else {
+      idx_t visible = groups[g]->VisibleCount(snapshot);
+      payloads[g] = (visible + group_rows - 1) / group_rows;
+    }
+    num_payloads += payloads[g];
+  }
+  w.WriteU64(num_payloads);
 
   std::vector<idx_t> column_ids(types.size());
   std::iota(column_ids.begin(), column_ids.end(), idx_t(0));
-  TableScanState state;
-  table.InitializeScan(&state, column_ids);
   DataChunk chunk;
   chunk.Initialize(types);
 
   std::vector<std::unique_ptr<ColumnSegment>> staged;
   idx_t staged_count = 0;
-  auto start_group = [&]() {
+  std::vector<GroupChain> written;  // payloads of the group being rewritten
+  auto start_payload = [&]() {
     staged.clear();
     for (TypeId type : types) {
       staged.push_back(std::make_unique<ColumnSegment>(type));
     }
     staged_count = 0;
   };
-  uint64_t emitted = 0;
-  auto emit_group = [&]() -> Status {
-    // Serialize the group payload into its own chain.
+  auto emit_payload = [&]() -> Status {
+    // Serialize the payload into its own chain.
     MetaBlockWriter group(blocks);
     BinaryWriter& gw = group.writer();
     gw.WriteU64(staged_count);
@@ -88,46 +144,61 @@ Status CheckpointTable(const DataTable& table, const Transaction& snapshot,
       staged[c]->FinalizeEncoding(staged_count);
       staged[c]->Serialize(&gw, staged_count);
     }
-    uint64_t payload_len = gw.data().size();
-    uint32_t payload_crc = Crc32c(gw.data().data(), payload_len);
-    MALLARD_ASSIGN_OR_RETURN(block_id_t head, group.Flush());
-    // Directory entry for the group.
-    w.WriteU64(staged_count);
-    w.WriteU64(payload_len);
-    w.WriteU32(payload_crc);
-    w.WriteU64(static_cast<uint64_t>(head));
-    w.WriteU32(static_cast<uint32_t>(group.blocks_used().size()));
-    for (block_id_t id : group.blocks_used()) {
-      w.WriteU64(static_cast<uint64_t>(id));
-      group_blocks->insert(id);
-    }
-    emitted++;
-    start_group();
+    GroupChain chain;
+    chain.rows = staged_count;
+    chain.payload_len = gw.data().size();
+    chain.payload_crc = Crc32c(gw.data().data(), chain.payload_len);
+    MALLARD_ASSIGN_OR_RETURN(chain.head, group.Flush());
+    chain.blocks.assign(group.blocks_used().begin(), group.blocks_used().end());
+    WriteEntry(chain, &w);
+    work->group_blocks.insert(chain.blocks.begin(), chain.blocks.end());
+    work->stats.blocks_written += chain.blocks.size();
+    written.push_back(std::move(chain));
+    start_payload();
     // Stream completed directory blocks out now, keeping memory bounded.
     return dir->FlushFull();
   };
 
-  start_group();
-  while (table.Scan(snapshot, &state, &chunk)) {
-    idx_t offset = 0;
-    while (offset < chunk.size()) {
-      idx_t n = std::min<idx_t>(group_rows - staged_count,
-                                chunk.size() - offset);
-      for (idx_t c = 0; c < staged.size(); c++) {
-        staged[c]->Append(chunk.column(c), offset, staged_count, n);
+  for (idx_t g = 0; g < groups.size(); g++) {
+    if (clean[g]) {
+      for (const GroupChain& chain : *clean[g]) {
+        WriteEntry(chain, &w);
+        work->group_blocks.insert(chain.blocks.begin(), chain.blocks.end());
       }
-      staged_count += n;
-      offset += n;
-      if (staged_count == group_rows) MALLARD_RETURN_NOT_OK(emit_group());
+      work->stats.groups_reused += payloads[g];
+      MALLARD_RETURN_NOT_OK(dir->FlushFull());
+      continue;
     }
-  }
-  MALLARD_RETURN_NOT_OK(std::move(state.error));
-  if (staged_count > 0) MALLARD_RETURN_NOT_OK(emit_group());
-  if (emitted != num_groups) {
-    // The visible set moved under us — only possible if the caller's
-    // CommitBlock contract was violated. Abort; the old root is intact.
-    return Status::Internal("checkpoint scan drifted from visible count in '" +
-                            table.name() + "'");
+    TableScanState state;
+    table.InitializeScan(&state, column_ids);
+    state.row_group_index = g;
+    state.max_row_group = g + 1;
+    written.clear();
+    start_payload();
+    while (table.Scan(snapshot, &state, &chunk)) {
+      idx_t offset = 0;
+      while (offset < chunk.size()) {
+        idx_t n = std::min<idx_t>(group_rows - staged_count,
+                                  chunk.size() - offset);
+        for (idx_t c = 0; c < staged.size(); c++) {
+          staged[c]->Append(chunk.column(c), offset, staged_count, n);
+        }
+        staged_count += n;
+        offset += n;
+        if (staged_count == group_rows) MALLARD_RETURN_NOT_OK(emit_payload());
+      }
+    }
+    MALLARD_RETURN_NOT_OK(std::move(state.error));
+    if (staged_count > 0) MALLARD_RETURN_NOT_OK(emit_payload());
+    if (written.size() != payloads[g]) {
+      // The visible set moved under us — only possible if the caller's
+      // CommitBlock contract was violated. Abort; the old root is intact.
+      return Status::Internal(
+          "checkpoint scan drifted from visible count in '" + table.name() +
+          "'");
+    }
+    work->stats.groups_written += written.size();
+    work->rewritten.emplace_back(groups[g], std::move(written));
   }
   return Status::OK();
 }
@@ -136,7 +207,8 @@ Status CheckpointTable(const DataTable& table, const Transaction& snapshot,
 
 Status WriteCheckpoint(Catalog* catalog, BlockManager* blocks,
                        TransactionManager* txns, const Transaction& snapshot,
-                       const ResourceGovernor* governor) {
+                       const ResourceGovernor* governor,
+                       CheckpointStats* stats) {
   if (txns == nullptr || !txns->CommitsBlocked()) {
     return Status::Internal(
         "WriteCheckpoint requires the commit gate: hold a "
@@ -144,7 +216,7 @@ Status WriteCheckpoint(Catalog* catalog, BlockManager* blocks,
   }
   MetaBlockStreamWriter meta(blocks);
   BinaryWriter& w = meta.writer();
-  std::set<block_id_t> group_blocks;
+  CheckpointWork work;
   std::vector<std::string> table_names = catalog->TableNames();
   w.WriteU32(static_cast<uint32_t>(table_names.size()));
   for (const auto& name : table_names) {
@@ -156,7 +228,7 @@ Status WriteCheckpoint(Catalog* catalog, BlockManager* blocks,
       w.WriteU8(static_cast<uint8_t>(col.type));
     }
     MALLARD_RETURN_NOT_OK(CheckpointTable(*table, snapshot, governor, blocks,
-                                          &meta, &group_blocks));
+                                          &meta, &work));
   }
   std::vector<std::string> view_names = catalog->ViewNames();
   w.WriteU32(static_cast<uint32_t>(view_names.size()));
@@ -172,10 +244,20 @@ Status WriteCheckpoint(Catalog* catalog, BlockManager* blocks,
   // Root swap: fsync the new block tree, then flip the header. Only
   // after this returns may the caller truncate the WAL.
   MALLARD_RETURN_NOT_OK(blocks->WriteHeader(head));
-  // Live set: the directory chain plus every row-group chain.
+  // Live set: the directory chain plus every row-group chain, reused or
+  // new. The old chains of rewritten groups become free only now.
   std::set<block_id_t> live = meta.blocks_used();
-  live.insert(group_blocks.begin(), group_blocks.end());
+  live.insert(work.group_blocks.begin(), work.group_blocks.end());
   blocks->SetLiveBlocks(live);
+  for (auto& [group, chains] : work.rewritten) {
+    group->SetPersisted(std::move(chains));
+  }
+  if (stats) {
+    stats->checkpoints++;
+    stats->groups_written += work.stats.groups_written;
+    stats->groups_reused += work.stats.groups_reused;
+    stats->blocks_written += work.stats.blocks_written + meta.blocks_used().size();
+  }
   return Status::OK();
 }
 
@@ -214,40 +296,32 @@ Status LoadCheckpoint(Catalog* catalog, BlockManager* blocks) {
     uint64_t num_groups;
     MALLARD_RETURN_NOT_OK(r.ReadU64(&num_groups));
     for (uint64_t g = 0; g < num_groups; g++) {
-      uint64_t rows, payload_len, head_raw;
-      uint32_t payload_crc, n_blocks;
-      MALLARD_RETURN_NOT_OK(r.ReadU64(&rows));
-      MALLARD_RETURN_NOT_OK(r.ReadU64(&payload_len));
-      MALLARD_RETURN_NOT_OK(r.ReadU32(&payload_crc));
-      MALLARD_RETURN_NOT_OK(r.ReadU64(&head_raw));
-      MALLARD_RETURN_NOT_OK(r.ReadU32(&n_blocks));
-      for (uint32_t b = 0; b < n_blocks; b++) {
-        uint64_t id;
-        MALLARD_RETURN_NOT_OK(r.ReadU64(&id));
-        live_blocks.insert(static_cast<block_id_t>(id));
-      }
+      GroupChain chain;
+      MALLARD_RETURN_NOT_OK(ReadEntry(&r, &chain));
+      live_blocks.insert(chain.blocks.begin(), chain.blocks.end());
+      idx_t rows = static_cast<idx_t>(chain.rows);
       auto quarantine = [&](const Status& cause) {
         GlobalResilienceStats().quarantined_row_groups.fetch_add(1);
-        table->LoadQuarantinedGroup(static_cast<idx_t>(rows),
-                                    cause.ToString());
+        table->LoadQuarantinedGroup(rows, cause.ToString());
       };
       MetaBlockReader group(blocks);
-      Status load = group.Load(static_cast<block_id_t>(head_raw));
+      Status load = group.Load(chain.head);
       if (load.IsCorruption()) {
         quarantine(load);
         continue;
       }
       MALLARD_RETURN_NOT_OK(std::move(load));
-      if (group.data().size() != payload_len ||
-          Crc32c(group.data().data(), group.data().size()) != payload_crc) {
+      if (group.data().size() != chain.payload_len ||
+          Crc32c(group.data().data(), group.data().size()) !=
+              chain.payload_crc) {
         quarantine(Status::Corruption(
             "row group payload failed end-to-end verification (" +
             std::to_string(group.data().size()) + " bytes read, " +
-            std::to_string(payload_len) + " expected)"));
+            std::to_string(chain.payload_len) + " expected)"));
         continue;
       }
       Status applied =
-          table->LoadCheckpointGroup(&group.reader(), static_cast<idx_t>(rows));
+          table->LoadCheckpointGroup(&group.reader(), std::move(chain));
       if (applied.IsCorruption()) {
         quarantine(applied);
         continue;

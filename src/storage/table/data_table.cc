@@ -273,10 +273,7 @@ idx_t DataTable::VisibleRowCount(const Transaction& txn) const {
   for (const auto& rg : row_groups_) {
     std::shared_lock<std::shared_mutex> rg_guard(rg->lock());
     if (rg->quarantined()) continue;  // unreadable rows are not visible
-    idx_t count = rg->count();
-    for (idx_t row = 0; row < count; row++) {
-      if (rg->RowIsVisible(txn, row)) total++;
-    }
+    total += rg->VisibleCount(txn);
   }
   return total;
 }
@@ -298,6 +295,14 @@ idx_t DataTable::RowGroupCount() const {
   return row_groups_.size();
 }
 
+std::vector<RowGroup*> DataTable::RowGroups() const {
+  std::shared_lock<std::shared_mutex> guard(row_groups_lock_);
+  std::vector<RowGroup*> groups;
+  groups.reserve(row_groups_.size());
+  for (const auto& rg : row_groups_) groups.push_back(rg.get());
+  return groups;
+}
+
 void DataTable::CleanupUpdates(uint64_t lowest_active_start) {
   std::shared_lock<std::shared_mutex> guard(row_groups_lock_);
   for (const auto& rg : row_groups_) {
@@ -305,19 +310,19 @@ void DataTable::CleanupUpdates(uint64_t lowest_active_start) {
   }
 }
 
-Status DataTable::LoadCheckpointGroup(BinaryReader* reader,
-                                      idx_t expected_rows) {
+Status DataTable::LoadCheckpointGroup(BinaryReader* reader, GroupChain chain) {
   std::unique_lock<std::shared_mutex> guard(row_groups_lock_);
   MALLARD_ASSIGN_OR_RETURN(
       auto rg, RowGroup::Deserialize(reader, row_groups_.size() * kRowGroupSize,
                                      types_));
-  if (rg->count() != expected_rows) {
+  if (rg->count() != chain.rows) {
     return Status::Corruption(
         "row group payload holds " + std::to_string(rg->count()) +
         " rows but the checkpoint directory recorded " +
-        std::to_string(expected_rows));
+        std::to_string(chain.rows));
   }
   if (rg->count() > 0) {
+    rg->SetPersisted({std::move(chain)});
     row_groups_.push_back(std::move(rg));
   }
   return Status::OK();

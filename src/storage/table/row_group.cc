@@ -75,6 +75,7 @@ void RowGroup::CommitAppend(uint64_t commit_id, idx_t start, idx_t count) {
   for (idx_t i = 0; i < count; i++) {
     (*inserted_by_)[start + i] = commit_id;
   }
+  persisted_.reset();
 }
 
 void RowGroup::RevertAppend(idx_t start, idx_t count) {
@@ -121,6 +122,7 @@ void RowGroup::CommitDelete(uint64_t commit_id,
   for (uint32_t row : rows) {
     (*deleted_by_)[row] = commit_id;
   }
+  persisted_.reset();
 }
 
 void RowGroup::RevertDelete(const std::vector<uint32_t>& rows) {
@@ -156,6 +158,12 @@ Status RowGroup::Update(Transaction* txn, idx_t column_index,
   return Status::OK();
 }
 
+void RowGroup::CommitUpdate(uint64_t commit_id, UpdateInfo* info) {
+  std::unique_lock<std::shared_mutex> guard(lock_);
+  info->version = commit_id;
+  persisted_.reset();
+}
+
 void RowGroup::RollbackUpdate(idx_t column_index, UpdateInfo* info) {
   std::unique_lock<std::shared_mutex> guard(lock_);
   updates_[column_index]->Rollback(columns_[column_index].get(), info);
@@ -173,6 +181,14 @@ bool RowGroup::RowIsVisible(const Transaction& txn, idx_t row) const {
     if (del != kNotDeleted && txn.IsVisible(del)) return false;
   }
   return true;
+}
+
+idx_t RowGroup::VisibleCount(const Transaction& txn) const {
+  idx_t visible = 0;
+  for (idx_t row = 0; row < count_; row++) {
+    if (RowIsVisible(txn, row)) visible++;
+  }
+  return visible;
 }
 
 bool RowGroup::CheckZonemaps(const std::vector<TableFilter>& filters) const {
@@ -213,39 +229,23 @@ void RowGroup::CleanupUpdates(uint64_t lowest_active_start) {
   }
 }
 
-void RowGroup::Serialize(BinaryWriter* writer) const {
-  // Checkpoint-time serialization: no active transactions, so a row is
-  // live iff it was not aborted and not deleted by a committed
-  // transaction. Compact live rows into fresh segments.
-  std::vector<uint32_t> live;
-  live.reserve(count_);
-  for (idx_t row = 0; row < count_; row++) {
-    if (inserted_by_ && (*inserted_by_)[row] == kAbortedVersion) continue;
-    if (deleted_by_ && (*deleted_by_)[row] != kNotDeleted) continue;
-    live.push_back(static_cast<uint32_t>(row));
-  }
-  writer->WriteU64(live.size());
-  writer->WriteU32(static_cast<uint32_t>(types_.size()));
-  // Compact each column through a scratch vector.
-  for (idx_t c = 0; c < columns_.size(); c++) {
-    ColumnSegment compacted(types_[c]);
-    Vector scratch(types_[c]);
-    idx_t written = 0;
-    for (idx_t i = 0; i < live.size();) {
-      idx_t batch = std::min<idx_t>(kVectorSize, live.size() - i);
-      scratch.Reset();
-      for (idx_t j = 0; j < batch; j++) {
-        scratch.SetValue(j, columns_[c]->GetValue(live[i + j]));
+void RowGroup::SetPersisted(std::vector<GroupChain> chains) {
+  std::unique_lock<std::shared_mutex> guard(lock_);
+  persisted_ = std::move(chains);
+}
+
+bool RowGroup::ForgetChainsUsing(const std::set<block_id_t>& damaged) {
+  std::unique_lock<std::shared_mutex> guard(lock_);
+  if (!persisted_) return false;
+  for (const GroupChain& chain : *persisted_) {
+    for (block_id_t id : chain.blocks) {
+      if (damaged.count(id)) {
+        persisted_.reset();
+        return true;
       }
-      compacted.Append(scratch, 0, written, batch);
-      written += batch;
-      i += batch;
     }
-    // Checkpoint in encoded form: the segment round-trips its dictionary
-    // or FOR representation and reopens without re-encoding.
-    compacted.FinalizeEncoding(live.size());
-    compacted.Serialize(writer, live.size());
   }
+  return false;
 }
 
 Result<std::unique_ptr<RowGroup>> RowGroup::Deserialize(

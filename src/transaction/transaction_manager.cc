@@ -17,8 +17,7 @@ std::unique_ptr<Transaction> TransactionManager::Begin() {
 
 void TransactionManager::StampCommitted(Transaction* txn,
                                         uint64_t commit_id) {
-  // CommitAppend/CommitDelete take the row group's unique lock
-  // internally; the direct UpdateInfo write needs it taken here.
+  // Each Commit* takes the row group's unique lock internally.
   for (const auto& entry : txn->appends()) {
     entry.row_group->CommitAppend(commit_id, entry.start, entry.count);
   }
@@ -26,8 +25,7 @@ void TransactionManager::StampCommitted(Transaction* txn,
     entry.row_group->CommitDelete(commit_id, entry.rows);
   }
   for (const auto& entry : txn->updates()) {
-    std::unique_lock<std::shared_mutex> guard(entry.row_group->lock());
-    entry.info->version = commit_id;
+    entry.row_group->CommitUpdate(commit_id, entry.info);
   }
 }
 

@@ -26,7 +26,9 @@
 //
 // Usage: mallard_torture [site mode]
 //   site: wal-append | wal-fsync | checkpoint-write | root-swap |
-//         wal-truncate | torn-tail
+//         wal-truncate | incremental | torn-tail
+//   (incremental: checkpoint-write kills while each marker also updates
+//   a multi-group table whose clean groups checkpoints carry over)
 //   mode: sync | async
 // With no arguments the full matrix runs.
 //
@@ -73,12 +75,26 @@ constexpr int kRowsPerCommit = 5;
 constexpr int kMaxMarkers = 20000;
 constexpr int kCheckpointEvery = 15;  // commits between child checkpoints
 
+// The incremental scenario's second table: kBaseGroups full row groups,
+// loaded and checkpointed before the kill is armed. Marker m's
+// transaction also sets v = m on row BaseRow(m). The markers between two
+// checkpoints update one group, so each checkpoint rewrites that group
+// (and t's) and carries the other groups of b over.
+constexpr int kBaseGroups = 3;
+constexpr int kBaseRows = kBaseGroups * static_cast<int>(kRowGroupSize);
+int BaseRow(int marker) {
+  int group = (marker / kCheckpointEvery) % kBaseGroups;
+  return group * static_cast<int>(kRowGroupSize) +
+         (marker * 7) % static_cast<int>(kRowGroupSize);
+}
+
 struct Scenario {
   const char* name;
   FaultSite site;
   uint64_t kill_skip;   // fault opportunities to let pass before dying
   bool async;
   bool torn_tail;       // no kill: exit cleanly, then truncate the WAL
+  bool incremental = false;  // markers also update the checkpointed table b
 };
 
 std::string DbPath(const Scenario& s) {
@@ -104,6 +120,17 @@ int ChildWorkload(const Scenario& s, const std::string& path) {
   Connection con(db->get());
   if (!con.Query("CREATE TABLE t (marker INTEGER, v INTEGER)").ok()) return 2;
   if (s.async && !con.Query("PRAGMA wal_commit_mode=async").ok()) return 2;
+  if (s.incremental) {
+    if (!con.Query("CREATE TABLE b (id INTEGER, v INTEGER)").ok()) return 2;
+    auto appender = Appender::Create(db->get(), "b");
+    if (!appender.ok()) return 2;
+    for (int32_t i = 0; i < kBaseRows; i++) {
+      (*appender)->Append(i);
+      (*appender)->Append(int32_t{-1});
+      if (!(*appender)->EndRow().ok()) return 2;
+    }
+    if (!(*appender)->Close().ok() || !(*db)->Checkpoint().ok()) return 2;
+  }
 
   // Oracle file: one marker per line, appended + fsync'd only after the
   // engine acknowledged that commit.
@@ -120,7 +147,17 @@ int ChildWorkload(const Scenario& s, const std::string& path) {
       sql += (r == 0 ? " (" : ",(") + std::to_string(m) + "," +
              std::to_string(r) + ")";
     }
-    if (!con.Query(sql).ok()) return 3;  // armed kills die, they don't error
+    // Armed kills die, they don't error.
+    if (s.incremental) {
+      std::string update = "UPDATE b SET v = " + std::to_string(m) +
+                           " WHERE id = " + std::to_string(BaseRow(m));
+      if (!con.BeginTransaction().ok() || !con.Query(sql).ok() ||
+          !con.Query(update).ok() || !con.Commit().ok()) {
+        return 3;
+      }
+    } else if (!con.Query(sql).ok()) {
+      return 3;
+    }
     std::fprintf(oracle, "%d\n", m);
     std::fflush(oracle);
     ::fsync(::fileno(oracle));
@@ -183,6 +220,31 @@ int VerifyRecovery(const Scenario& s, const std::string& path) {
       std::fprintf(stderr, "  GAP: marker %d missing (found %d)\n",
                    expect - 1, marker);
       return 1;
+    }
+  }
+  if (s.incremental) {
+    // b holds exactly the recovered markers' updates: each row the last
+    // marker that set it, else the loaded -1 — whether its group came
+    // back from a rewritten chain, a carried-over one, or the WAL.
+    std::map<int, int> expected;
+    for (const auto& [marker, rows] : rows_per_marker) {
+      expected[BaseRow(marker)] = marker;
+    }
+    auto b = con.Query("SELECT id, v FROM b");
+    if (!b.ok() || (*b)->RowCount() != static_cast<idx_t>(kBaseRows)) {
+      std::fprintf(stderr, "  b scan failed or lost rows\n");
+      return 1;
+    }
+    for (idx_t i = 0; i < (*b)->RowCount(); i++) {
+      int id = (*b)->GetValue(0, i).GetInteger();
+      int v = (*b)->GetValue(1, i).GetInteger();
+      auto it = expected.find(id);
+      int want = it == expected.end() ? -1 : it->second;
+      if (v != want) {
+        std::fprintf(stderr, "  b row %d holds %d, expected %d\n", id, v,
+                     want);
+        return 1;
+      }
     }
   }
   int recovered = static_cast<int>(rows_per_marker.size());
@@ -278,6 +340,11 @@ std::vector<Scenario> BuildMatrix() {
     // already in the image — the classic double-apply window.
     matrix.push_back(
         {"wal-truncate", FaultSite::kWalTruncate, 0, async, false});
+    // Dies mid-way through a later incremental checkpoint, after earlier
+    // ones carried clean groups of b over: the old root must still read
+    // back whole, sharing those chains with the torn new image.
+    matrix.push_back({"incremental", FaultSite::kCheckpointWrite, 5, async,
+                      false, true});
   }
   matrix.push_back({"torn-tail", FaultSite::kNumFaultSites, 0, false, true});
   return matrix;
