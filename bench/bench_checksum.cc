@@ -119,7 +119,8 @@ int main() {
   }
   {
     bool created;
-    auto bm = BlockManager::Open(path, true, &created);
+    ResilienceStats resilience;
+    auto bm = BlockManager::Open(path, true, &created, &resilience);
     (void)(*bm)->CorruptBlockOnDisk((*bm)->header().meta_block, 1000001);
   }
   auto db = Database::Open(path);

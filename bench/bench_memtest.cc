@@ -10,6 +10,7 @@
 
 #include "mallard/common/random.h"
 #include "mallard/resilience/memtest.h"
+#include "mallard/resilience/retry_policy.h"
 #include "mallard/storage/buffer_manager.h"
 
 using namespace mallard;
@@ -93,7 +94,8 @@ int main() {
   std::printf("\nBuffer manager allocation-time testing (paper's proposed "
               "integration):\n");
   {
-    BufferManager bm(256 << 20, "");
+    ResilienceStats resilience;
+    BufferManager bm(256 << 20, "", &resilience);
     bm.EnableAllocationTesting(true);
     auto start = Clock::now();
     for (int i = 0; i < 64; i++) {
@@ -103,7 +105,7 @@ int main() {
     double with_ms = std::chrono::duration<double, std::milli>(
                          Clock::now() - start)
                          .count();
-    BufferManager bm2(256 << 20, "");
+    BufferManager bm2(256 << 20, "", &resilience);
     start = Clock::now();
     for (int i = 0; i < 64; i++) {
       auto h = bm2.Allocate(1 << 20);
@@ -117,7 +119,8 @@ int main() {
                 with_ms / without_ms);
   }
   {
-    BufferManager bm(256 << 20, "");
+    ResilienceStats resilience;
+    BufferManager bm(256 << 20, "", &resilience);
     bm.EnableAllocationTesting(true);
     bm.SetSimulatedBadRegionProbability(0.25, 3);
     int ok_allocations = 0;

@@ -66,9 +66,16 @@ std::string BuildDatabase(bool checksums) {
   return path;
 }
 
+// Retry activity of one reopened database, read before it closes.
+struct RetryCounts {
+  uint64_t retries = 0;
+  uint64_t backoff_us = 0;
+};
+
 // Reopens the database (cold: blocks come off disk, checksums verify on
 // read) and scans the whole table `iters` times. Returns avg ms/scan.
-double TimeScan(const std::string& path, int iters, double* open_ms) {
+double TimeScan(const std::string& path, int iters, double* open_ms,
+                RetryCounts* counts = nullptr) {
   DBConfig config;
   auto open_start = Clock::now();
   auto db = Database::Open(path, config);
@@ -83,6 +90,10 @@ double TimeScan(const std::string& path, int iters, double* open_ms) {
     }
   }
   double total = Ms(start);
+  if (counts != nullptr) {
+    counts->retries = (*db)->resilience_stats().io_retries.load();
+    counts->backoff_us = (*db)->resilience_stats().backoff_micros.load();
+  }
   (*db)->config().checkpoint_on_close = false;
   return total / iters;
 }
@@ -114,21 +125,19 @@ int main(int argc, char** argv) {
   // healed by the bounded-backoff retry loop; the cost is the extra
   // read attempts plus the backoff sleeps.
   {
-    GlobalResilienceStats().Reset();
     double heal_open_ms = 0;
+    RetryCounts counts;
     FaultInjector::Get().ArmTransient(FaultSite::kBlockRead, 1);
-    double heal_ms = TimeScan(checked, 1, &heal_open_ms);
+    double heal_ms = TimeScan(checked, 1, &heal_open_ms, &counts);
     FaultInjector::Get().Reset();
-    ResilienceStats& stats = GlobalResilienceStats();
     std::printf(
         "transient heal      %8.3f ms open (%llu retries, %llu us backoff)\n",
-        heal_open_ms,
-        static_cast<unsigned long long>(stats.io_retries.load()),
-        static_cast<unsigned long long>(stats.backoff_micros.load()));
+        heal_open_ms, static_cast<unsigned long long>(counts.retries),
+        static_cast<unsigned long long>(counts.backoff_us));
     reporter.Add("open/transient_block_fault", 1, heal_open_ms * 1e6, 0,
                  {{"scan_ms", heal_ms},
-                  {"retries", double(stats.io_retries.load())},
-                  {"backoff_us", double(stats.backoff_micros.load())}});
+                  {"retries", double(counts.retries)},
+                  {"backoff_us", double(counts.backoff_us)}});
   }
 
   // (c) one full scrub pass over the checksummed database.

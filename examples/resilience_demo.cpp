@@ -34,7 +34,8 @@ int main() {
   std::printf("wrote 3 rows, closed the database cleanly\n");
   {
     bool created;
-    auto bm = BlockManager::Open(path, true, &created);
+    ResilienceStats resilience;
+    auto bm = BlockManager::Open(path, true, &created, &resilience);
     (void)(*bm)->CorruptBlockOnDisk((*bm)->header().meta_block, 777777);
     std::printf("flipped ONE bit in the database file (simulated silent "
                 "disk corruption)\n");
@@ -69,7 +70,8 @@ int main() {
                     : static_cast<unsigned long long>(r.bad_words[0]));
   }
   {
-    BufferManager bm(64 << 20, "");
+    ResilienceStats resilience;
+    BufferManager bm(64 << 20, "", &resilience);
     bm.EnableAllocationTesting(true);
     bm.SetSimulatedBadRegionProbability(0.3, 2);
     for (int i = 0; i < 32; i++) {

@@ -22,7 +22,8 @@ Status Catalog::CreateTable(const std::string& name,
   }
   auto entry = std::make_unique<TableCatalogEntry>();
   entry->name = name;
-  entry->table = std::make_unique<DataTable>(name, std::move(columns));
+  entry->table = std::make_unique<DataTable>(name, std::move(columns),
+                                             resilience_, encoding_);
   tables_[key] = std::move(entry);
   BumpVersion();
   return Status::OK();

@@ -32,6 +32,11 @@ struct ViewCatalogEntry {
 /// simplification relative to versioned catalogs).
 class Catalog {
  public:
+  /// Every table created here counts into `resilience` and `encoding`,
+  /// the counters of the Database that owns this catalog.
+  Catalog(ResilienceStats* resilience, EncodingCounters* encoding)
+      : resilience_(resilience), encoding_(encoding) {}
+
   Status CreateTable(const std::string& name,
                      std::vector<ColumnDefinition> columns,
                      bool if_not_exists = false);
@@ -68,6 +73,8 @@ class Catalog {
 
   void BumpVersion() { version_.fetch_add(1, std::memory_order_release); }
 
+  ResilienceStats* resilience_;
+  EncodingCounters* encoding_;
   std::atomic<uint64_t> version_{0};
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<TableCatalogEntry>> tables_;

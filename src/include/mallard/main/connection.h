@@ -138,9 +138,8 @@ class Connection {
       std::vector<std::string> names, std::vector<TypeId> types,
       std::shared_ptr<void> lease = nullptr);
 
-  /// Executes one PRAGMA. Most pragmas return a single `ok` row;
-  /// `PRAGMA threads` with no value returns the connection's effective
-  /// thread budget (the pinned override or the governor's live budget).
+  /// Executes one PRAGMA from its table entry: a value is applied (a
+  /// single `ok` row); no value reads the setting or counters back.
   Result<std::unique_ptr<MaterializedQueryResult>> ExecutePragma(
       const PragmaStatement& stmt);
 

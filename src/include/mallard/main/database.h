@@ -92,6 +92,16 @@ class Database {
   /// checkpoint to finish.
   CheckpointStats checkpoint_stats();
 
+  /// Retry, checksum, quarantine, salvage and scrub counters of this
+  /// Database since Open (`PRAGMA resilience_stats`). Another Database
+  /// in the same process keeps its own.
+  ResilienceStats& resilience_stats() { return resilience_stats_; }
+  /// Segment encode/decode/code-space-filter counts of this Database's
+  /// tables since Open (`PRAGMA storage_stats`).
+  const EncodingCounters& encoding_counters() const {
+    return encoding_counters_;
+  }
+
  private:
   explicit Database(DBConfig config);
 
@@ -99,6 +109,9 @@ class Database {
 
   DBConfig config_;
   std::string path_;
+  // Declared before every member that is handed a pointer to them.
+  ResilienceStats resilience_stats_;
+  EncodingCounters encoding_counters_;
   Catalog catalog_;
   TransactionManager transactions_;
   std::unique_ptr<BufferManager> buffers_;

@@ -1,6 +1,7 @@
 #ifndef MALLARD_RESILIENCE_RETRY_POLICY_H_
 #define MALLARD_RESILIENCE_RETRY_POLICY_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -10,10 +11,11 @@
 
 namespace mallard {
 
-/// Process-wide resilience counters, surfaced by PRAGMA resilience_stats.
-/// One flat struct of atomics (mirroring FaultInjector's process-wide
-/// scope): the retry loops, checksum verifiers, quarantine logic and the
-/// scrubber all tick these, and tests diff or Reset() them.
+/// Resilience counters of one Database, surfaced by PRAGMA
+/// resilience_stats. The retry loops, checksum verifiers, quarantine
+/// logic and the scrubber of that Database tick them, reaching them
+/// through the object that owns the code (BufferManager, BlockManager,
+/// WriteAheadLog, DataTable).
 struct ResilienceStats {
   // Retry-path telemetry.
   std::atomic<uint64_t> io_attempts{0};       // every guarded I/O attempt
@@ -34,91 +36,69 @@ struct ResilienceStats {
   std::atomic<uint64_t> scrub_runs{0};
   std::atomic<uint64_t> scrub_objects{0};
   std::atomic<uint64_t> scrub_failures{0};
-
-  void Reset() {
-    io_attempts = io_retries = retry_successes = retry_exhausted = 0;
-    backoff_waits = backoff_micros = 0;
-    block_checksum_failures = spill_checksum_failures = 0;
-    quarantined_row_groups = salvage_skipped_groups = salvage_skipped_rows = 0;
-    scrub_runs = scrub_objects = scrub_failures = 0;
-  }
 };
-
-ResilienceStats& GlobalResilienceStats();
 
 /// Bounded-attempt exponential-backoff wrapper for storage I/O. The
 /// failure model (failure_model.h) says transient faults — a loaded disk
 /// queue, an in-flight DRAM flip on the read path — clear on their own;
 /// the policy rides them out instead of failing the query, while a
-/// persistent fault still fails cleanly after `max_attempts`.
+/// persistent fault still fails cleanly after kMaxAttempts.
 ///
-/// The sleep hook is injectable (per instance or process-wide) so tests
-/// observe the exact backoff schedule without wall-clock sleeping.
+/// The sleep hook is injectable process-wide so tests observe the exact
+/// backoff schedule without wall-clock sleeping.
 class RetryPolicy {
  public:
   using SleepFn = std::function<void(uint64_t micros)>;
 
-  struct Options {
-    uint32_t max_attempts = 3;
-    uint64_t initial_backoff_micros = 100;
-    uint64_t max_backoff_micros = 10000;
-    uint32_t backoff_multiplier = 4;
-  };
-
-  RetryPolicy() = default;
-  explicit RetryPolicy(Options options) : options_(options) {}
-
-  const Options& options() const { return options_; }
+  static constexpr uint32_t kMaxAttempts = 3;
+  static constexpr uint64_t kInitialBackoffMicros = 100;
+  static constexpr uint64_t kMaxBackoffMicros = 10000;
+  static constexpr uint32_t kBackoffMultiplier = 4;
 
   /// Process-wide sleep hook override; nullptr restores the real sleep.
   /// Tests install a capturing hook to assert the backoff schedule.
   static void SetGlobalSleepHook(SleepFn hook);
 
-  /// Runs `op` (returning Status) up to max_attempts times, sleeping an
-  /// exponentially growing backoff between attempts. `retryable` decides
-  /// which failures are worth another attempt; the default treats only
+  /// Runs `op` (returning Status) up to kMaxAttempts times, sleeping an
+  /// exponentially growing backoff between attempts and counting every
+  /// attempt, retry and wait in `stats`. `retryable` decides which
+  /// failures are worth another attempt; the default treats only
   /// kIOError as transient. kCorruption is retryable only where the
   /// caller can re-fetch from a clean source (e.g. re-reading a block
   /// from disk distinguishes an in-flight flip from media damage).
   template <typename F, typename P>
-  Status Execute(F&& op, P&& retryable) const {
-    auto& stats = GlobalResilienceStats();
-    uint64_t backoff = options_.initial_backoff_micros;
+  static Status Execute(ResilienceStats* stats, F&& op, P&& retryable) {
+    uint64_t backoff = kInitialBackoffMicros;
     Status last;
     uint32_t attempt = 1;
     for (;; ++attempt) {
-      stats.io_attempts.fetch_add(1);
+      stats->io_attempts.fetch_add(1);
       last = op();
       if (last.ok()) {
-        if (attempt > 1) stats.retry_successes.fetch_add(1);
+        if (attempt > 1) stats->retry_successes.fetch_add(1);
         return last;
       }
-      if (attempt >= options_.max_attempts || !retryable(last)) break;
-      stats.io_retries.fetch_add(1);
-      stats.backoff_waits.fetch_add(1);
-      stats.backoff_micros.fetch_add(backoff);
+      if (attempt >= kMaxAttempts || !retryable(last)) break;
+      stats->io_retries.fetch_add(1);
+      stats->backoff_waits.fetch_add(1);
+      stats->backoff_micros.fetch_add(backoff);
       Sleep(backoff);
-      backoff *= options_.backoff_multiplier;
-      if (backoff > options_.max_backoff_micros) {
-        backoff = options_.max_backoff_micros;
-      }
+      backoff = std::min(backoff * kBackoffMultiplier, kMaxBackoffMicros);
     }
-    if (attempt >= options_.max_attempts && retryable(last)) {
-      stats.retry_exhausted.fetch_add(1);
+    if (attempt >= kMaxAttempts && retryable(last)) {
+      stats->retry_exhausted.fetch_add(1);
     }
     return last;
   }
 
   template <typename F>
-  Status Execute(F&& op) const {
-    return Execute(std::forward<F>(op),
+  static Status Execute(ResilienceStats* stats, F&& op) {
+    return Execute(stats, std::forward<F>(op),
                    [](const Status& s) { return s.IsIOError(); });
   }
 
  private:
   static void Sleep(uint64_t micros);
-
-  Options options_;
 };
 
 }  // namespace mallard

@@ -13,6 +13,8 @@
 
 namespace mallard {
 
+struct ResilienceStats;
+
 /// Identifier of a 256KB block in the database file.
 using block_id_t = int64_t;
 constexpr block_id_t kInvalidBlock = -1;
@@ -40,10 +42,12 @@ class BlockManager {
   };
 
   /// Opens or creates the database file. `created` reports whether a new
-  /// file was initialized.
+  /// file was initialized. Read retries and block checksum failures
+  /// count into `stats`.
   static Result<std::unique_ptr<BlockManager>> Open(const std::string& path,
                                                     bool enable_checksums,
-                                                    bool* created);
+                                                    bool* created,
+                                                    ResilienceStats* stats);
 
   /// Reads a data block payload into `buffer` (kBlockPayloadSize bytes),
   /// verifying the checksum. Returns Corruption status on mismatch.
@@ -83,8 +87,11 @@ class BlockManager {
   Status CorruptBlockOnDisk(block_id_t id, uint64_t bit_index);
 
  private:
-  BlockManager(std::unique_ptr<FileHandle> file, bool enable_checksums)
-      : file_(std::move(file)), enable_checksums_(enable_checksums) {}
+  BlockManager(std::unique_ptr<FileHandle> file, bool enable_checksums,
+               ResilienceStats* stats)
+      : file_(std::move(file)),
+        enable_checksums_(enable_checksums),
+        resilience_(stats) {}
 
   uint64_t BlockOffset(block_id_t id) const {
     return (static_cast<uint64_t>(id) + 2) * kBlockSize;
@@ -95,6 +102,7 @@ class BlockManager {
 
   std::unique_ptr<FileHandle> file_;
   bool enable_checksums_;
+  ResilienceStats* resilience_;
   DatabaseHeader header_;
   std::set<block_id_t> free_blocks_;
   std::mutex mutex_;

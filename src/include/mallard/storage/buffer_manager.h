@@ -18,6 +18,8 @@
 
 namespace mallard {
 
+struct ResilienceStats;
+
 class BufferManager;
 
 /// One buffer-manager-owned allocation. May be resident (data() valid) or
@@ -120,7 +122,9 @@ struct BufferManagerStats {
 class BufferManager {
  public:
   /// `temp_path` is the spill file location ("" = anonymous file in /tmp).
-  BufferManager(uint64_t memory_limit, std::string temp_path);
+  /// Spill I/O retries and spill checksum failures count into `stats`.
+  BufferManager(uint64_t memory_limit, std::string temp_path,
+                ResilienceStats* stats);
   ~BufferManager();
 
   /// Allocates a pinned buffer of `size` bytes. Spillable buffers can be
@@ -149,6 +153,7 @@ class BufferManager {
 
   /// Enables the fast walking-bits screen on every new allocation.
   void EnableAllocationTesting(bool enable) { test_on_alloc_ = enable; }
+  bool allocation_testing() const { return test_on_alloc_; }
   /// Probability that the simulated hardware hands us a bad region on
   /// allocation (drives quarantine testing; 0 = healthy hardware).
   void SetSimulatedBadRegionProbability(double p, int faults_per_region = 3);
@@ -178,6 +183,7 @@ class BufferManager {
   std::atomic<uint64_t> memory_used_{0};
   uint64_t peak_memory_ = 0;
   std::string temp_path_;
+  ResilienceStats* resilience_;
   std::unique_ptr<FileHandle> spill_file_;
   uint64_t spill_file_size_ = 0;
   std::map<uint64_t, std::vector<uint64_t>> free_spill_slots_;

@@ -32,11 +32,12 @@ enum class SegmentEncoding : uint8_t {
 
 const char* SegmentEncodingToString(SegmentEncoding encoding);
 
-/// Process-wide encoding event counters surfaced by PRAGMA storage_stats.
-struct SegmentEncodingCounters {
-  static std::atomic<uint64_t> encodes;         // segments encoded
-  static std::atomic<uint64_t> decodes;         // EnsurePlain fallbacks
-  static std::atomic<uint64_t> filter_windows;  // code-space filter calls
+/// Encoding event counters of one Database, surfaced by PRAGMA
+/// storage_stats. Every segment of that Database's tables ticks them.
+struct EncodingCounters {
+  std::atomic<uint64_t> encodes{0};         // segments encoded
+  std::atomic<uint64_t> decodes{0};         // EnsurePlain fallbacks
+  std::atomic<uint64_t> filter_windows{0};  // code-space filter calls
 };
 
 /// Column data for one row group. Starts life as a plain fixed-capacity
@@ -50,7 +51,8 @@ struct SegmentEncodingCounters {
 /// that updating one column never rewrites the others (paper section 2).
 class ColumnSegment {
  public:
-  explicit ColumnSegment(TypeId type);
+  /// `counters` receives this segment's encode/decode/filter events.
+  ColumnSegment(TypeId type, EncodingCounters* counters);
 
   TypeId type() const { return type_; }
 
@@ -118,7 +120,8 @@ class ColumnSegment {
   /// their encoded form).
   void Serialize(BinaryWriter* writer, idx_t count) const;
   static Result<std::unique_ptr<ColumnSegment>> Deserialize(
-      BinaryReader* reader, TypeId type, idx_t count);
+      BinaryReader* reader, TypeId type, idx_t count,
+      EncodingCounters* counters);
 
   /// Approximate heap footprint (governor accounting).
   idx_t MemoryUsage() const;
@@ -147,6 +150,7 @@ class ColumnSegment {
   friend class UpdateSegment;
 
   TypeId type_;
+  EncodingCounters* counters_;
   idx_t width_;
   std::unique_ptr<uint8_t[]> data_;
   std::vector<uint64_t> validity_;

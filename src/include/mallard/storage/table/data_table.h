@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "mallard/catalog/column_definition.h"
+#include "mallard/resilience/retry_policy.h"
 #include "mallard/storage/table/row_group.h"
 
 namespace mallard {
@@ -27,11 +28,10 @@ struct TableScanState {
   /// default (kInvalidIndex) scans to the end of the table. Morsel
   /// scans bound it to a single row group.
   idx_t max_row_group = kInvalidIndex;
-  /// Salvage mode: quarantined row groups are skipped (and counted
-  /// below) instead of failing the scan with kCorruption.
+  /// Salvage mode: quarantined row groups are skipped (and counted in
+  /// the Database's resilience_stats) instead of failing the scan with
+  /// kCorruption.
   bool salvage = false;
-  idx_t salvage_skipped_groups = 0;
-  idx_t salvage_skipped_rows = 0;
   /// Set when Scan returns false because of an error rather than
   /// exhaustion; callers must check it before treating false as EOF.
   Status error;
@@ -56,7 +56,11 @@ struct TableEncodingStats {
 /// paper section 2.
 class DataTable {
  public:
-  DataTable(std::string table_name, std::vector<ColumnDefinition> columns);
+  /// `resilience` counts salvage skips and quarantined groups;
+  /// `encoding` receives the encoding events of every segment. Both
+  /// belong to the Database that owns the table.
+  DataTable(std::string table_name, std::vector<ColumnDefinition> columns,
+            ResilienceStats* resilience, EncodingCounters* encoding);
 
   const std::string& name() const { return name_; }
   const std::vector<ColumnDefinition>& columns() const { return columns_; }
@@ -109,7 +113,7 @@ class DataTable {
   /// Appends a quarantined placeholder covering `rows` rows whose
   /// checkpoint payload failed verification. The slot is kept so later
   /// groups retain their row ids; scans over it fail with kCorruption
-  /// unless salvage mode is on.
+  /// unless salvage mode is on. Counts as a quarantined row group.
   void LoadQuarantinedGroup(idx_t rows, std::string reason);
 
   /// Corruption status naming the first quarantined row group, or OK.
@@ -126,8 +130,12 @@ class DataTable {
 
   idx_t MemoryUsage() const;
 
-  /// Aggregates per-segment encoding statistics (PRAGMA storage_stats).
-  TableEncodingStats EncodingStats() const;
+  /// Adds this table's per-segment encoding statistics to `stats`
+  /// (PRAGMA storage_stats sums them over every table).
+  void AddEncodingStats(TableEncodingStats* stats) const;
+  /// Where new segments of this table (checkpoint staging too) count
+  /// their encoding events.
+  EncodingCounters* encoding_counters() const { return encoding_; }
 
  private:
   RowGroup* GetRowGroupForRow(idx_t row_id) const;
@@ -135,6 +143,8 @@ class DataTable {
   std::string name_;
   std::vector<ColumnDefinition> columns_;
   std::vector<TypeId> types_;
+  ResilienceStats* resilience_;
+  EncodingCounters* encoding_;
 
   mutable std::shared_mutex row_groups_lock_;  // guards the list structure
   std::vector<std::unique_ptr<RowGroup>> row_groups_;

@@ -31,7 +31,9 @@ struct TableFilter {
 /// A reader-writer lock serializes DML against scans.
 class RowGroup {
  public:
-  RowGroup(idx_t start, const std::vector<TypeId>& types);
+  /// `counters` receives the encoding events of the group's segments.
+  RowGroup(idx_t start, const std::vector<TypeId>& types,
+           EncodingCounters* counters);
 
   /// Builds a quarantined placeholder for a row group whose checkpoint
   /// payload failed verification. It holds no column data but remembers
@@ -122,7 +124,8 @@ class RowGroup {
   bool ForgetChainsUsing(const std::set<block_id_t>& damaged);
 
   static Result<std::unique_ptr<RowGroup>> Deserialize(
-      BinaryReader* reader, idx_t start, const std::vector<TypeId>& types);
+      BinaryReader* reader, idx_t start, const std::vector<TypeId>& types,
+      EncodingCounters* counters);
 
   idx_t MemoryUsage() const;
 

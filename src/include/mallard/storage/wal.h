@@ -92,7 +92,9 @@ struct WalStats {
 /// log. See docs/ARCHITECTURE.md "Durability".
 class WriteAheadLog {
  public:
-  static Result<std::unique_ptr<WriteAheadLog>> Open(const std::string& path);
+  /// Append retries count into `stats`.
+  static Result<std::unique_ptr<WriteAheadLog>> Open(const std::string& path,
+                                                     ResilienceStats* stats);
   ~WriteAheadLog();
 
   /// Appends all records of one committing transaction, acknowledging
@@ -155,8 +157,9 @@ class WriteAheadLog {
   const std::string& path() const { return path_; }
 
  private:
-  WriteAheadLog(std::string path, std::unique_ptr<FileHandle> file)
-      : path_(std::move(path)), file_(std::move(file)) {}
+  WriteAheadLog(std::string path, std::unique_ptr<FileHandle> file,
+                ResilienceStats* stats)
+      : path_(std::move(path)), file_(std::move(file)), resilience_(stats) {}
 
   Status ApplyRecord(BinaryReader* reader, WalRecordType type,
                      Catalog* catalog, Transaction* txn);
@@ -195,6 +198,7 @@ class WriteAheadLog {
 
   std::string path_;
   std::unique_ptr<FileHandle> file_;
+  ResilienceStats* resilience_;
   const ResourceGovernor* governor_ = nullptr;
 
   std::atomic<WalCommitMode> commit_mode_{WalCommitMode::kSync};

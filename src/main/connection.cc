@@ -3,6 +3,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 
 #include "mallard/common/string_util.h"
 #include "mallard/etl/csv.h"
@@ -12,7 +14,6 @@
 #include "mallard/planner/planner.h"
 #include "mallard/resilience/retry_policy.h"
 #include "mallard/resilience/scrubber.h"
-#include "mallard/storage/table/column_segment.h"
 
 namespace mallard {
 
@@ -267,17 +268,29 @@ Result<std::unique_ptr<MaterializedQueryResult>> Connection::ExecutePlan(
 }
 
 namespace {
+/// A result holding `rows` (one Value per column), chunked by
+/// kVectorSize.
+std::unique_ptr<MaterializedQueryResult> RowsResult(
+    std::vector<std::string> names, std::vector<TypeId> types,
+    const std::vector<std::vector<Value>>& rows) {
+  std::vector<std::unique_ptr<DataChunk>> chunks;
+  for (idx_t r = 0; r < rows.size(); r++) {
+    if (r % kVectorSize == 0) {
+      chunks.push_back(std::make_unique<DataChunk>());
+      chunks.back()->Initialize(types);
+    }
+    for (idx_t c = 0; c < types.size(); c++) {
+      chunks.back()->SetValue(c, r % kVectorSize, rows[r][c]);
+    }
+    chunks.back()->SetCardinality(r % kVectorSize + 1);
+  }
+  return std::make_unique<MaterializedQueryResult>(
+      std::move(names), std::move(types), std::move(chunks));
+}
+
 std::unique_ptr<MaterializedQueryResult> SingleValueResult(
     const std::string& name, Value value) {
-  auto chunk = std::make_unique<DataChunk>();
-  chunk->Initialize({value.type()});
-  chunk->SetValue(0, 0, value);
-  chunk->SetCardinality(1);
-  std::vector<std::unique_ptr<DataChunk>> chunks;
-  chunks.push_back(std::move(chunk));
-  return std::make_unique<MaterializedQueryResult>(
-      std::vector<std::string>{name}, std::vector<TypeId>{value.type()},
-      std::move(chunks));
+  return RowsResult({name}, {value.type()}, {{value}});
 }
 }  // namespace
 
@@ -460,399 +473,353 @@ Result<std::unique_ptr<MaterializedQueryResult>> Connection::ExecuteStatement(
 }
 
 namespace {
-/// Builds a one-row result from parallel name/value arrays (the shape
-/// every *_stats PRAGMA returns).
-std::unique_ptr<MaterializedQueryResult> CountersResult(
-    std::vector<std::string> names, const std::vector<uint64_t>& values) {
-  auto chunk = std::make_unique<DataChunk>();
-  std::vector<TypeId> types(names.size(), TypeId::kBigInt);
-  chunk->Initialize(types);
-  for (idx_t c = 0; c < names.size(); c++) {
-    chunk->SetValue(c, 0, Value::BigInt(static_cast<int64_t>(values[c])));
+using PragmaResult = Result<std::unique_ptr<MaterializedQueryResult>>;
+using StatsColumns = std::vector<std::pair<const char*, uint64_t>>;
+
+/// One PRAGMA. Given no value it runs `read`: the current setting as a
+/// one-column row named after the PRAGMA, or a row of counters. Given a
+/// value, a settable PRAGMA validates and applies it through `apply`; a
+/// read-only one (no `apply`) ignores the value.
+struct Pragma {
+  const char* name;
+  std::function<PragmaResult(Connection&)> read;
+  std::function<Status(Connection&, const std::string&)> apply;
+};
+
+Status Expected(const char* pragma, const std::string& what,
+                const std::string& text) {
+  return Status::InvalidArgument("PRAGMA " + std::string(pragma) +
+                                 " expects " + what + ", got '" + text + "'");
+}
+
+/// The position of `text` in `choices`, compared case-insensitively.
+Result<size_t> ParseChoice(const char* pragma,
+                           const std::vector<const char*>& choices,
+                           const std::string& text) {
+  std::string list;
+  for (size_t i = 0; i < choices.size(); i++) {
+    if (StringUtil::CIEquals(text, choices[i])) return i;
+    list += (i == 0 ? "" : ", ") + std::string(choices[i]);
   }
-  chunk->SetCardinality(1);
-  std::vector<std::unique_ptr<DataChunk>> chunks;
-  chunks.push_back(std::move(chunk));
-  return std::make_unique<MaterializedQueryResult>(
-      std::move(names), std::move(types), std::move(chunks));
+  return Expected(pragma, "one of " + list, text);
+}
+
+/// An integer setting: the whole value must parse, without overflow,
+/// into [min, max].
+template <typename Get, typename Set>
+Pragma IntSetting(const char* name, int64_t min, int64_t max, Get get,
+                  Set set) {
+  return {name,
+          [=](Connection& c) {
+            return SingleValueResult(
+                name, Value::BigInt(static_cast<int64_t>(get(c))));
+          },
+          [=](Connection& c, const std::string& text) {
+            char* end = nullptr;
+            errno = 0;
+            long long v = std::strtoll(text.c_str(), &end, 10);
+            if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+                v < min || v > max) {
+              return Expected(name,
+                              "an integer in " + std::to_string(min) + ".." +
+                                  std::to_string(max),
+                              text);
+            }
+            set(c, static_cast<int64_t>(v));
+            return Status::OK();
+          }};
+}
+
+/// A setting that takes one of `choices`; `set` gets its position.
+template <typename Get, typename Set>
+Pragma ChoiceSetting(const char* name, std::vector<const char*> choices,
+                     Get get, Set set) {
+  return {name,
+          [=](Connection& c) {
+            return SingleValueResult(name, Value::Varchar(get(c)));
+          },
+          [=](Connection& c, const std::string& text) -> Status {
+            MALLARD_ASSIGN_OR_RETURN(size_t i,
+                                     ParseChoice(name, choices, text));
+            return set(c, i);
+          }};
+}
+
+/// A boolean setting: on/off, true/false or 1/0, in any case.
+template <typename Get, typename Set>
+Pragma BoolSetting(const char* name, Get get, Set set) {
+  return {name,
+          [=](Connection& c) {
+            return SingleValueResult(name, Value::Boolean(get(c)));
+          },
+          [=](Connection& c, const std::string& text) -> Status {
+            MALLARD_ASSIGN_OR_RETURN(
+                size_t i,
+                ParseChoice(name, {"off", "on", "false", "true", "0", "1"},
+                            text));
+            set(c, i % 2 == 1);
+            return Status::OK();
+          }};
+}
+
+/// A read-only row of BIGINT counters. Each column name sits next to
+/// its value, so the two cannot drift out of order.
+template <typename Read>
+Pragma Counters(const char* name, bool persistent_only, Read read) {
+  return {name,
+          [=](Connection& c) -> PragmaResult {
+            if (persistent_only && c.database().in_memory()) {
+              return Status::InvalidArgument(
+                  std::string(name) + " requires a persistent database");
+            }
+            std::vector<std::string> names;
+            std::vector<Value> values;
+            for (const auto& [column, value] : read(c)) {
+              names.push_back(column);
+              values.push_back(Value::BigInt(static_cast<int64_t>(value)));
+            }
+            std::vector<TypeId> types(names.size(), TypeId::kBigInt);
+            return RowsResult(std::move(names), std::move(types), {values});
+          },
+          nullptr};
 }
 }  // namespace
 
 Result<std::unique_ptr<MaterializedQueryResult>> Connection::ExecutePragma(
     const PragmaStatement& stmt) {
-  auto ok_result = [] { return SingleValueResult("ok", Value::Boolean(true)); };
-  auto parse_int = [](const std::string& text, long min_value,
-                      long max_value, long* out) -> bool {
-    char* end = nullptr;
-    errno = 0;
-    long v = std::strtol(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-        v < min_value || v > max_value) {
-      return false;
-    }
-    *out = v;
-    return true;
+  // Every PRAGMA, documented in docs/API.md. The accessors are written
+  // here, inside a member, so they may reach the connection's settings.
+  static const std::vector<Pragma> kPragmas = {
+      // The budget the out-of-core operators spill against right now:
+      // the governor's effective (possibly reactive) number.
+      IntSetting(
+          "memory_limit", 1, std::numeric_limits<int64_t>::max(),
+          [](Connection& c) {
+            return c.db_->governor().EffectiveMemoryBudget();
+          },
+          [](Connection& c, int64_t v) {
+            c.db_->governor().SetMemoryLimit(v);
+          }),
+      // Workers this connection's parallel pipelines use: the pinned
+      // override, else the governor's (possibly reactive) budget capped
+      // at the morsel source's ceiling. 0 clears the override.
+      IntSetting(
+          "threads", 0, TableMorselSource::kMaxWorkers,
+          [](Connection& c) {
+            return c.thread_override_ > 0
+                       ? c.thread_override_
+                       : std::min(c.db_->governor().EffectiveThreadBudget(),
+                                  TableMorselSource::kMaxWorkers);
+          },
+          [](Connection& c, int64_t v) { c.thread_override_ = int(v); }),
+      IntSetting(
+          "statement_timeout_ms", 0, 1LL << 40,
+          [](Connection& c) { return c.statement_timeout_ms_; },
+          [](Connection& c, int64_t v) { c.statement_timeout_ms_ = v; }),
+      // Weight (1, 2, 4) divides the scheduler's threads across queries;
+      // class orders the admission queue.
+      ChoiceSetting(
+          "priority", {"low", "normal", "high"},
+          [](Connection& c) {
+            return c.priority_class_ == 0   ? "low"
+                   : c.priority_class_ == 1 ? "normal"
+                                            : "high";
+          },
+          [](Connection& c, size_t i) {
+            c.priority_class_ = int(i);
+            c.priority_weight_ = 1 << i;
+            return Status::OK();
+          }),
+      // Off also empties the shared cache: the contract is "stop holding
+      // plans", not just "stop using them on this connection".
+      BoolSetting(
+          "plan_cache", [](Connection& c) { return c.plan_cache_enabled_; },
+          [](Connection& c, bool on) {
+            c.plan_cache_enabled_ = on;
+            if (!on) c.db_->plan_cache().Clear();
+          }),
+      // 0 = auto: 4x the governor's thread cap.
+      IntSetting(
+          "admission_limit", 0, 1 << 20,
+          [](Connection& c) { return c.db_->admission().max_active(); },
+          [](Connection& c, int64_t v) {
+            c.db_->admission().SetMaxActive(int(v));
+          }),
+      IntSetting(
+          "admission_queue_depth", 0, 1 << 20,
+          [](Connection& c) { return c.db_->admission().queue_depth(); },
+          [](Connection& c, int64_t v) {
+            c.db_->admission().SetQueueDepth(int(v));
+          }),
+      IntSetting(
+          "admission_timeout_ms", 1, 1LL << 40,
+          [](Connection& c) { return c.db_->admission().timeout_ms(); },
+          [](Connection& c, int64_t v) { c.db_->admission().SetTimeoutMs(v); }),
+      BoolSetting(
+          "reactive",
+          [](Connection& c) { return c.db_->governor().reactive(); },
+          [](Connection& c, bool on) { c.db_->governor().SetReactive(on); }),
+      // Reads back the level in force: the manual one, or the reactive
+      // staircase's current step.
+      ChoiceSetting(
+          "compression", {"none", "light", "heavy"},
+          [](Connection& c) {
+            return CompressionLevelToString(
+                c.db_->governor().ChooseCompressionLevel());
+          },
+          [](Connection& c, size_t i) {
+            c.db_->governor().SetCompressionLevel(CompressionLevel(i));
+            return Status::OK();
+          }),
+      BoolSetting(
+          "memtest_on_allocation",
+          [](Connection& c) { return c.db_->buffers().allocation_testing(); },
+          [](Connection& c, bool on) {
+            c.db_->buffers().EnableAllocationTesting(on);
+          }),
+      BoolSetting(
+          "salvage_mode",
+          [](Connection& c) { return c.db_->config().salvage_mode; },
+          [](Connection& c, bool on) { c.db_->config().salvage_mode = on; }),
+      // In-memory databases have no WAL and read back "none". Switching
+      // to sync flushes what async already acknowledged.
+      ChoiceSetting(
+          "wal_commit_mode", {"sync", "async"},
+          [](Connection& c) {
+            WriteAheadLog* wal = c.db_->wal();
+            return wal == nullptr ? "none"
+                   : wal->commit_mode() == WalCommitMode::kAsync ? "async"
+                                                                 : "sync";
+          },
+          [](Connection& c, size_t i) {
+            if (c.db_->wal() == nullptr) {
+              return Status::InvalidArgument(
+                  "wal_commit_mode requires a persistent database");
+            }
+            return c.db_->wal()->SetCommitMode(WalCommitMode(i));
+          }),
+      Counters("buffer_stats", false, [](Connection& c) -> StatsColumns {
+        BufferManagerStats s = c.db_->buffers().GetStats();
+        return {{"memory_used", s.memory_used},
+                {"memory_limit", s.memory_limit},
+                {"peak_memory", s.peak_memory},
+                {"spill_count", s.spill_count},
+                {"spilled_bytes", s.spilled_bytes},
+                {"unspill_count", s.unspill_count},
+                {"eviction_count", s.eviction_count},
+                {"spilled_bytes_now", s.spilled_bytes_now},
+                {"spill_compressed_count", s.spill_compressed_count},
+                {"spill_saved_bytes", s.spill_saved_bytes}};
+      }),
+      // Segments per encoding and logical vs encoded bytes over every
+      // table, then this Database's encoding events.
+      Counters("storage_stats", false, [](Connection& c) -> StatsColumns {
+        TableEncodingStats t;
+        c.db_->catalog().ForEachTable(
+            [&t](DataTable* table) { table->AddEncodingStats(&t); });
+        const EncodingCounters& e = c.db_->encoding_counters();
+        return {{"segments_total", t.segments_total},
+                {"segments_plain", t.segments_plain},
+                {"segments_dict", t.segments_dict},
+                {"segments_for", t.segments_for},
+                {"logical_bytes", t.logical_bytes},
+                {"encoded_bytes", t.encoded_bytes},
+                {"dict_entries", t.dict_entries},
+                {"dict_rows", t.dict_rows},
+                {"encode_count", e.encodes},
+                {"decode_count", e.decodes},
+                {"code_filter_windows", e.filter_windows}};
+      }),
+      Counters("scheduler_stats", false, [](Connection& c) -> StatsColumns {
+        SchedulerStats s = c.db_->scheduler().GetStats();
+        return {{"tasks_executed", s.tasks_executed}, {"runs", s.runs},
+                {"active_queries", s.active_queries},
+                {"pool_size", s.pool_size}};
+      }),
+      Counters("admission_stats", false, [](Connection& c) -> StatsColumns {
+        AdmissionStats s = c.db_->admission().GetStats();
+        return {{"admitted", s.admitted}, {"queued", s.queued},
+                {"shed", s.shed},         {"timeouts", s.timeouts},
+                {"active", s.active},     {"waiting", s.waiting}};
+      }),
+      Counters("plan_cache_stats", false, [](Connection& c) -> StatsColumns {
+        PlanCacheStats s = c.db_->plan_cache().GetStats();
+        return {{"hits", s.hits},
+                {"misses", s.misses},
+                {"evictions", s.evictions},
+                {"invalidations", s.invalidations},
+                {"busy_skips", s.busy_skips},
+                {"uncacheable", s.uncacheable},
+                {"entries", s.entries}};
+      }),
+      Counters("wal_stats", true, [](Connection& c) -> StatsColumns {
+        WalStats s = c.db_->wal()->GetStats();
+        return {{"commits", s.commits},
+                {"fsyncs", s.fsyncs},
+                {"flushes", s.flushes},
+                {"group_commits", s.group_commits},
+                {"max_group", s.max_group},
+                {"async_acks", s.async_acks},
+                {"flush_errors", s.flush_errors},
+                {"bytes_written", s.bytes_written},
+                {"pending_bytes", s.pending_bytes},
+                {"torn_tail_recoveries", s.torn_tail_recoveries}};
+      }),
+      Counters("checkpoint_stats", true, [](Connection& c) -> StatsColumns {
+        CheckpointStats s = c.db_->checkpoint_stats();
+        return {{"checkpoints", s.checkpoints},
+                {"groups_written", s.groups_written},
+                {"groups_reused", s.groups_reused},
+                {"blocks_written", s.blocks_written}};
+      }),
+      // What the I/O retry layer absorbed, what the checksums caught,
+      // what salvage mode skipped and what the scrubber verified.
+      Counters("resilience_stats", false, [](Connection& c) -> StatsColumns {
+        const ResilienceStats& s = c.db_->resilience_stats();
+        return {{"io_attempts", s.io_attempts},
+                {"io_retries", s.io_retries},
+                {"retry_successes", s.retry_successes},
+                {"retry_exhausted", s.retry_exhausted},
+                {"backoff_waits", s.backoff_waits},
+                {"backoff_micros", s.backoff_micros},
+                {"block_checksum_failures", s.block_checksum_failures},
+                {"spill_checksum_failures", s.spill_checksum_failures},
+                {"quarantined_row_groups", s.quarantined_row_groups},
+                {"salvage_skipped_groups", s.salvage_skipped_groups},
+                {"salvage_skipped_rows", s.salvage_skipped_rows},
+                {"scrub_runs", s.scrub_runs},
+                {"scrub_objects", s.scrub_objects},
+                {"scrub_failures", s.scrub_failures}};
+      }),
+      // Online scrub of every live block, the WAL and every row group:
+      // one (object, status, detail) row per damaged object plus a
+      // summary row per category.
+      {"integrity_check",
+       [](Connection& c) {
+         Database& db = *c.db_;
+         ScrubReport report = IntegrityScrubber(db.blocks(), db.wal(),
+                                                &db.catalog(), &db.governor())
+                                  .Run();
+         db.resilience_stats().scrub_runs.fetch_add(1);
+         db.resilience_stats().scrub_objects.fetch_add(report.objects);
+         db.resilience_stats().scrub_failures.fetch_add(report.failures);
+         std::vector<std::vector<Value>> rows;
+         for (const ScrubFinding& f : report.findings) {
+           rows.push_back({Value::Varchar(f.object),
+                           Value::Varchar(f.ok ? "ok" : "corrupt"),
+                           Value::Varchar(f.detail)});
+         }
+         return RowsResult({"object", "status", "detail"},
+                           std::vector<TypeId>(3, TypeId::kVarchar), rows);
+       },
+       nullptr},
   };
   std::string name = StringUtil::Lower(stmt.name);
-  if (name == "memory_limit") {
-    if (stmt.value.empty()) {
-      // Readback: `PRAGMA memory_limit` (no value) reports the budget
-      // the out-of-core operators spill against right now — the
-      // governor's effective (possibly reactive) number, not just the
-      // configured cap. Spill tests assert this to prove what budget
-      // they actually ran under.
-      return SingleValueResult(
-          "memory_limit",
-          Value::BigInt(static_cast<int64_t>(
-              db_->governor().EffectiveMemoryBudget())));
-    }
-    uint64_t bytes = std::strtoull(stmt.value.c_str(), nullptr, 10);
-    if (bytes == 0) {
-      return Status::InvalidArgument("memory_limit must be bytes > 0");
-    }
-    db_->governor().SetMemoryLimit(bytes);
-    return ok_result();
-  }
-  if (name == "buffer_stats") {
-    // One row of BufferManager counters: how much is resident, how much
-    // has ever spilled, and how much sits in the temp file right now.
-    BufferManagerStats stats = db_->buffers().GetStats();
-    return CountersResult(
-        {"memory_used", "memory_limit", "peak_memory", "spill_count",
-         "spilled_bytes", "unspill_count", "eviction_count",
-         "spilled_bytes_now", "spill_compressed_count", "spill_saved_bytes"},
-        {stats.memory_used, stats.memory_limit, stats.peak_memory,
-         stats.spill_count, stats.spilled_bytes, stats.unspill_count,
-         stats.eviction_count, stats.spilled_bytes_now,
-         stats.spill_compressed_count, stats.spill_saved_bytes});
-  }
-  if (name == "storage_stats") {
-    // One row of compressed-storage counters across every table: how
-    // many finalized segments landed on each encoding, the logical vs
-    // encoded footprint, and the global encode/decode/filter-window
-    // counters. The compression tests assert encoded_bytes <
-    // logical_bytes on dictionary/FOR-friendly data.
-    TableEncodingStats total;
-    db_->catalog().ForEachTable([&total](DataTable* table) {
-      TableEncodingStats s = table->EncodingStats();
-      total.segments_total += s.segments_total;
-      total.segments_plain += s.segments_plain;
-      total.segments_dict += s.segments_dict;
-      total.segments_for += s.segments_for;
-      total.logical_bytes += s.logical_bytes;
-      total.encoded_bytes += s.encoded_bytes;
-      total.dict_entries += s.dict_entries;
-      total.dict_rows += s.dict_rows;
-    });
-    return CountersResult(
-        {"segments_total", "segments_plain", "segments_dict", "segments_for",
-         "logical_bytes", "encoded_bytes", "dict_entries", "dict_rows",
-         "encode_count", "decode_count", "code_filter_windows"},
-        {total.segments_total, total.segments_plain, total.segments_dict,
-         total.segments_for, total.logical_bytes, total.encoded_bytes,
-         total.dict_entries, total.dict_rows,
-         SegmentEncodingCounters::encodes.load(),
-         SegmentEncodingCounters::decodes.load(),
-         SegmentEncodingCounters::filter_windows.load()});
-  }
-  if (name == "threads") {
-    if (stmt.value.empty()) {
-      // Readback: `PRAGMA threads` (no value) reports the number of
-      // workers a parallel pipeline launched by *this connection* would
-      // use right now — the pinned override if one is set, else the
-      // governor's (possibly reactive) budget, clamped to the morsel
-      // source's worker ceiling. Scaling tests assert this to prove
-      // what they actually ran with.
-      int effective =
-          thread_override_ > 0
-              ? thread_override_
-              : std::min(db_->governor().EffectiveThreadBudget(),
-                         TableMorselSource::kMaxWorkers);
-      return SingleValueResult("threads", Value::BigInt(effective));
-    }
-    long threads = 0;
-    // Full-string parse, no overflow, bounded: anything beyond the
-    // morsel source's worker ceiling is meaningless as a pin.
-    if (!parse_int(stmt.value, 0, TableMorselSource::kMaxWorkers, &threads)) {
-      return Status::InvalidArgument(
-          "threads must be 1.." +
-          std::to_string(TableMorselSource::kMaxWorkers) +
-          ", or 0 to follow the governor's budget");
-    }
-    // Per-connection override: this connection's parallel pipelines use
-    // exactly `threads` workers; other connections keep following the
-    // governor's (possibly reactive) budget. 0 clears the override.
-    thread_override_ = static_cast<int>(threads);
-    return ok_result();
-  }
-  if (name == "priority") {
-    if (stmt.value.empty()) {
-      // Readback: this connection's fair-share class.
-      const char* level = priority_class_ == 0
-                              ? "low"
-                              : (priority_class_ == 2 ? "high" : "normal");
-      return SingleValueResult("priority", Value::Varchar(level));
-    }
-    // Weight divides the scheduler's thread budget across concurrent
-    // queries; class orders the admission queue. Takes effect on this
-    // connection's next statement.
-    if (StringUtil::CIEquals(stmt.value, "low")) {
-      priority_weight_ = 1;
-      priority_class_ = 0;
-    } else if (StringUtil::CIEquals(stmt.value, "normal")) {
-      priority_weight_ = 2;
-      priority_class_ = 1;
-    } else if (StringUtil::CIEquals(stmt.value, "high")) {
-      priority_weight_ = 4;
-      priority_class_ = 2;
-    } else {
-      return Status::InvalidArgument(
-          "priority must be low, normal or high");
-    }
-    return ok_result();
-  }
-  if (name == "admission_limit") {
-    if (stmt.value.empty()) {
-      // Readback: concurrent statements admitted right now before new
-      // arrivals queue (0 = auto: 4x the governor's thread cap).
-      return SingleValueResult(
-          "admission_limit",
-          Value::BigInt(db_->admission().max_active()));
-    }
-    long limit = 0;
-    if (!parse_int(stmt.value, 0, 1 << 20, &limit)) {
-      return Status::InvalidArgument(
-          "admission_limit must be >= 1, or 0 for auto (4x thread cap)");
-    }
-    db_->admission().SetMaxActive(static_cast<int>(limit));
-    return ok_result();
-  }
-  if (name == "admission_queue_depth") {
-    if (stmt.value.empty()) {
-      return SingleValueResult(
-          "admission_queue_depth",
-          Value::BigInt(db_->admission().queue_depth()));
-    }
-    long depth = 0;
-    if (!parse_int(stmt.value, 0, 1 << 20, &depth)) {
-      return Status::InvalidArgument(
-          "admission_queue_depth must be >= 0 (0 sheds instead of queueing)");
-    }
-    db_->admission().SetQueueDepth(static_cast<int>(depth));
-    return ok_result();
-  }
-  if (name == "admission_timeout_ms") {
-    if (stmt.value.empty()) {
-      return SingleValueResult(
-          "admission_timeout_ms",
-          Value::BigInt(static_cast<int64_t>(db_->admission().timeout_ms())));
-    }
-    long timeout = 0;
-    if (!parse_int(stmt.value, 1, 1L << 40, &timeout)) {
-      return Status::InvalidArgument("admission_timeout_ms must be >= 1");
-    }
-    db_->admission().SetTimeoutMs(static_cast<uint64_t>(timeout));
-    return ok_result();
-  }
-  if (name == "scheduler_stats") {
-    // One row of shared-pool counters; the fairness tests use
-    // tasks_executed as a progress proxy and active_queries to observe
-    // concurrent registration.
-    SchedulerStats stats = db_->scheduler().GetStats();
-    return CountersResult(
-        {"tasks_executed", "runs", "active_queries", "pool_size"},
-        {stats.tasks_executed, stats.runs,
-         static_cast<uint64_t>(stats.active_queries),
-         static_cast<uint64_t>(stats.pool_size)});
-  }
-  if (name == "admission_stats") {
-    AdmissionStats stats = db_->admission().GetStats();
-    return CountersResult(
-        {"admitted", "queued", "shed", "timeouts", "active", "waiting"},
-        {stats.admitted, stats.queued, stats.shed, stats.timeouts,
-         static_cast<uint64_t>(stats.active),
-         static_cast<uint64_t>(stats.waiting)});
-  }
-  if (name == "plan_cache_stats") {
-    PlanCacheStats stats = db_->plan_cache().GetStats();
-    return CountersResult(
-        {"hits", "misses", "evictions", "invalidations", "busy_skips",
-         "uncacheable", "entries"},
-        {stats.hits, stats.misses, stats.evictions, stats.invalidations,
-         stats.busy_skips, stats.uncacheable, stats.entries});
-  }
-  if (name == "reactive") {
-    db_->governor().SetReactive(StringUtil::CIEquals(stmt.value, "true") ||
-                                stmt.value == "1");
-    return ok_result();
-  }
-  if (name == "compression") {
-    if (StringUtil::CIEquals(stmt.value, "none")) {
-      db_->governor().SetCompressionLevel(CompressionLevel::kNone);
-    } else if (StringUtil::CIEquals(stmt.value, "light")) {
-      db_->governor().SetCompressionLevel(CompressionLevel::kLight);
-    } else if (StringUtil::CIEquals(stmt.value, "heavy")) {
-      db_->governor().SetCompressionLevel(CompressionLevel::kHeavy);
-    } else {
-      return Status::InvalidArgument(
-          "compression must be none, light or heavy");
-    }
-    return ok_result();
-  }
-  if (name == "plan_cache") {
-    bool enable = StringUtil::CIEquals(stmt.value, "true") ||
-                  StringUtil::CIEquals(stmt.value, "on") ||
-                  stmt.value == "1";
-    plan_cache_enabled_ = enable;
-    // Turning the cache off drops the shared cache's plans too — the
-    // PRAGMA's contract is "stop holding plans", not just "stop using
-    // them on this connection".
-    if (!enable) db_->plan_cache().Clear();
-    return ok_result();
-  }
-  if (name == "memtest_on_allocation") {
-    db_->buffers().EnableAllocationTesting(
-        StringUtil::CIEquals(stmt.value, "true") || stmt.value == "1");
-    return ok_result();
-  }
-  if (name == "wal_commit_mode") {
-    WriteAheadLog* wal = db_->wal();
-    if (stmt.value.empty()) {
-      // Readback: the durability contract commits on this database get
-      // right now (in-memory databases have no WAL and report "none").
-      const char* mode =
-          wal == nullptr
-              ? "none"
-              : (wal->commit_mode() == WalCommitMode::kAsync ? "async"
-                                                             : "sync");
-      return SingleValueResult("wal_commit_mode", Value::Varchar(mode));
-    }
-    if (wal == nullptr) {
-      return Status::InvalidArgument(
-          "wal_commit_mode requires a persistent database");
-    }
-    if (StringUtil::CIEquals(stmt.value, "sync")) {
-      // Switching to sync flushes everything already acknowledged, so
-      // the stronger guarantee holds from this statement's return.
-      MALLARD_RETURN_NOT_OK(wal->SetCommitMode(WalCommitMode::kSync));
-    } else if (StringUtil::CIEquals(stmt.value, "async")) {
-      MALLARD_RETURN_NOT_OK(wal->SetCommitMode(WalCommitMode::kAsync));
-    } else {
-      return Status::InvalidArgument("wal_commit_mode must be sync or async");
-    }
-    return ok_result();
-  }
-  if (name == "wal_stats") {
-    // One row of WAL counters; the group-commit tests assert that
-    // `fsyncs` stays well below `commits` under concurrent writers.
-    if (db_->wal() == nullptr) {
-      return Status::InvalidArgument(
-          "wal_stats requires a persistent database");
-    }
-    WalStats stats = db_->wal()->GetStats();
-    return CountersResult(
-        {"commits", "fsyncs", "flushes", "group_commits", "max_group",
-         "async_acks", "flush_errors", "bytes_written", "pending_bytes",
-         "torn_tail_recoveries"},
-        {stats.commits, stats.fsyncs, stats.flushes, stats.group_commits,
-         stats.max_group, stats.async_acks, stats.flush_errors,
-         stats.bytes_written, stats.pending_bytes,
-         stats.torn_tail_recoveries});
-  }
-  if (name == "checkpoint_stats") {
-    // One row of checkpoint counters; the incremental-checkpoint tests
-    // assert that an unchanged table is carried over, not rewritten.
-    if (db_->in_memory()) {
-      return Status::InvalidArgument(
-          "checkpoint_stats requires a persistent database");
-    }
-    CheckpointStats stats = db_->checkpoint_stats();
-    return CountersResult(
-        {"checkpoints", "groups_written", "groups_reused", "blocks_written"},
-        {stats.checkpoints, stats.groups_written, stats.groups_reused,
-         stats.blocks_written});
-  }
-  if (name == "statement_timeout_ms") {
-    if (stmt.value.empty()) {
-      // Readback: this connection's per-statement wall-clock budget.
-      return SingleValueResult(
-          "statement_timeout_ms",
-          Value::BigInt(static_cast<int64_t>(statement_timeout_ms_)));
-    }
-    long ms = 0;
-    if (!parse_int(stmt.value, 0, 1L << 40, &ms)) {
-      return Status::InvalidArgument(
-          "statement_timeout_ms must be >= 0 (0 disables the timeout)");
-    }
-    statement_timeout_ms_ = static_cast<uint64_t>(ms);
-    return ok_result();
-  }
-  if (name == "salvage_mode") {
-    if (stmt.value.empty()) {
-      return SingleValueResult("salvage_mode",
-                               Value::Boolean(db_->config().salvage_mode));
-    }
-    bool on;
-    if (StringUtil::CIEquals(stmt.value, "on") ||
-        StringUtil::CIEquals(stmt.value, "true") || stmt.value == "1") {
-      on = true;
-    } else if (StringUtil::CIEquals(stmt.value, "off") ||
-               StringUtil::CIEquals(stmt.value, "false") ||
-               stmt.value == "0") {
-      on = false;
-    } else {
-      return Status::InvalidArgument("salvage_mode must be on or off");
-    }
-    db_->config().salvage_mode = on;
-    return ok_result();
-  }
-  if (name == "resilience_stats") {
-    // One row of corruption/retry counters, process-wide: what the I/O
-    // retry layer absorbed, what the checksums caught, what salvage mode
-    // skipped, and what the scrubber has verified.
-    ResilienceStats& s = GlobalResilienceStats();
-    return CountersResult(
-        {"io_attempts", "io_retries", "retry_successes", "retry_exhausted",
-         "backoff_waits", "backoff_micros", "block_checksum_failures",
-         "spill_checksum_failures", "quarantined_row_groups",
-         "salvage_skipped_groups", "salvage_skipped_rows", "scrub_runs",
-         "scrub_objects", "scrub_failures"},
-        {s.io_attempts.load(), s.io_retries.load(), s.retry_successes.load(),
-         s.retry_exhausted.load(), s.backoff_waits.load(),
-         s.backoff_micros.load(), s.block_checksum_failures.load(),
-         s.spill_checksum_failures.load(), s.quarantined_row_groups.load(),
-         s.salvage_skipped_groups.load(), s.salvage_skipped_rows.load(),
-         s.scrub_runs.load(), s.scrub_objects.load(),
-         s.scrub_failures.load()});
-  }
-  if (name == "integrity_check") {
-    // Online scrub: every live block, the WAL, every table row group.
-    // Result set: one row per damaged object plus a summary row per
-    // category, so a clean database reads as a handful of "ok" rows and
-    // a damaged one names exactly what to restore or salvage.
-    IntegrityScrubber scrubber(db_->blocks(), db_->wal(), &db_->catalog(),
-                               &db_->governor());
-    ScrubReport report = scrubber.Run();
-    std::vector<std::string> names = {"object", "status", "detail"};
-    std::vector<TypeId> types(3, TypeId::kVarchar);
-    std::vector<std::unique_ptr<DataChunk>> chunks;
-    idx_t emitted = 0;
-    while (emitted < report.findings.size()) {
-      idx_t n = std::min<idx_t>(kVectorSize, report.findings.size() - emitted);
-      auto chunk = std::make_unique<DataChunk>();
-      chunk->Initialize(types);
-      for (idx_t i = 0; i < n; i++) {
-        const ScrubFinding& f = report.findings[emitted + i];
-        chunk->SetValue(0, i, Value::Varchar(f.object));
-        chunk->SetValue(1, i, Value::Varchar(f.ok ? "ok" : "corrupt"));
-        chunk->SetValue(2, i, Value::Varchar(f.detail));
-      }
-      chunk->SetCardinality(n);
-      chunks.push_back(std::move(chunk));
-      emitted += n;
-    }
-    return std::make_unique<MaterializedQueryResult>(
-        std::move(names), std::move(types), std::move(chunks));
+  for (const Pragma& pragma : kPragmas) {
+    if (name != pragma.name) continue;
+    if (stmt.value.empty() || !pragma.apply) return pragma.read(*this);
+    MALLARD_RETURN_NOT_OK(pragma.apply(*this, stmt.value));
+    return SingleValueResult("ok", Value::Boolean(true));
   }
   return Status::InvalidArgument("unknown pragma '" + stmt.name + "'");
 }

@@ -10,7 +10,8 @@
 
 namespace mallard {
 
-Database::Database(DBConfig config) : config_(config) {}
+Database::Database(DBConfig config)
+    : config_(config), catalog_(&resilience_stats_, &encoding_counters_) {}
 
 Result<std::unique_ptr<Database>> Database::Open(const std::string& path,
                                                  DBConfig config) {
@@ -48,7 +49,8 @@ Status Database::Initialize(const std::string& path) {
     }
   }
   buffers_ = std::make_unique<BufferManager>(
-      config_.memory_limit, persistent ? path + ".tmp" : "");
+      config_.memory_limit, persistent ? path + ".tmp" : "",
+      &resilience_stats_);
   buffers_->EnableAllocationTesting(config_.memtest_on_allocation);
   GovernorConfig gc;
   gc.total_memory = config_.total_memory;
@@ -86,12 +88,13 @@ Status Database::Initialize(const std::string& path) {
   if (persistent) {
     bool created = false;
     MALLARD_ASSIGN_OR_RETURN(
-        blocks_, BlockManager::Open(path, config_.enable_checksums,
-                                    &created));
+        blocks_, BlockManager::Open(path, config_.enable_checksums, &created,
+                                    &resilience_stats_));
     if (!created) {
       MALLARD_RETURN_NOT_OK(LoadCheckpoint(&catalog_, blocks_.get()));
     }
-    MALLARD_ASSIGN_OR_RETURN(wal_, WriteAheadLog::Open(path + ".wal"));
+    MALLARD_ASSIGN_OR_RETURN(
+        wal_, WriteAheadLog::Open(path + ".wal", &resilience_stats_));
     MALLARD_ASSIGN_OR_RETURN(
         idx_t replayed,
         wal_->Replay(&catalog_, &transactions_, blocks_->header().iteration));

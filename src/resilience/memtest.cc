@@ -72,7 +72,10 @@ MemtestResult MovingInversionsTest(MemoryDevice& mem, uint64_t pattern,
   uint64_t n = mem.SizeWords();
   result.words_tested = n;
   for (int iter = 0; iter < iterations; iter++) {
-    uint64_t p = (pattern << (iter % 64)) | (pattern >> (64 - (iter % 64)));
+    // Rotate left by iter % 64; masking the right shift keeps a zero
+    // rotation defined (a 64-bit shift by 64 is undefined behaviour).
+    unsigned shift = static_cast<unsigned>(iter % 64);
+    uint64_t p = (pattern << shift) | (pattern >> ((64 - shift) % 64));
     if (p == 0) p = pattern;
     // Pass 1: fill ascending with pattern.
     for (uint64_t i = 0; i < n; i++) mem.WriteWord(i, p);

@@ -6,11 +6,6 @@
 
 namespace mallard {
 
-ResilienceStats& GlobalResilienceStats() {
-  static ResilienceStats* stats = new ResilienceStats();
-  return *stats;
-}
-
 namespace {
 
 std::mutex g_sleep_hook_mutex;

@@ -6,7 +6,6 @@
 
 #include "mallard/catalog/catalog.h"
 #include "mallard/governor/resource_governor.h"
-#include "mallard/resilience/retry_policy.h"
 #include "mallard/storage/block_manager.h"
 #include "mallard/storage/table/data_table.h"
 #include "mallard/storage/wal.h"
@@ -23,15 +22,10 @@ void IntegrityScrubber::Pace() const {
 
 ScrubReport IntegrityScrubber::Run() {
   ScrubReport report;
-  ResilienceStats& stats = GlobalResilienceStats();
-  stats.scrub_runs.fetch_add(1);
-
   auto record = [&](std::string object, Status status) {
     report.objects++;
-    stats.scrub_objects.fetch_add(1);
     if (!status.ok()) {
       report.failures++;
-      stats.scrub_failures.fetch_add(1);
       report.findings.push_back(
           ScrubFinding{std::move(object), false, status.ToString()});
     }

@@ -24,13 +24,14 @@ struct RawHeader {
 }  // namespace
 
 Result<std::unique_ptr<BlockManager>> BlockManager::Open(
-    const std::string& path, bool enable_checksums, bool* created) {
+    const std::string& path, bool enable_checksums, bool* created,
+    ResilienceStats* stats) {
   bool exists = FileExists(path);
   MALLARD_ASSIGN_OR_RETURN(
       auto file, FileHandle::Open(path, FileHandle::kRead | FileHandle::kWrite |
                                             FileHandle::kCreate));
   auto manager = std::unique_ptr<BlockManager>(
-      new BlockManager(std::move(file), enable_checksums));
+      new BlockManager(std::move(file), enable_checksums, stats));
   if (!exists) {
     *created = true;
     manager->header_ = DatabaseHeader{};
@@ -120,7 +121,7 @@ Status BlockManager::ReadBlock(block_id_t id, uint8_t* buffer) {
       uint32_t actual_crc =
           Crc32c(raw.data() + sizeof(uint32_t), kBlockPayloadSize);
       if (stored_crc != actual_crc) {
-        GlobalResilienceStats().block_checksum_failures.fetch_add(1);
+        resilience_->block_checksum_failures.fetch_add(1);
         return Status::Corruption(
             "checksum mismatch reading block " + std::to_string(id) +
             ": persistent storage corruption detected");
@@ -128,9 +129,10 @@ Status BlockManager::ReadBlock(block_id_t id, uint8_t* buffer) {
     }
     return Status::OK();
   };
-  MALLARD_RETURN_NOT_OK(RetryPolicy().Execute(attempt, [](const Status& s) {
-    return s.IsIOError() || s.IsCorruption();
-  }));
+  MALLARD_RETURN_NOT_OK(
+      RetryPolicy::Execute(resilience_, attempt, [](const Status& s) {
+        return s.IsIOError() || s.IsCorruption();
+      }));
   std::memcpy(buffer, raw.data() + sizeof(uint32_t), kBlockPayloadSize);
   return Status::OK();
 }

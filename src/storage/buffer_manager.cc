@@ -34,8 +34,11 @@ void BufferHandle::MarkDirty() {
   if (buffer_) manager_->MarkDirty(buffer_.get());
 }
 
-BufferManager::BufferManager(uint64_t memory_limit, std::string temp_path)
-    : memory_limit_(memory_limit), temp_path_(std::move(temp_path)) {}
+BufferManager::BufferManager(uint64_t memory_limit, std::string temp_path,
+                             ResilienceStats* stats)
+    : memory_limit_(memory_limit),
+      temp_path_(std::move(temp_path)),
+      resilience_(stats) {}
 
 BufferManager::~BufferManager() {
   if (spill_file_) {
@@ -168,7 +171,7 @@ Status BufferManager::SpillBuffer(ManagedBuffer* buffer) {
     // Transient write faults (full disk queue, injected) are ridden out
     // by the bounded-backoff retry; a persistent fault still fails the
     // eviction cleanly after the attempts are exhausted.
-    Status status = RetryPolicy().Execute([&]() -> Status {
+    Status status = RetryPolicy::Execute(resilience_, [&]() -> Status {
       if (FaultInjector::Get().ShouldFire(FaultSite::kSpillWrite)) {
         return Status::IOError("spill write fault injected on '" +
                                spill_file_->path() + "'");
@@ -221,7 +224,7 @@ Status BufferManager::LoadBuffer(ManagedBuffer* buffer) {
     MALLARD_RETURN_NOT_OK(
         spill_file_->Read(disk, buffer->spill_bytes_, buffer->spill_offset_));
     if (Crc32c(disk, buffer->spill_bytes_) != buffer->spill_crc_) {
-      GlobalResilienceStats().spill_checksum_failures.fetch_add(1);
+      resilience_->spill_checksum_failures.fetch_add(1);
       return Status::Corruption(
           "spill segment checksum mismatch at offset " +
           std::to_string(buffer->spill_offset_) + " of '" +
@@ -239,9 +242,10 @@ Status BufferManager::LoadBuffer(ManagedBuffer* buffer) {
     }
     return Status::OK();
   };
-  Status status = RetryPolicy().Execute(attempt, [](const Status& s) {
-    return s.IsIOError() || s.IsCorruption();
-  });
+  Status status =
+      RetryPolicy::Execute(resilience_, attempt, [](const Status& s) {
+        return s.IsIOError() || s.IsCorruption();
+      });
   if (!status.ok()) {
     // Stay non-resident: a later Pin may retry, and accounting must not
     // see a half-loaded buffer.

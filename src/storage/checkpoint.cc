@@ -10,7 +10,6 @@
 
 #include "mallard/common/checksum.h"
 #include "mallard/governor/resource_governor.h"
-#include "mallard/resilience/retry_policy.h"
 #include "mallard/storage/meta_block.h"
 #include "mallard/storage/table/column_segment.h"
 #include "mallard/storage/table/data_table.h"
@@ -128,7 +127,8 @@ Status CheckpointTable(const DataTable& table, const Transaction& snapshot,
   auto start_payload = [&]() {
     staged.clear();
     for (TypeId type : types) {
-      staged.push_back(std::make_unique<ColumnSegment>(type));
+      staged.push_back(
+          std::make_unique<ColumnSegment>(type, table.encoding_counters()));
     }
     staged_count = 0;
   };
@@ -301,7 +301,6 @@ Status LoadCheckpoint(Catalog* catalog, BlockManager* blocks) {
       live_blocks.insert(chain.blocks.begin(), chain.blocks.end());
       idx_t rows = static_cast<idx_t>(chain.rows);
       auto quarantine = [&](const Status& cause) {
-        GlobalResilienceStats().quarantined_row_groups.fetch_add(1);
         table->LoadQuarantinedGroup(rows, cause.ToString());
       };
       MetaBlockReader group(blocks);

@@ -10,10 +10,6 @@
 
 namespace mallard {
 
-std::atomic<uint64_t> SegmentEncodingCounters::encodes{0};
-std::atomic<uint64_t> SegmentEncodingCounters::decodes{0};
-std::atomic<uint64_t> SegmentEncodingCounters::filter_windows{0};
-
 const char* SegmentEncodingToString(SegmentEncoding encoding) {
   switch (encoding) {
     case SegmentEncoding::kPlain:
@@ -230,8 +226,9 @@ bool TranslateToCodeSpace(CompareOp op, uint64_t lower, uint64_t upper,
 
 }  // namespace
 
-ColumnSegment::ColumnSegment(TypeId type)
+ColumnSegment::ColumnSegment(TypeId type, EncodingCounters* counters)
     : type_(type),
+      counters_(counters),
       width_(TypeSize(type)),
       data_(std::make_unique<uint8_t[]>(width_ * kRowGroupSize)),
       validity_((kRowGroupSize + 63) / 64, ~uint64_t(0)),
@@ -553,8 +550,7 @@ idx_t ColumnSegment::FilterWindow(CompareOp op, const Value& constant,
   }
   if (constant.is_null()) return 0;  // comparisons with NULL match nothing
   if (encoding_ != SegmentEncoding::kPlain) {
-    SegmentEncodingCounters::filter_windows.fetch_add(
-        1, std::memory_order_relaxed);
+    counters_->filter_windows.fetch_add(1, std::memory_order_relaxed);
   }
   idx_t m = 0;
   // Shared encoded-path loop: unpack + one branch-free range test per
@@ -812,7 +808,7 @@ void ColumnSegment::EncodeDictionaryVarchar(
   encoded_rows_ = rows;
   encoding_ = SegmentEncoding::kDictionary;
   ReleasePlain();
-  SegmentEncodingCounters::encodes.fetch_add(1, std::memory_order_relaxed);
+  counters_->encodes.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ColumnSegment::EncodeDictionaryInt(
@@ -831,7 +827,7 @@ void ColumnSegment::EncodeDictionaryInt(
   encoded_rows_ = rows;
   encoding_ = SegmentEncoding::kDictionary;
   ReleasePlain();
-  SegmentEncodingCounters::encodes.fetch_add(1, std::memory_order_relaxed);
+  counters_->encodes.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ColumnSegment::EncodeFor(idx_t rows, int64_t base, uint8_t bits) {
@@ -847,7 +843,7 @@ void ColumnSegment::EncodeFor(idx_t rows, int64_t base, uint8_t bits) {
   encoded_rows_ = rows;
   encoding_ = SegmentEncoding::kFor;
   ReleasePlain();
-  SegmentEncodingCounters::encodes.fetch_add(1, std::memory_order_relaxed);
+  counters_->encodes.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ColumnSegment::EnsurePlain() {
@@ -887,7 +883,7 @@ void ColumnSegment::EnsurePlain() {
   code_bits_ = 0;
   for_base_ = 0;
   logical_heap_bytes_ = 0;
-  SegmentEncodingCounters::decodes.fetch_add(1, std::memory_order_relaxed);
+  counters_->decodes.fetch_add(1, std::memory_order_relaxed);
 }
 
 idx_t ColumnSegment::dict_entry_count() const {
@@ -976,8 +972,9 @@ void ColumnSegment::Serialize(BinaryWriter* writer, idx_t count) const {
 }
 
 Result<std::unique_ptr<ColumnSegment>> ColumnSegment::Deserialize(
-    BinaryReader* reader, TypeId type, idx_t expected_count) {
-  auto segment = std::make_unique<ColumnSegment>(type);
+    BinaryReader* reader, TypeId type, idx_t expected_count,
+    EncodingCounters* counters) {
+  auto segment = std::make_unique<ColumnSegment>(type, counters);
   uint64_t count;
   MALLARD_RETURN_NOT_OK(reader->ReadU64(&count));
   if (count != expected_count || count > kRowGroupSize) {

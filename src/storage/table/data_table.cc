@@ -3,13 +3,16 @@
 #include <algorithm>
 
 #include "mallard/common/string_util.h"
-#include "mallard/resilience/retry_policy.h"
 
 namespace mallard {
 
 DataTable::DataTable(std::string table_name,
-                     std::vector<ColumnDefinition> columns)
-    : name_(std::move(table_name)), columns_(std::move(columns)) {
+                     std::vector<ColumnDefinition> columns,
+                     ResilienceStats* resilience, EncodingCounters* encoding)
+    : name_(std::move(table_name)),
+      columns_(std::move(columns)),
+      resilience_(resilience),
+      encoding_(encoding) {
   types_.reserve(columns_.size());
   for (const auto& col : columns_) {
     types_.push_back(col.type);
@@ -49,7 +52,7 @@ Status DataTable::Append(Transaction* txn, const DataChunk& chunk) {
     if (!last || full) {
       std::unique_lock<std::shared_mutex> guard(row_groups_lock_);
       row_groups_.push_back(std::make_unique<RowGroup>(
-          row_groups_.size() * kRowGroupSize, types_));
+          row_groups_.size() * kRowGroupSize, types_, encoding_));
       last = row_groups_.back().get();
     }
     std::unique_lock<std::shared_mutex> rg_guard(last->lock());
@@ -67,8 +70,6 @@ void DataTable::InitializeScan(TableScanState* state,
   state->row_group_index = 0;
   state->offset = 0;
   state->zonemap_checked = false;
-  state->salvage_skipped_groups = 0;
-  state->salvage_skipped_rows = 0;
   state->error = Status::OK();
 }
 
@@ -92,10 +93,8 @@ bool DataTable::Scan(const Transaction& txn, TableScanState* state,
       std::string reason = rg->quarantine_reason();
       rg_guard.unlock();
       if (state->salvage) {
-        state->salvage_skipped_groups++;
-        state->salvage_skipped_rows += rows;
-        GlobalResilienceStats().salvage_skipped_groups.fetch_add(1);
-        GlobalResilienceStats().salvage_skipped_rows.fetch_add(rows);
+        resilience_->salvage_skipped_groups.fetch_add(1);
+        resilience_->salvage_skipped_rows.fetch_add(rows);
         state->row_group_index++;
         state->offset = 0;
         state->zonemap_checked = false;
@@ -314,7 +313,7 @@ Status DataTable::LoadCheckpointGroup(BinaryReader* reader, GroupChain chain) {
   std::unique_lock<std::shared_mutex> guard(row_groups_lock_);
   MALLARD_ASSIGN_OR_RETURN(
       auto rg, RowGroup::Deserialize(reader, row_groups_.size() * kRowGroupSize,
-                                     types_));
+                                     types_, encoding_));
   if (rg->count() != chain.rows) {
     return Status::Corruption(
         "row group payload holds " + std::to_string(rg->count()) +
@@ -329,6 +328,7 @@ Status DataTable::LoadCheckpointGroup(BinaryReader* reader, GroupChain chain) {
 }
 
 void DataTable::LoadQuarantinedGroup(idx_t rows, std::string reason) {
+  resilience_->quarantined_row_groups.fetch_add(1);
   std::unique_lock<std::shared_mutex> guard(row_groups_lock_);
   row_groups_.push_back(RowGroup::Quarantined(
       row_groups_.size() * kRowGroupSize, types_, rows, std::move(reason)));
@@ -379,8 +379,7 @@ idx_t DataTable::MemoryUsage() const {
   return total;
 }
 
-TableEncodingStats DataTable::EncodingStats() const {
-  TableEncodingStats stats;
+void DataTable::AddEncodingStats(TableEncodingStats* stats) const {
   std::shared_lock<std::shared_mutex> guard(row_groups_lock_);
   for (const auto& rg : row_groups_) {
     std::shared_lock<std::shared_mutex> rg_guard(rg->lock());
@@ -388,25 +387,24 @@ TableEncodingStats DataTable::EncodingStats() const {
     idx_t rows = rg->count();
     for (idx_t c = 0; c < types_.size(); c++) {
       const ColumnSegment& seg = rg->column(c);
-      stats.segments_total++;
+      stats->segments_total++;
       switch (seg.encoding()) {
         case SegmentEncoding::kPlain:
-          stats.segments_plain++;
+          stats->segments_plain++;
           break;
         case SegmentEncoding::kDictionary:
-          stats.segments_dict++;
-          stats.dict_entries += seg.dict_entry_count();
-          stats.dict_rows += rows;
+          stats->segments_dict++;
+          stats->dict_entries += seg.dict_entry_count();
+          stats->dict_rows += rows;
           break;
         case SegmentEncoding::kFor:
-          stats.segments_for++;
+          stats->segments_for++;
           break;
       }
-      stats.logical_bytes += seg.LogicalBytes(rows);
-      stats.encoded_bytes += seg.EncodedBytes(rows);
+      stats->logical_bytes += seg.LogicalBytes(rows);
+      stats->encoded_bytes += seg.EncodedBytes(rows);
     }
   }
-  return stats;
 }
 
 }  // namespace mallard

@@ -6,19 +6,20 @@
 
 namespace mallard {
 
-RowGroup::RowGroup(idx_t start, const std::vector<TypeId>& types)
+RowGroup::RowGroup(idx_t start, const std::vector<TypeId>& types,
+                   EncodingCounters* counters)
     : start_(start), types_(types) {
   columns_.reserve(types.size());
   updates_.resize(types.size());
   for (TypeId type : types) {
-    columns_.push_back(std::make_unique<ColumnSegment>(type));
+    columns_.push_back(std::make_unique<ColumnSegment>(type, counters));
   }
 }
 
 std::unique_ptr<RowGroup> RowGroup::Quarantined(
     idx_t start, const std::vector<TypeId>& types, idx_t count,
     std::string reason) {
-  auto rg = std::make_unique<RowGroup>(start, types);
+  auto rg = std::make_unique<RowGroup>(start, types, nullptr);
   // Drop the freshly allocated (empty) segments: a quarantined group must
   // never serve data, and keeping them would invite a path that reads
   // zeros where real rows used to be.
@@ -249,7 +250,8 @@ bool RowGroup::ForgetChainsUsing(const std::set<block_id_t>& damaged) {
 }
 
 Result<std::unique_ptr<RowGroup>> RowGroup::Deserialize(
-    BinaryReader* reader, idx_t start, const std::vector<TypeId>& types) {
+    BinaryReader* reader, idx_t start, const std::vector<TypeId>& types,
+    EncodingCounters* counters) {
   uint64_t count;
   MALLARD_RETURN_NOT_OK(reader->ReadU64(&count));
   uint32_t num_columns;
@@ -257,11 +259,12 @@ Result<std::unique_ptr<RowGroup>> RowGroup::Deserialize(
   if (num_columns != types.size()) {
     return Status::Corruption("row group column count mismatch");
   }
-  auto rg = std::make_unique<RowGroup>(start, types);
+  auto rg = std::make_unique<RowGroup>(start, types, counters);
   rg->columns_.clear();
   for (TypeId type : types) {
-    MALLARD_ASSIGN_OR_RETURN(auto segment,
-                             ColumnSegment::Deserialize(reader, type, count));
+    MALLARD_ASSIGN_OR_RETURN(
+        auto segment,
+        ColumnSegment::Deserialize(reader, type, count, counters));
     rg->columns_.push_back(std::move(segment));
   }
   rg->count_ = count;
@@ -281,7 +284,9 @@ Status RowGroup::ValidateIntegrity() const {
     BinaryWriter w;
     seg.Serialize(&w, count_);
     BinaryReader r(w.data().data(), w.data().size());
-    auto round_trip = ColumnSegment::Deserialize(&r, types_[c], count_);
+    EncodingCounters uncounted;  // the check is not a storage event
+    auto round_trip =
+        ColumnSegment::Deserialize(&r, types_[c], count_, &uncounted);
     if (!round_trip.ok()) {
       return Status::Corruption("column " + std::to_string(c) +
                                 " failed encoding validation: " +

@@ -108,13 +108,13 @@ std::vector<uint8_t> Commit() {
 }  // namespace wal_record
 
 Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
-    const std::string& path) {
+    const std::string& path, ResilienceStats* stats) {
   MALLARD_ASSIGN_OR_RETURN(
       auto file, FileHandle::Open(path, FileHandle::kRead |
                                             FileHandle::kWrite |
                                             FileHandle::kCreate));
   auto wal = std::unique_ptr<WriteAheadLog>(
-      new WriteAheadLog(path, std::move(file)));
+      new WriteAheadLog(path, std::move(file), stats));
   MALLARD_ASSIGN_OR_RETURN(wal->file_size_, wal->file_->Size());
   return wal;
 }
@@ -174,7 +174,7 @@ Status WriteAheadLog::AppendAndSync(const std::vector<uint8_t>& batch) {
   // is deliberately NOT retried below: after a failed fsync the kernel
   // may have dropped the dirty pages, so "retry until it reports OK"
   // can acknowledge a commit that never reached the platter.
-  status = RetryPolicy().Execute([&]() -> Status {
+  status = RetryPolicy::Execute(resilience_, [&]() -> Status {
     if (injector.ShouldFire(FaultSite::kWalAppend)) {
       return Status::IOError("injected WAL append failure");
     }

@@ -1,3 +1,4 @@
+
 // Compressed-execution tests: dictionary and FOR/bit-packed column
 // segments. Covers encode-on-fill heuristics (including all-NULL,
 // single-value and dictionary-overflow segments), forced-encoding
@@ -396,7 +397,8 @@ TEST(EncodingPersistenceTest, EncodedSegmentsSurviveCheckpointReopen) {
 // ---------------------------------------------------------------------------
 
 TEST(SpillCompressionTest, CompressedSpillRoundtripAndSavedBytes) {
-  BufferManager buffers(64 * 1024, "");
+  ResilienceStats resilience;
+  BufferManager buffers(64 * 1024, "", &resilience);
   buffers.SetSpillCompression([] { return CompressionLevel::kLight; });
   auto a = buffers.Allocate(48 * 1024);
   ASSERT_TRUE(a.ok());
@@ -422,7 +424,8 @@ TEST(SpillCompressionTest, CompressedSpillRoundtripAndSavedBytes) {
 }
 
 TEST(SpillCompressionTest, IncompressibleSpillStaysRaw) {
-  BufferManager buffers(64 * 1024, "");
+  ResilienceStats resilience;
+  BufferManager buffers(64 * 1024, "", &resilience);
   buffers.SetSpillCompression([] { return CompressionLevel::kLight; });
   auto a = buffers.Allocate(48 * 1024);
   ASSERT_TRUE(a.ok());

@@ -27,8 +27,11 @@ namespace {
 
 class JoinHashTableTest : public ::testing::Test {
  protected:
-  JoinHashTableTest() : buffers_(1ull << 30, "") { context_.buffers = &buffers_; }
+  JoinHashTableTest() : buffers_(1ull << 30, "", &resilience_) {
+    context_.buffers = &buffers_;
+  }
 
+  ResilienceStats resilience_;
   BufferManager buffers_;
   ExecutionContext context_;
 };

@@ -41,7 +41,6 @@ class IntegrityTest : public ::testing::Test {
     path_ = TempPath("integrity");
     Cleanup(path_);
     FaultInjector::Get().Reset();
-    GlobalResilienceStats().Reset();
   }
   void TearDown() override {
     Cleanup(path_);
@@ -60,11 +59,10 @@ TEST_F(IntegrityTest, RetryHealsTransientFaultWithExponentialBackoff) {
   std::vector<uint64_t> sleeps;
   RetryPolicy::SetGlobalSleepHook(
       [&](uint64_t micros) { sleeps.push_back(micros); });
-  GlobalResilienceStats().Reset();
 
+  ResilienceStats stats;
   int calls = 0;
-  RetryPolicy policy;
-  Status status = policy.Execute([&]() -> Status {
+  Status status = RetryPolicy::Execute(&stats, [&]() -> Status {
     if (++calls < 3) return Status::IOError("transient");
     return Status::OK();
   });
@@ -75,7 +73,6 @@ TEST_F(IntegrityTest, RetryHealsTransientFaultWithExponentialBackoff) {
   EXPECT_EQ(sleeps[0], 100u);
   EXPECT_EQ(sleeps[1], 400u);
 
-  ResilienceStats& stats = GlobalResilienceStats();
   EXPECT_EQ(stats.io_attempts.load(), 3u);
   EXPECT_EQ(stats.io_retries.load(), 2u);
   EXPECT_EQ(stats.retry_successes.load(), 1u);
@@ -85,19 +82,22 @@ TEST_F(IntegrityTest, RetryHealsTransientFaultWithExponentialBackoff) {
 
 TEST_F(IntegrityTest, RetryExhaustsOnPermanentFault) {
   RetryPolicy::SetGlobalSleepHook([](uint64_t) {});
-  GlobalResilienceStats().Reset();
+  ResilienceStats stats;
   int calls = 0;
-  Status status = RetryPolicy().Execute(
-      [&]() -> Status { calls++; return Status::IOError("permanent"); });
+  Status status = RetryPolicy::Execute(&stats, [&]() -> Status {
+    calls++;
+    return Status::IOError("permanent");
+  });
   EXPECT_TRUE(status.IsIOError());
-  EXPECT_EQ(calls, 3);  // bounded: default max_attempts
-  EXPECT_EQ(GlobalResilienceStats().retry_exhausted.load(), 1u);
+  EXPECT_EQ(calls, 3);  // bounded: kMaxAttempts
+  EXPECT_EQ(stats.retry_exhausted.load(), 1u);
 }
 
 TEST_F(IntegrityTest, NonRetryableErrorsFailImmediately) {
+  ResilienceStats stats;
   int calls = 0;
-  Status status = RetryPolicy().Execute(
-      [&]() -> Status { calls++; return Status::Corruption("bad"); });
+  Status status = RetryPolicy::Execute(
+      &stats, [&]() -> Status { calls++; return Status::Corruption("bad"); });
   EXPECT_TRUE(status.IsCorruption());
   EXPECT_EQ(calls, 1);  // default predicate retries only IO errors
 }
@@ -118,7 +118,8 @@ TEST_F(IntegrityTest, ArmTransientFiresExactlyNTimes) {
 TEST_F(IntegrityTest, FlippedSpillSegmentIsDetected) {
   const uint64_t kSize = 48 * 1024;
   std::string spill_path = path_ + ".spill";
-  BufferManager buffers(64 * 1024, spill_path);
+  ResilienceStats resilience;
+  BufferManager buffers(64 * 1024, spill_path, &resilience);
 
   auto a = buffers.Allocate(kSize);
   ASSERT_TRUE(a.ok());
@@ -147,11 +148,10 @@ TEST_F(IntegrityTest, FlippedSpillSegmentIsDetected) {
     file.write(&byte, 1);
   }
 
-  GlobalResilienceStats().Reset();
   auto pinned = buffers.Pin(buffer);
   ASSERT_FALSE(pinned.ok());
   EXPECT_TRUE(pinned.status().IsCorruption()) << pinned.status().ToString();
-  EXPECT_GE(GlobalResilienceStats().spill_checksum_failures.load(), 1u);
+  EXPECT_GE(resilience.spill_checksum_failures.load(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -199,13 +199,12 @@ class QuarantineTest : public IntegrityTest {
 
 TEST_F(QuarantineTest, CorruptGroupQuarantinesAndFailsQueriesByName) {
   BuildCorruptDatabase();
-  GlobalResilienceStats().Reset();
 
   // Reopen succeeds: the damage is contained to one quarantined group,
   // not a failed open.
   auto db = Database::Open(path_);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  EXPECT_GE(GlobalResilienceStats().quarantined_row_groups.load(), 1u);
+  EXPECT_EQ((*db)->resilience_stats().quarantined_row_groups.load(), 1u);
 
   // A scan through the quarantined group fails with kCorruption naming
   // the object — never wrong rows.
@@ -230,15 +229,14 @@ TEST_F(QuarantineTest, SalvageModeSkipsQuarantinedGroupWithExactCounts) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   Connection con(db->get());
 
-  GlobalResilienceStats().Reset();
   ASSERT_TRUE(con.Query("PRAGMA salvage_mode=on").ok());
   auto r = con.Query("SELECT count(*) FROM t");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   // All kRows rows lived in the one quarantined group.
   EXPECT_EQ((*r)->GetValue(0, 0).GetBigInt(), 0);
-  EXPECT_EQ(GlobalResilienceStats().salvage_skipped_groups.load(), 1u);
-  EXPECT_EQ(GlobalResilienceStats().salvage_skipped_rows.load(),
-            static_cast<uint64_t>(kRows));
+  const ResilienceStats& stats = (*db)->resilience_stats();
+  EXPECT_EQ(stats.salvage_skipped_groups.load(), 1u);
+  EXPECT_EQ(stats.salvage_skipped_rows.load(), static_cast<uint64_t>(kRows));
 
   // Fresh rows append into a new group and are visible alongside the
   // salvaged remainder.

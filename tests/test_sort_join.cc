@@ -98,7 +98,8 @@ class ExternalSortTest : public ::testing::TestWithParam<SortCase> {};
 
 TEST_P(ExternalSortTest, MatchesStdSort) {
   SortCase param = GetParam();
-  BufferManager buffers(param.memory_limit, "");
+  ResilienceStats resilience;
+  BufferManager buffers(param.memory_limit, "", &resilience);
   GovernorConfig gc;
   gc.dbms_memory_limit = param.memory_limit;
   ResourceGovernor governor(gc);

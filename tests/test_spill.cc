@@ -28,7 +28,8 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(BufferManagerSpillTest, EvictReloadRoundtrip) {
-  BufferManager buffers(64 * 1024, "");
+  ResilienceStats resilience;
+  BufferManager buffers(64 * 1024, "", &resilience);
   auto a = buffers.Allocate(48 * 1024);
   ASSERT_TRUE(a.ok());
   std::memset(a->data(), 0xAB, 48 * 1024);
@@ -55,7 +56,8 @@ TEST(BufferManagerSpillTest, EvictReloadRoundtrip) {
 }
 
 TEST(BufferManagerSpillTest, CleanReevictionSkipsWrite) {
-  BufferManager buffers(64 * 1024, "");
+  ResilienceStats resilience;
+  BufferManager buffers(64 * 1024, "", &resilience);
   auto a = buffers.Allocate(48 * 1024);
   ASSERT_TRUE(a.ok());
   std::memset(a->data(), 0x11, 48 * 1024);
@@ -79,7 +81,8 @@ TEST(BufferManagerSpillTest, CleanReevictionSkipsWrite) {
 }
 
 TEST(BufferManagerSpillTest, MarkDirtyForcesRewrite) {
-  BufferManager buffers(64 * 1024, "");
+  ResilienceStats resilience;
+  BufferManager buffers(64 * 1024, "", &resilience);
   auto a = buffers.Allocate(48 * 1024);
   ASSERT_TRUE(a.ok());
   std::memset(a->data(), 0x22, 48 * 1024);
@@ -113,7 +116,8 @@ TEST(BufferManagerSpillTest, MarkDirtyForcesRewrite) {
 TEST(SpillRowStoreTest, RoundtripUnderTinyLimit) {
   // 1000 variable-length rows (~120KiB total) through a 64KiB limit with
   // 16KiB segments: most segments must cycle through the temp file.
-  BufferManager buffers(64 * 1024, "");
+  ResilienceStats resilience;
+  BufferManager buffers(64 * 1024, "", &resilience);
   SpillRowStore store(&buffers, 16 * 1024);
   std::vector<uint8_t> row;
   for (uint32_t r = 0; r < 1000; r++) {
@@ -457,7 +461,9 @@ TEST_F(SpillQueryTest, SpillReadTransientFaultHealsViaRetry) {
   const idx_t kRows = 60000;
   Open(2ull << 20);
   PopulateJoin(kRows);
-  GlobalResilienceStats().Reset();
+  const ResilienceStats& stats = db_->resilience_stats();
+  uint64_t retries = stats.io_retries.load();
+  uint64_t successes = stats.retry_successes.load();
   // Fail the first spill read, succeed on the re-read: the query must
   // complete with correct results and the retry must be visible in the
   // resilience counters.
@@ -467,8 +473,8 @@ TEST_F(SpillQueryTest, SpillReadTransientFaultHealsViaRetry) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ((*r)->GetValue(0, 0).GetBigInt(),
             static_cast<int64_t>(kRows * 2));
-  EXPECT_GE(GlobalResilienceStats().io_retries.load(), 1u);
-  EXPECT_GE(GlobalResilienceStats().retry_successes.load(), 1u);
+  EXPECT_GE(stats.io_retries.load(), retries + 1);
+  EXPECT_GE(stats.retry_successes.load(), successes + 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -40,11 +40,12 @@ class BlockManagerTest : public ::testing::Test {
     FaultInjector::Get().Reset();
   }
   std::string path_;
+  ResilienceStats resilience_;
 };
 
 TEST_F(BlockManagerTest, CreateWriteReadReopen) {
   bool created = false;
-  auto bm = BlockManager::Open(path_, true, &created);
+  auto bm = BlockManager::Open(path_, true, &created, &resilience_);
   ASSERT_TRUE(bm.ok());
   EXPECT_TRUE(created);
   block_id_t id = (*bm)->AllocateBlock();
@@ -53,7 +54,7 @@ TEST_F(BlockManagerTest, CreateWriteReadReopen) {
   ASSERT_TRUE((*bm)->WriteHeader(id).ok());
   bm->reset();
 
-  auto reopened = BlockManager::Open(path_, true, &created);
+  auto reopened = BlockManager::Open(path_, true, &created, &resilience_);
   ASSERT_TRUE(reopened.ok());
   EXPECT_FALSE(created);
   EXPECT_EQ((*reopened)->header().meta_block, id);
@@ -64,7 +65,7 @@ TEST_F(BlockManagerTest, CreateWriteReadReopen) {
 
 TEST_F(BlockManagerTest, ChecksumDetectsOnDiskCorruption) {
   bool created;
-  auto bm = BlockManager::Open(path_, true, &created);
+  auto bm = BlockManager::Open(path_, true, &created, &resilience_);
   block_id_t id = (*bm)->AllocateBlock();
   std::vector<uint8_t> payload(kBlockPayloadSize, 0x11);
   ASSERT_TRUE((*bm)->WriteBlock(id, payload.data()).ok());
@@ -79,7 +80,7 @@ TEST_F(BlockManagerTest, ChecksumsOffMissesCorruption) {
   // Control experiment: without checksums the corruption is silent —
   // exactly the failure mode the paper warns about (section 3).
   bool created;
-  auto bm = BlockManager::Open(path_, false, &created);
+  auto bm = BlockManager::Open(path_, false, &created, &resilience_);
   block_id_t id = (*bm)->AllocateBlock();
   std::vector<uint8_t> payload(kBlockPayloadSize, 0x11);
   ASSERT_TRUE((*bm)->WriteBlock(id, payload.data()).ok());
@@ -91,7 +92,7 @@ TEST_F(BlockManagerTest, ChecksumsOffMissesCorruption) {
 
 TEST_F(BlockManagerTest, InjectedWriteBitFlipCaughtOnRead) {
   bool created;
-  auto bm = BlockManager::Open(path_, true, &created);
+  auto bm = BlockManager::Open(path_, true, &created, &resilience_);
   block_id_t id = (*bm)->AllocateBlock();
   std::vector<uint8_t> payload(kBlockPayloadSize, 0x33);
   FaultInjector::Get().ArmOnce(FaultSite::kBlockWrite);
@@ -102,7 +103,7 @@ TEST_F(BlockManagerTest, InjectedWriteBitFlipCaughtOnRead) {
 
 TEST_F(BlockManagerTest, HeaderFlipSurvivesAlternation) {
   bool created;
-  auto bm = BlockManager::Open(path_, true, &created);
+  auto bm = BlockManager::Open(path_, true, &created, &resilience_);
   for (int i = 0; i < 5; i++) {
     block_id_t id = (*bm)->AllocateBlock();
     std::vector<uint8_t> payload(kBlockPayloadSize,
@@ -113,14 +114,14 @@ TEST_F(BlockManagerTest, HeaderFlipSurvivesAlternation) {
   uint64_t final_iteration = (*bm)->header().iteration;
   block_id_t final_meta = (*bm)->header().meta_block;
   bm->reset();
-  auto reopened = BlockManager::Open(path_, true, &created);
+  auto reopened = BlockManager::Open(path_, true, &created, &resilience_);
   EXPECT_EQ((*reopened)->header().iteration, final_iteration);
   EXPECT_EQ((*reopened)->header().meta_block, final_meta);
 }
 
 TEST_F(BlockManagerTest, FreeBlockReuse) {
   bool created;
-  auto bm = BlockManager::Open(path_, true, &created);
+  auto bm = BlockManager::Open(path_, true, &created, &resilience_);
   block_id_t a = (*bm)->AllocateBlock();
   block_id_t b = (*bm)->AllocateBlock();
   (void)b;
@@ -133,7 +134,7 @@ TEST_F(BlockManagerTest, FreeBlockReuse) {
 
 TEST_F(BlockManagerTest, MetaBlockChainLargePayload) {
   bool created;
-  auto bm = BlockManager::Open(path_, true, &created);
+  auto bm = BlockManager::Open(path_, true, &created, &resilience_);
   MetaBlockWriter writer(bm->get());
   // Payload spanning several 256KB blocks.
   std::vector<uint8_t> blob(3 * kBlockPayloadSize + 12345);
@@ -161,7 +162,8 @@ TEST_F(BlockManagerTest, MetaBlockChainLargePayload) {
 // ---------------------------------------------------------------------------
 
 TEST(BufferManagerTest, AllocatePinUnpin) {
-  BufferManager bm(1 << 20, TempPath("bm1"));
+  ResilienceStats resilience;
+  BufferManager bm(1 << 20, TempPath("bm1"), &resilience);
   auto handle = bm.Allocate(1000);
   ASSERT_TRUE(handle.ok());
   handle->data()[0] = 42;
@@ -174,7 +176,8 @@ TEST(BufferManagerTest, AllocatePinUnpin) {
 }
 
 TEST(BufferManagerTest, SpillsUnderMemoryPressure) {
-  BufferManager bm(64 * 1024, TempPath("bm2"));
+  ResilienceStats resilience;
+  BufferManager bm(64 * 1024, TempPath("bm2"), &resilience);
   std::vector<std::shared_ptr<ManagedBuffer>> buffers;
   // Allocate 16 x 16KB = 256KB against a 64KB limit.
   for (int i = 0; i < 16; i++) {
@@ -197,7 +200,8 @@ TEST(BufferManagerTest, SpillsUnderMemoryPressure) {
 }
 
 TEST(BufferManagerTest, AllocationTestingHealthyMemoryPasses) {
-  BufferManager bm(1 << 20, TempPath("bm3"));
+  ResilienceStats resilience;
+  BufferManager bm(1 << 20, TempPath("bm3"), &resilience);
   bm.EnableAllocationTesting(true);
   auto handle = bm.Allocate(4096);
   ASSERT_TRUE(handle.ok());
@@ -213,7 +217,8 @@ TEST(BufferManagerTest, AllocationTestingHealthyMemoryPasses) {
 TEST(BufferManagerTest, QuarantinesSimulatedBadRegions) {
   // The paper's proposal (section 3): test buffers on allocation and
   // avoid broken memory regions.
-  BufferManager bm(1 << 20, TempPath("bm4"));
+  ResilienceStats resilience;
+  BufferManager bm(1 << 20, TempPath("bm4"), &resilience);
   bm.EnableAllocationTesting(true);
   bm.SetSimulatedBadRegionProbability(0.5, 4);
   int successes = 0;
@@ -339,7 +344,8 @@ TEST_F(PersistenceTest, CorruptedDataBlockDetectedOnReopen) {
   // Flip one bit in data block 0 (the first checkpoint meta/data block).
   {
     bool created;
-    auto bm = BlockManager::Open(path_, true, &created);
+    ResilienceStats resilience;
+    auto bm = BlockManager::Open(path_, true, &created, &resilience);
     ASSERT_TRUE(bm.ok());
     ASSERT_FALSE(created);
     ASSERT_TRUE((*bm)->CorruptBlockOnDisk(
