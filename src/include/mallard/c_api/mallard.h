@@ -271,6 +271,12 @@ double mallard_value_double(mallard_result *result, uint64_t column,
  * String accessor: the value rendered as a NUL-terminated string
  * (non-VARCHAR values are formatted, e.g. dates as "YYYY-MM-DD").
  *
+ * The first read of any row renders that row's whole column slice of
+ * the result chunk holding it; later reads of the slice only look it
+ * up. The pointer lifetime is unchanged: a returned pointer keeps its
+ * address and bytes, whatever else is read, until the result is
+ * destroyed.
+ *
  * @return the string, or NULL for SQL NULL / out-of-range coordinates.
  *         Owned by the result handle; valid until
  *         mallard_destroy_result().

@@ -44,22 +44,30 @@ class QueryResult {
 
 /// Fully materialized result. Also exposes the row/value-at-a-time API
 /// (GetValue) that the paper identifies as the traditional client
-/// bottleneck — kept deliberately so benches can measure chunk-based vs
-/// value-based access (section 5).
+/// bottleneck — kept so benches can measure chunk-based vs value-based
+/// access (section 5).
+///
+/// Storage is dense: Connection collects a plan's output so that every
+/// chunk except the last of a run of small ones holds at least
+/// kVectorSize/2 rows, and the result keeps each chunk's first row, so
+/// a row is found in O(log chunks).
 class MaterializedQueryResult final : public QueryResult {
  public:
   MaterializedQueryResult(std::vector<std::string> names,
                           std::vector<TypeId> types,
-                          std::vector<std::unique_ptr<DataChunk>> chunks)
-      : QueryResult(std::move(names), std::move(types)),
-        chunks_(std::move(chunks)) {
-    for (const auto& chunk : chunks_) row_count_ += chunk->size();
-  }
+                          std::vector<std::unique_ptr<DataChunk>> chunks);
 
   idx_t RowCount() const { return row_count_; }
 
-  /// Value-based access: O(chunks) per call by design (mirrors
-  /// sqlite3_column-style APIs the paper benchmarks against).
+  /// The chunk holding `row` (0-based across all chunks), with the row's
+  /// position inside it in `*in_chunk` and, when asked, the chunk's
+  /// index in Chunks() in `*chunk_index`. O(log chunks).
+  /// \return nullptr when `row` is out of range or its chunk was already
+  ///         handed over via Fetch().
+  const DataChunk* ChunkFor(idx_t row, idx_t* in_chunk,
+                            idx_t* chunk_index = nullptr) const;
+
+  /// Value-based access through ChunkFor, boxed.
   ///
   /// \param column 0-based column index.
   /// \param row    0-based row index across all chunks.
@@ -74,15 +82,16 @@ class MaterializedQueryResult final : public QueryResult {
   /// Renders rows as tab-separated text (debugging/examples).
   std::string ToString(idx_t max_rows = 20) const;
 
+  /// The chunks; a slot already handed over via Fetch() is null.
   const std::vector<std::unique_ptr<DataChunk>>& Chunks() const {
     return chunks_;
   }
 
  private:
   std::vector<std::unique_ptr<DataChunk>> chunks_;
+  std::vector<idx_t> chunk_starts_;  // first row of each chunk, ascending
   idx_t row_count_ = 0;
   idx_t fetch_position_ = 0;
-  idx_t consumed_rows_ = 0;  // rows handed over by Fetch() so far
 };
 
 }  // namespace mallard

@@ -10,10 +10,10 @@
 #ifndef MALLARD_MAIN_C_API_C_API_INTERNAL_H_
 #define MALLARD_MAIN_C_API_C_API_INTERNAL_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "mallard/c_api/mallard.h"
 #include "mallard/main/connection.h"
@@ -54,6 +54,14 @@ inline bool ConnectionLive(const std::shared_ptr<ConnectionState>& state) {
 
 constexpr char kClosedConnectionError[] = "connection is closed";
 
+/// One (chunk, column) slice of a result rendered as NUL-terminated
+/// strings: row i's string starts at bytes[offsets[i]]. NULL rows keep
+/// an offset but are answered from the vector's validity.
+struct RenderedSlice {
+  std::string bytes;  // never modified once rendered
+  std::vector<size_t> offsets;
+};
+
 }  // namespace c_api
 }  // namespace mallard
 
@@ -73,11 +81,12 @@ struct mallard_result {
   bool has_error = false;
   std::string error;
   mallard_error_code error_code = MALLARD_ERROR_NONE;
-  // Backing store for mallard_value_varchar(): the C contract is that
-  // returned strings live as long as the result handle, so rendered
-  // values are cached here keyed by (column, row). std::map nodes are
-  // stable, so handed-out c_str() pointers survive later lookups.
-  std::map<std::pair<uint64_t, uint64_t>, std::string> string_cache;
+  // Backing store for mallard_value_varchar(), one slot per (chunk,
+  // column) at chunk * column_count + column, filled the first time any
+  // row of that slice is read. A filled slice is never written again, so
+  // the pointers it hands out live as long as the result handle, as the
+  // C contract requires.
+  std::vector<std::unique_ptr<mallard::c_api::RenderedSlice>> varchar_slices;
 };
 
 struct mallard_prepared_statement {

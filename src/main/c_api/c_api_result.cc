@@ -8,20 +8,64 @@
 
 namespace {
 
+using mallard::idx_t;
+using mallard::TypeId;
+using mallard::Value;
+using mallard::Vector;
+
 bool HasRows(mallard_result* result) {
   return result != nullptr && result->result != nullptr;
 }
 
-// Fetches (column, row) cast to `target`; NULL Value for SQL NULLs,
-// out-of-range coordinates, or impossible casts.
-mallard::Value GetCastValue(mallard_result* result, uint64_t column,
-                            uint64_t row, mallard::TypeId target) {
-  if (!HasRows(result)) return mallard::Value();
-  mallard::Value value = result->result->GetValue(column, row);
-  if (value.is_null()) return mallard::Value();
-  auto cast = value.CastTo(target);
-  if (!cast.ok()) return mallard::Value();
-  return std::move(*cast);
+// The vector holding (column, row), with the row's position in it in
+// `*in_chunk`; null for out-of-range coordinates.
+const Vector* Locate(mallard_result* result, uint64_t column, uint64_t row,
+                     idx_t* in_chunk, idx_t* chunk_index = nullptr) {
+  if (!HasRows(result) || column >= result->result->ColumnCount()) {
+    return nullptr;
+  }
+  const mallard::DataChunk* chunk =
+      result->result->ChunkFor(row, in_chunk, chunk_index);
+  return chunk == nullptr ? nullptr : &chunk->column(column);
+}
+
+// Reads (column, row) as `Out`. A column whose type is already `native`
+// is read straight from its vector, stored as `Storage`; any other type
+// is boxed and cast. SQL NULLs, out-of-range coordinates and impossible
+// casts yield Out().
+template <typename Storage, typename Out>
+Out ReadValue(mallard_result* result, uint64_t column, uint64_t row,
+              TypeId native, Out (Value::*get)() const) {
+  idx_t i = 0;
+  const Vector* vector = Locate(result, column, row, &i);
+  if (vector == nullptr || !vector->validity().RowIsValid(i)) return Out();
+  if (vector->type() == native) {
+    return static_cast<Out>(vector->data<Storage>()[i]);
+  }
+  auto cast = vector->GetValue(i).CastTo(native);
+  if (!cast.ok() || cast->is_null()) return Out();
+  return ((*cast).*get)();
+}
+
+// Renders the first `rows` rows of `vector` back to back as
+// NUL-terminated strings: VARCHAR bytes as stored, other types formatted
+// (dates as "YYYY-MM-DD"). NULL rows render nothing.
+std::unique_ptr<mallard::c_api::RenderedSlice> RenderSlice(
+    const Vector& vector, idx_t rows) {
+  auto slice = std::make_unique<mallard::c_api::RenderedSlice>();
+  slice->offsets.resize(rows);
+  for (idx_t r = 0; r < rows; r++) {
+    slice->offsets[r] = slice->bytes.size();
+    if (!vector.validity().RowIsValid(r)) continue;
+    if (vector.type() == TypeId::kVarchar) {
+      mallard::StringRef s = vector.StringAt(r);
+      slice->bytes.append(s.data, s.size);
+    } else {
+      slice->bytes += vector.GetValue(r).ToString();
+    }
+    slice->bytes.push_back('\0');
+  }
+  return slice;
 }
 
 }  // namespace
@@ -74,10 +118,10 @@ mallard_type mallard_column_type(mallard_result* result, uint64_t column) {
 bool mallard_value_is_null(mallard_result* result, uint64_t column,
                            uint64_t row) {
   try {
-    if (!HasRows(result)) return true;
-    // MaterializedQueryResult::GetValue reports out-of-range coordinates
-    // as NULL values too, which matches the header contract.
-    return result->result->GetValue(column, row).is_null();
+    // Out-of-range coordinates report NULL too, as the header promises.
+    idx_t i = 0;
+    const Vector* vector = Locate(result, column, row, &i);
+    return vector == nullptr || !vector->validity().RowIsValid(i);
   } catch (...) {
     return true;
   }
@@ -86,9 +130,8 @@ bool mallard_value_is_null(mallard_result* result, uint64_t column,
 bool mallard_value_boolean(mallard_result* result, uint64_t column,
                            uint64_t row) {
   try {
-    mallard::Value v =
-        GetCastValue(result, column, row, mallard::TypeId::kBoolean);
-    return v.is_null() ? false : v.GetBoolean();
+    return ReadValue<int8_t>(result, column, row, TypeId::kBoolean,
+                             &Value::GetBoolean);
   } catch (...) {
     return false;
   }
@@ -97,9 +140,8 @@ bool mallard_value_boolean(mallard_result* result, uint64_t column,
 int32_t mallard_value_int32(mallard_result* result, uint64_t column,
                             uint64_t row) {
   try {
-    mallard::Value v =
-        GetCastValue(result, column, row, mallard::TypeId::kInteger);
-    return v.is_null() ? 0 : v.GetInteger();
+    return ReadValue<int32_t>(result, column, row, TypeId::kInteger,
+                              &Value::GetInteger);
   } catch (...) {
     return 0;
   }
@@ -108,9 +150,8 @@ int32_t mallard_value_int32(mallard_result* result, uint64_t column,
 int64_t mallard_value_int64(mallard_result* result, uint64_t column,
                             uint64_t row) {
   try {
-    mallard::Value v =
-        GetCastValue(result, column, row, mallard::TypeId::kBigInt);
-    return v.is_null() ? 0 : v.GetBigInt();
+    return ReadValue<int64_t>(result, column, row, TypeId::kBigInt,
+                              &Value::GetBigInt);
   } catch (...) {
     return 0;
   }
@@ -119,9 +160,8 @@ int64_t mallard_value_int64(mallard_result* result, uint64_t column,
 double mallard_value_double(mallard_result* result, uint64_t column,
                             uint64_t row) {
   try {
-    mallard::Value v =
-        GetCastValue(result, column, row, mallard::TypeId::kDouble);
-    return v.is_null() ? 0.0 : v.GetDouble();
+    return ReadValue<double>(result, column, row, TypeId::kDouble,
+                             &Value::GetDouble);
   } catch (...) {
     return 0.0;
   }
@@ -130,19 +170,16 @@ double mallard_value_double(mallard_result* result, uint64_t column,
 const char* mallard_value_varchar(mallard_result* result, uint64_t column,
                                   uint64_t row) {
   try {
-    if (!HasRows(result)) return nullptr;
-    auto key = std::make_pair(column, row);
-    auto cached = result->string_cache.find(key);
-    if (cached != result->string_cache.end()) return cached->second.c_str();
-    mallard::Value value = result->result->GetValue(column, row);
-    if (value.is_null()) return nullptr;
-    std::string rendered = value.type() == mallard::TypeId::kVarchar
-                               ? value.GetString()
-                               : value.ToString();
-    // std::map nodes are stable: the c_str() below survives later
-    // insertions, which is what pins the string to the handle lifetime.
-    auto inserted = result->string_cache.emplace(key, std::move(rendered));
-    return inserted.first->second.c_str();
+    idx_t i = 0, chunk_index = 0;
+    const Vector* vector = Locate(result, column, row, &i, &chunk_index);
+    if (vector == nullptr || !vector->validity().RowIsValid(i)) return nullptr;
+    const auto& chunks = result->result->Chunks();
+    const idx_t columns = result->result->ColumnCount();
+    auto& slices = result->varchar_slices;
+    if (slices.empty()) slices.resize(chunks.size() * columns);
+    auto& slice = slices[chunk_index * columns + column];
+    if (!slice) slice = RenderSlice(*vector, chunks[chunk_index]->size());
+    return slice->bytes.data() + slice->offsets[i];
   } catch (...) {
     return nullptr;
   }

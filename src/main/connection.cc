@@ -218,6 +218,73 @@ Connection::ExecuteCachedEntry(SharedPlanCache::Entry* entry,
   return result;
 }
 
+namespace {
+/// Collects a plan's output densely. A chunk at least half full is kept
+/// as the plan produced it, so a `SELECT *` pays no copy. Smaller chunks
+/// (a selective filter yields a few rows per scanned vector) are copied
+/// into an engine-owned tail chunk until it is full, and the plan's
+/// chunk is reused for the next GetChunk. A lone small chunk is kept as
+/// is until a second one arrives, so a one-chunk result costs no copy.
+/// Every chunk except the last of a run of small ones thus holds at
+/// least kVectorSize/2 rows.
+class DenseChunkSink {
+ public:
+  explicit DenseChunkSink(const std::vector<TypeId>& types) : types_(types) {}
+
+  /// The chunk the plan fills next; empty.
+  DataChunk* Next() {
+    if (!scratch_) scratch_ = NewChunk();
+    return scratch_.get();
+  }
+
+  /// Takes the rows the plan just wrote into Next().
+  void Collect() {
+    if (scratch_->size() >= kVectorSize / 2) {
+      chunks_.push_back(std::move(scratch_));
+      tail_open_ = lone_small_ = false;
+      return;
+    }
+    if (!tail_open_ && !lone_small_) {
+      chunks_.push_back(std::move(scratch_));
+      lone_small_ = true;
+      return;
+    }
+    if (lone_small_) {
+      // The held chunk came from the plan and may alias operator
+      // buffers: copy it into a fresh tail instead of appending to it.
+      std::unique_ptr<DataChunk> held = std::move(chunks_.back());
+      chunks_.back() = NewChunk();
+      chunks_.back()->Append(*held);
+      lone_small_ = false;
+      tail_open_ = true;
+    }
+    idx_t appended = chunks_.back()->Append(*scratch_);
+    if (appended < scratch_->size()) {
+      chunks_.push_back(NewChunk());
+      chunks_.back()->Append(*scratch_, appended);
+    }
+    scratch_->Reset();
+  }
+
+  std::vector<std::unique_ptr<DataChunk>> Finish() {
+    return std::move(chunks_);
+  }
+
+ private:
+  std::unique_ptr<DataChunk> NewChunk() const {
+    auto chunk = std::make_unique<DataChunk>();
+    chunk->Initialize(types_);
+    return chunk;
+  }
+
+  const std::vector<TypeId>& types_;
+  std::vector<std::unique_ptr<DataChunk>> chunks_;
+  std::unique_ptr<DataChunk> scratch_;
+  bool lone_small_ = false;  // chunks_.back() is a small chunk of the plan's
+  bool tail_open_ = false;   // chunks_.back() is an engine-owned tail
+};
+}  // namespace
+
 Result<std::unique_ptr<MaterializedQueryResult>>
 Connection::ExecutePhysicalPlan(PhysicalOperator* plan,
                                 const std::vector<std::string>& names,
@@ -228,19 +295,18 @@ Connection::ExecutePhysicalPlan(PhysicalOperator* plan,
   MALLARD_ASSIGN_OR_RETURN(Transaction * txn, ActiveTransaction(&started));
   ExecutionContext context;
   SetupContext(&context, txn, ticket.get());
-  std::vector<std::unique_ptr<DataChunk>> chunks;
+  DenseChunkSink sink(types);
   Status status = Status::OK();
   while (true) {
     // Chunk-boundary interrupt check: even a plan whose operators never
     // look at the flag (VALUES, tiny scans) cancels between chunks.
     status = context.CheckInterrupt();
     if (!status.ok()) break;
-    auto chunk = std::make_unique<DataChunk>();
-    chunk->Initialize(types);
-    status = plan->GetChunk(&context, chunk.get());
+    DataChunk* chunk = sink.Next();
+    status = plan->GetChunk(&context, chunk);
     if (!status.ok()) break;
     if (chunk->size() == 0) break;
-    chunks.push_back(std::move(chunk));
+    sink.Collect();
   }
   // One Interrupt() cancels at most one statement: the flag is consumed
   // when the statement it hit (or outlived) completes.
@@ -258,7 +324,7 @@ Connection::ExecutePhysicalPlan(PhysicalOperator* plan,
   }
   MALLARD_RETURN_NOT_OK(FinishAutocommit(started, true));
   return std::make_unique<MaterializedQueryResult>(names, types,
-                                                   std::move(chunks));
+                                                   sink.Finish());
 }
 
 Result<std::unique_ptr<MaterializedQueryResult>> Connection::ExecutePlan(

@@ -1,29 +1,45 @@
 #include "mallard/main/query_result.h"
 
+#include <algorithm>
+
 namespace mallard {
 
-Value MaterializedQueryResult::GetValue(idx_t column, idx_t row) const {
-  // Out-of-range access returns a NULL value instead of walking off the
-  // chunk vector; so do rows whose chunk was already handed over via
-  // Fetch() (the unique_ptr slot is moved-out then).
-  if (column >= ColumnCount() || row >= row_count_) return Value();
-  if (row < consumed_rows_) return Value();
-  idx_t offset = consumed_rows_;
-  for (idx_t i = fetch_position_; i < chunks_.size(); i++) {
-    const auto& chunk = chunks_[i];
-    if (row < offset + chunk->size()) {
-      return chunk->GetValue(column, row - offset);
-    }
-    offset += chunk->size();
+MaterializedQueryResult::MaterializedQueryResult(
+    std::vector<std::string> names, std::vector<TypeId> types,
+    std::vector<std::unique_ptr<DataChunk>> chunks)
+    : QueryResult(std::move(names), std::move(types)),
+      chunks_(std::move(chunks)) {
+  chunk_starts_.reserve(chunks_.size());
+  for (const auto& chunk : chunks_) {
+    chunk_starts_.push_back(row_count_);
+    row_count_ += chunk->size();
   }
-  return Value();
+}
+
+const DataChunk* MaterializedQueryResult::ChunkFor(idx_t row, idx_t* in_chunk,
+                                                   idx_t* chunk_index) const {
+  if (row >= row_count_) return nullptr;
+  // The last chunk starting at or before `row`; an empty chunk shares its
+  // start with the next one, so this always lands on a non-empty chunk.
+  idx_t i = static_cast<idx_t>(std::upper_bound(chunk_starts_.begin(),
+                                                chunk_starts_.end(), row) -
+                               chunk_starts_.begin()) -
+            1;
+  *in_chunk = row - chunk_starts_[i];
+  if (chunk_index) *chunk_index = i;
+  return chunks_[i].get();  // null once Fetch() handed the chunk over
+}
+
+Value MaterializedQueryResult::GetValue(idx_t column, idx_t row) const {
+  idx_t in_chunk = 0;
+  const DataChunk* chunk = ChunkFor(row, &in_chunk);
+  if (chunk == nullptr || column >= ColumnCount()) return Value();
+  return chunk->GetValue(column, in_chunk);
 }
 
 Result<std::unique_ptr<DataChunk>> MaterializedQueryResult::Fetch() {
   if (fetch_position_ >= chunks_.size()) return std::unique_ptr<DataChunk>();
-  auto chunk = std::move(chunks_[fetch_position_++]);
-  consumed_rows_ += chunk->size();
-  return chunk;
+  return std::move(chunks_[fetch_position_++]);
 }
 
 std::string MaterializedQueryResult::ToString(idx_t max_rows) const {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <fstream>
 
 #include "mallard/baseline/row_engine.h"
@@ -140,6 +141,134 @@ TEST_F(ApiTest, ValueApiAfterPartialFetch) {
             static_cast<int32_t>(consumed));
   EXPECT_EQ((*r)->GetValue(0, kRows - 1).GetInteger(),
             static_cast<int32_t>(kRows - 1));
+}
+
+// A 2 %-selective filter over 200k rows: the scan yields ~40 rows per
+// vector. The materialized result stores them densely, and every access
+// path — streamed chunks, chunk contents, GetValue — sees the same rows.
+TEST_F(ApiTest, SelectiveResultIsDense) {
+  ASSERT_TRUE(con_->Query("CREATE TABLE t (id BIGINT, v DOUBLE, "
+                          "cat VARCHAR, n BIGINT, k INTEGER)")
+                  .ok());
+  auto app = Appender::Create(db_.get(), "t");
+  const int64_t kRows = 200000;
+  for (int64_t i = 0; i < kRows; i++) {
+    // 64 categories: full row groups dictionary-encode `cat`.
+    (*app)->Append(i).Append(i * 0.25).Append("cat" + std::to_string(i % 64));
+    if (i % 3 == 0) {
+      (*app)->AppendNull();
+    } else {
+      (*app)->Append(i * 7);
+    }
+    (*app)->Append(static_cast<int32_t>(i % 50));
+    ASSERT_TRUE((*app)->EndRow().ok());
+  }
+  ASSERT_TRUE((*app)->Close().ok());
+  const std::string sql = "SELECT id, v, cat, n FROM t WHERE k = 7";
+  auto r = con_->Query(sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  MaterializedQueryResult& result = **r;
+  ASSERT_EQ(result.RowCount(), static_cast<idx_t>(kRows / 50));
+
+  const auto& chunks = result.Chunks();
+  ASSERT_GT(chunks.size(), 1u);
+  for (size_t i = 0; i + 1 < chunks.size(); i++) {
+    EXPECT_GE(chunks[i]->size(), kVectorSize / 2) << "chunk " << i;
+  }
+
+  // GetValue agrees with the chunk contents at every coordinate.
+  std::vector<std::string> rows;
+  idx_t start = 0;
+  for (const auto& chunk : chunks) {
+    for (idx_t row = 0; row < chunk->size(); row++) {
+      std::string line;
+      for (idx_t c = 0; c < result.ColumnCount(); c++) {
+        Value held = chunk->GetValue(c, row);
+        Value got = result.GetValue(c, start + row);
+        ASSERT_TRUE(held == got)
+            << "(" << c << ", " << start + row << "): " << held.ToString()
+            << " vs " << got.ToString();
+        line += held.ToString() + "|";
+      }
+      rows.push_back(line);
+    }
+    start += chunk->size();
+  }
+
+  // The rows equal the streamed result (as multisets: a parallel scan
+  // may interleave morsels differently).
+  auto stream = con_->SendQuery(sql);
+  ASSERT_TRUE(stream.ok());
+  std::vector<std::string> streamed;
+  while (true) {
+    auto chunk = (*stream)->Fetch();
+    ASSERT_TRUE(chunk.ok());
+    if (!*chunk) break;
+    for (idx_t row = 0; row < (*chunk)->size(); row++) {
+      std::string line;
+      for (idx_t c = 0; c < (*chunk)->ColumnCount(); c++) {
+        line += (*chunk)->GetValue(c, row).ToString() + "|";
+      }
+      streamed.push_back(line);
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  std::sort(streamed.begin(), streamed.end());
+  EXPECT_EQ(rows, streamed);
+
+  // After a partial Fetch the handed-over rows read back as NULL; the
+  // rest still address the same values.
+  Value last = result.GetValue(0, result.RowCount() - 1);
+  auto first = result.Fetch();
+  ASSERT_TRUE(first.ok());
+  ASSERT_NE(*first, nullptr);
+  idx_t consumed = (*first)->size();
+  for (idx_t row : {idx_t{0}, consumed - 1}) {
+    for (idx_t c = 0; c < result.ColumnCount(); c++) {
+      EXPECT_TRUE(result.GetValue(c, row).is_null()) << c << ", " << row;
+    }
+  }
+  EXPECT_TRUE(result.GetValue(0, consumed) == chunks[1]->GetValue(0, 0));
+  EXPECT_TRUE(result.GetValue(0, result.RowCount() - 1) == last);
+
+  // A one-row result is a single chunk.
+  auto one = con_->Query("SELECT id, cat FROM t WHERE id = 12345");
+  ASSERT_TRUE(one.ok());
+  ASSERT_EQ((*one)->Chunks().size(), 1u);
+  EXPECT_EQ((*one)->GetValue(1, 0).GetString(),
+            "cat" + std::to_string(12345 % 64));
+}
+
+// Small chunks are packed and full ones kept, in the plan's row order:
+// a sparse prefix (a % 50 = 0) followed by a dense tail (a >= 15000).
+TEST_F(ApiTest, DenseResultKeepsRowOrder) {
+  ASSERT_TRUE(con_->Query("PRAGMA threads=1").ok());  // one ordered scan
+  ASSERT_TRUE(con_->Query("CREATE TABLE t (a INTEGER)").ok());
+  auto app = Appender::Create(db_.get(), "t");
+  for (int32_t i = 0; i < 20000; i++) {
+    (*app)->Append(i);
+    ASSERT_TRUE((*app)->EndRow().ok());
+  }
+  ASSERT_TRUE((*app)->Close().ok());
+  auto r = con_->Query("SELECT a FROM t WHERE a % 50 = 0 OR a >= 15000");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::vector<int32_t> want;
+  for (int32_t i = 0; i < 20000; i++) {
+    if (i % 50 == 0 || i >= 15000) want.push_back(i);
+  }
+  std::vector<int32_t> got;
+  const auto& chunks = (*r)->Chunks();
+  for (size_t i = 0; i < chunks.size(); i++) {
+    // A chunk under half full ends a packed run: the last chunk, or one
+    // followed by a chunk the plan produced at least half full.
+    if (chunks[i]->size() < kVectorSize / 2 && i + 1 < chunks.size()) {
+      EXPECT_GE(chunks[i + 1]->size(), kVectorSize / 2) << "chunk " << i;
+    }
+    const int32_t* a = chunks[i]->column(0).data<int32_t>();
+    got.insert(got.end(), a, a + chunks[i]->size());
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ((*r)->GetValue(0, 300).GetInteger(), 15000);
 }
 
 // --- CSV ETL -----------------------------------------------------------------

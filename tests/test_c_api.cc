@@ -8,9 +8,16 @@
 #include "mallard/c_api/mallard.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstring>
 #include <string>
+#include <unordered_map>
+
+#include "mallard/main/appender.h"
+#include "mallard/main/connection.h"
+#include "mallard/main/database.h"
+#include "mallard/storage/file_handle.h"
 
 namespace {
 
@@ -480,6 +487,156 @@ TEST_F(CApiTest, ResultOutlivesStatementAndConnection) {
   EXPECT_STREQ(mallard_value_varchar(res, 0, 0), "persists");
   EXPECT_STREQ(value, "persists");
   mallard_destroy_result(&res);
+}
+
+// What an accessor returned before values were read straight from the
+// result's vectors: the boxed value cast to the accessor's type, with
+// NULLs and failed casts giving the default.
+template <typename T>
+T Boxed(const mallard::Value& value, mallard::TypeId type,
+        T (mallard::Value::*get)() const) {
+  if (value.is_null()) return T();
+  auto cast = value.CastTo(type);
+  if (!cast.ok() || cast->is_null()) return T();
+  return ((*cast).*get)();
+}
+
+// A 2 %-selective filter spanning several result chunks, read through
+// every accessor at every coordinate and checked against the same
+// query's C++ result (the engine's own boxed values).
+TEST(CApiSparseResultTest, AccessorsMatchCppResult) {
+  using mallard::TypeId;
+  using mallard::Value;
+  const std::string path =
+      "/tmp/mallard_test_capi_sparse_" + std::to_string(::getpid());
+  auto cleanup = [&] {
+    for (const char* suffix : {"", ".wal", ".tmp"}) {
+      mallard::RemoveFile(path + suffix);
+    }
+  };
+  cleanup();
+  const std::string sql =
+      "SELECT id, v, cat, n, k, b, day FROM t WHERE k = 7";
+  std::unique_ptr<mallard::MaterializedQueryResult> expected;
+  {
+    auto db = mallard::Database::Open(path);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    mallard::Connection con(db->get());
+    ASSERT_TRUE(con.Query("CREATE TABLE t (id BIGINT, v DOUBLE, cat VARCHAR, "
+                          "n BIGINT, k INTEGER, b BOOLEAN, day DATE)")
+                    .ok());
+    auto app = mallard::Appender::Create(db->get(), "t");
+    ASSERT_TRUE(app.ok());
+    const int64_t kRows = 400000;
+    for (int64_t i = 0; i < kRows; i++) {
+      (*app)->Append(i).Append(i * 0.25).Append("c" + std::to_string(i % 64));
+      if (i % 3 == 0) {
+        (*app)->AppendNull();
+      } else {
+        (*app)->Append(i * 7);
+      }
+      (*app)->Append(static_cast<int32_t>(i % 50)).Append(i % 4 == 0);
+      (*app)->Append(Value::Date(static_cast<int32_t>(i % 20000)));
+      ASSERT_TRUE((*app)->EndRow().ok());
+    }
+    ASSERT_TRUE((*app)->Close().ok());
+    // Checkpointed, so the C side reopens `cat` dictionary-encoded.
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+    auto r = con.Query(sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    expected = std::move(*r);
+  }
+  ASSERT_GE(expected->Chunks().size(), 3u);
+  std::unordered_map<int64_t, uint64_t> row_of;
+  for (uint64_t row = 0; row < expected->RowCount(); row++) {
+    row_of[expected->GetValue(0, row).GetBigInt()] = row;
+  }
+
+  mallard_database* db = nullptr;
+  mallard_connection* con = nullptr;
+  ASSERT_EQ(mallard_open(path.c_str(), &db), MALLARD_SUCCESS);
+  ASSERT_EQ(mallard_connect(db, &con), MALLARD_SUCCESS);
+  mallard_result* res = nullptr;
+  ASSERT_EQ(mallard_query(con, sql.c_str(), &res), MALLARD_SUCCESS);
+  const uint64_t rows = mallard_row_count(res);
+  const uint64_t columns = mallard_column_count(res);
+  ASSERT_EQ(rows, expected->RowCount());
+  ASSERT_EQ(columns, 7u);
+
+  // A string taken first must survive every later read unchanged.
+  const char* pinned = mallard_value_varchar(res, 2, 0);
+  ASSERT_NE(pinned, nullptr);
+  const std::string pinned_bytes = pinned;
+
+  int mismatches = 0;
+  auto check = [&](bool same, uint64_t c, uint64_t r, const char* what) {
+    if (!same && mismatches++ < 5) {
+      ADD_FAILURE() << what << " differs at (" << c << ", " << r << ")";
+    }
+  };
+  for (uint64_t r = 0; r < rows; r++) {
+    auto found = row_of.find(mallard_value_int64(res, 0, r));
+    ASSERT_NE(found, row_of.end()) << "row " << r;
+    for (uint64_t c = 0; c < columns; c++) {
+      Value want = expected->GetValue(c, found->second);
+      check(mallard_value_is_null(res, c, r) == want.is_null(), c, r,
+            "is_null");
+      check(mallard_value_boolean(res, c, r) ==
+                Boxed(want, TypeId::kBoolean, &Value::GetBoolean),
+            c, r, "boolean");
+      check(mallard_value_int32(res, c, r) ==
+                Boxed(want, TypeId::kInteger, &Value::GetInteger),
+            c, r, "int32");
+      check(mallard_value_int64(res, c, r) ==
+                Boxed(want, TypeId::kBigInt, &Value::GetBigInt),
+            c, r, "int64");
+      check(mallard_value_double(res, c, r) ==
+                Boxed(want, TypeId::kDouble, &Value::GetDouble),
+            c, r, "double");
+      const char* text = mallard_value_varchar(res, c, r);
+      if (want.is_null()) {
+        check(text == nullptr, c, r, "varchar");
+      } else {
+        std::string rendered = want.type() == TypeId::kVarchar
+                                   ? want.GetString()
+                                   : want.ToString();
+        check(text != nullptr && rendered == text, c, r, "varchar");
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+
+  // Spot checks of the cross-type reads: INTEGER k as int64 / double /
+  // varchar, DATE day as varchar.
+  const uint64_t row = 1;
+  EXPECT_EQ(mallard_value_int64(res, 4, row), 7);
+  EXPECT_EQ(mallard_value_double(res, 4, row), 7.0);
+  EXPECT_STREQ(mallard_value_varchar(res, 4, row), "7");
+  EXPECT_STREQ(mallard_value_varchar(res, 6, row),
+               expected->GetValue(6, row_of[mallard_value_int64(res, 0, row)])
+                   .ToString()
+                   .c_str());
+
+  // Out-of-range rows and columns answer with the defaults.
+  for (uint64_t c : {uint64_t{0}, uint64_t{2}, columns}) {
+    for (uint64_t r : {rows, rows + 5000, uint64_t{0}}) {
+      if (c < columns && r < rows) continue;
+      EXPECT_TRUE(mallard_value_is_null(res, c, r));
+      EXPECT_FALSE(mallard_value_boolean(res, c, r));
+      EXPECT_EQ(mallard_value_int32(res, c, r), 0);
+      EXPECT_EQ(mallard_value_int64(res, c, r), 0);
+      EXPECT_EQ(mallard_value_double(res, c, r), 0.0);
+      EXPECT_EQ(mallard_value_varchar(res, c, r), nullptr);
+    }
+  }
+
+  EXPECT_EQ(mallard_value_varchar(res, 2, 0), pinned);
+  EXPECT_EQ(std::string(pinned), pinned_bytes);
+
+  mallard_destroy_result(&res);
+  mallard_disconnect(&con);
+  mallard_close(&db);
+  cleanup();
 }
 
 }  // namespace
