@@ -133,8 +133,13 @@ class PhysicalOperator {
     children_.push_back(std::move(child));
   }
 
-  /// Renders the operator tree (EXPLAIN).
+  /// Renders the operator tree (EXPLAIN), with `est=<rows>` on operators
+  /// the planner estimated.
   std::string ToString(int indent = 0) const;
+
+  /// Records the planner's estimate of this operator's output rows
+  /// (scans and joins carry one).
+  void set_estimated_rows(idx_t rows) { estimated_rows_ = rows; }
 
  protected:
   /// Per-operator rewind hook; stateless operators keep the no-op.
@@ -142,6 +147,7 @@ class PhysicalOperator {
 
   std::vector<TypeId> types_;
   std::vector<std::unique_ptr<PhysicalOperator>> children_;
+  idx_t estimated_rows_ = kInvalidIndex;  // none
 };
 
 }  // namespace mallard

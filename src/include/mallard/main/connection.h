@@ -114,6 +114,13 @@ class Connection {
   friend class PreparedStatement;
   friend class StreamingQueryResult;
 
+  /// A planner with this connection's plan settings (`PRAGMA
+  /// join_order`).
+  Planner MakePlanner() const {
+    return Planner(&db_->catalog(), &db_->governor(),
+                   PlannerOptions{join_order_});
+  }
+
   Result<std::unique_ptr<MaterializedQueryResult>> ExecuteStatement(
       SQLStatement* stmt);
 
@@ -197,6 +204,8 @@ class Connection {
   uint64_t statement_timeout_ms_ = 0;
 
   bool plan_cache_enabled_ = true;
+  // PRAGMA join_order; part of the shared plan cache key.
+  JoinOrder join_order_ = JoinOrder::kCost;
 };
 
 /// Streaming result: pulls chunks straight from the physical plan. The

@@ -22,16 +22,34 @@ struct PreparedPlan {
   std::vector<TypeId> types;
 };
 
+/// How the inner joins of a FROM clause are ordered (PRAGMA join_order).
+enum class JoinOrder : uint8_t {
+  /// By estimated cost: DPccp over the join graph, the smaller input as
+  /// the hash build side.
+  kCost,
+  /// As written: left-deep in FROM order, the right input as build side.
+  kSyntactic,
+};
+
+/// Settings a plan depends on besides the statement and the catalog.
+struct PlannerOptions {
+  JoinOrder join_order = JoinOrder::kCost;
+  /// Estimate single-relation FROMs too, so that EXPLAIN shows `est=`
+  /// on every scan; plain queries over one relation read no statistics.
+  bool estimate_all = false;
+};
+
 /// Binder + optimizer + physical planner. Translates parsed statements
 /// into physical operator trees, performing name resolution, type
 /// coercion, constant folding, projection pruning into scans, zone-map
-/// filter extraction, equi-join detection from WHERE conjuncts, greedy
-/// join ordering, and governor-driven hash-vs-merge join selection
-/// (paper section 4).
+/// filter extraction, equi-join detection from WHERE and ON conjuncts,
+/// cost-based join ordering from storage statistics, and governor-driven
+/// hash-vs-merge join selection (paper section 4).
 class Planner {
  public:
-  Planner(Catalog* catalog, ResourceGovernor* governor)
-      : catalog_(catalog), governor_(governor) {}
+  Planner(Catalog* catalog, ResourceGovernor* governor,
+          PlannerOptions options = {})
+      : catalog_(catalog), governor_(governor), options_(options) {}
 
   /// Enables prepared-statement parameters: placeholders bind against the
   /// shared slot, recording their inferred types in it. Without this, a
@@ -57,6 +75,7 @@ class Planner {
  private:
   Catalog* catalog_;
   ResourceGovernor* governor_;
+  PlannerOptions options_;
   std::shared_ptr<BoundParameterData> parameters_;
 };
 

@@ -1,6 +1,7 @@
 #ifndef MALLARD_STORAGE_TABLE_DATA_TABLE_H_
 #define MALLARD_STORAGE_TABLE_DATA_TABLE_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -50,6 +51,18 @@ struct TableEncodingStats {
   idx_t dict_rows = 0;      // rows covered by dictionary segments
 };
 
+/// Planner statistics of one column, read from the zone maps and the
+/// dictionary sizes the segments already keep — no column data.
+struct ColumnStatistics {
+  idx_t rows = 0;        ///< rows in the groups summarized
+  idx_t null_count = 0;
+  Value min;             ///< NULL when no non-NULL value is known
+  Value max;
+  /// Estimated number of distinct non-NULL values, or kInvalidIndex
+  /// (unknown) when no segment of the column is dictionary-encoded.
+  idx_t distinct = kInvalidIndex;
+};
+
 /// The physical storage of one table: an ordered list of row groups.
 /// Provides transactional vectorized scans, bulk appends, bulk deletes
 /// and per-column bulk updates — the combined OLAP & ETL workload of
@@ -94,6 +107,10 @@ class DataTable {
   idx_t VisibleRowCount(const Transaction& txn) const;
   /// Fast upper bound of the physical row count (planner statistics).
   idx_t ApproxRowCount() const;
+  /// Min, max, NULL count and a distinct-count estimate of one column;
+  /// O(row groups), reads no data (see ColumnStatistics). Cached until
+  /// the next append, update or checkpoint load.
+  ColumnStatistics ColumnStats(idx_t column) const;
   /// Current number of row groups — the morsel count of a parallel scan.
   idx_t RowGroupCount() const;
   /// The current row groups in order. Groups are never removed, so the
@@ -149,6 +166,20 @@ class DataTable {
   mutable std::shared_mutex row_groups_lock_;  // guards the list structure
   std::vector<std::unique_ptr<RowGroup>> row_groups_;
   std::mutex append_lock_;  // serializes appenders
+
+  /// Advances stats_epoch_ when it leaves scope, after the change it
+  /// guards, so a ColumnStats computed during the change is never kept
+  /// as current.
+  struct StatsChange {
+    explicit StatsChange(DataTable* table) : table_(table) {}
+    ~StatsChange() { table_->stats_epoch_.fetch_add(1); }
+    DataTable* table_;
+  };
+  ColumnStatistics ComputeColumnStats(idx_t column) const;
+  std::atomic<uint64_t> stats_epoch_{1};
+  mutable std::mutex stats_lock_;
+  /// Per column: (epoch computed at, statistics); epoch 0 = none yet.
+  mutable std::vector<std::pair<uint64_t, ColumnStatistics>> stats_cache_;
 };
 
 }  // namespace mallard

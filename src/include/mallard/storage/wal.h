@@ -214,7 +214,13 @@ class WriteAheadLog {
   mutable std::mutex mutex_;
   std::condition_variable cv_;          // commit done / token released
   std::condition_variable flusher_cv_;  // async flusher wakeups
+  std::condition_variable gather_cv_;   // a committer joined queue_
   std::deque<CommitRequest*> queue_;    // sync-mode committers
+  // Group commit pacing: the size a leader waits for (the last group
+  // plus the committers that queued during its flush) and how long that
+  // flush took, which bounds the wait.
+  size_t expected_group_ = 1;
+  uint64_t last_flush_us_ = 0;
   std::vector<uint8_t> pending_;        // async-mode unflushed batches
   bool flush_in_progress_ = false;
   bool shutdown_ = false;

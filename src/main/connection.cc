@@ -119,6 +119,8 @@ Result<std::unique_ptr<MaterializedQueryResult>> Connection::Query(
     const std::string& sql) {
   if (plan_cache_enabled_) {
     NormalizedQuery normalized = NormalizeQueryText(sql);
+    // Plans differ by join order, so the setting is part of the key.
+    if (join_order_ == JoinOrder::kSyntactic) normalized.key += "\x01syntactic";
     if (normalized.cacheable) {
       SharedPlanCache& cache = db_->plan_cache();
       bool busy = false;
@@ -171,7 +173,7 @@ Result<std::unique_ptr<SharedPlanCache::Entry>> Connection::PlanNormalized(
   for (idx_t i = 0; i < normalized.literals.size(); i++) {
     entry->parameters->types[i] = normalized.literals[i].type();
   }
-  Planner planner(&db_->catalog(), &db_->governor());
+  Planner planner = MakePlanner();
   planner.SetParameterData(entry->parameters);
   entry->catalog_version = db_->catalog().version();
   MALLARD_ASSIGN_OR_RETURN(entry->plan,
@@ -190,7 +192,7 @@ Connection::ExecuteCachedEntry(SharedPlanCache::Entry* entry,
     // PreparedStatement::EnsureCurrentPlan. A dropped table surfaces
     // here as a binder error and the entry dies.
     cache.RecordInvalidation();
-    Planner planner(&db_->catalog(), &db_->governor());
+    Planner planner = MakePlanner();
     planner.SetParameterData(entry->parameters);
     auto plan = planner.PlanStatement(*entry->statement);
     if (!plan.ok()) {
@@ -362,7 +364,7 @@ std::unique_ptr<MaterializedQueryResult> SingleValueResult(
 
 Result<std::unique_ptr<MaterializedQueryResult>> Connection::ExecuteStatement(
     SQLStatement* stmt) {
-  Planner planner(&db_->catalog(), &db_->governor());
+  Planner planner = MakePlanner();
   switch (stmt->type) {
     // Plannable statements share one prepare-then-execute pipeline with
     // SendQuery and Connection::Prepare.
@@ -504,6 +506,9 @@ Result<std::unique_ptr<MaterializedQueryResult>> Connection::ExecuteStatement(
     }
     case StatementType::kExplain: {
       auto& explain = static_cast<ExplainStatement&>(*stmt);
+      // Estimate even a single relation, so every scan shows est=.
+      planner = Planner(&db_->catalog(), &db_->governor(),
+                        PlannerOptions{join_order_, /*estimate_all=*/true});
       PreparedPlan plan;
       switch (explain.inner->type) {
         case StatementType::kSelect: {
@@ -764,6 +769,18 @@ Result<std::unique_ptr<MaterializedQueryResult>> Connection::ExecutePragma(
             }
             return c.db_->wal()->SetCommitMode(WalCommitMode(i));
           }),
+      // A differential axis for testing, not a tuning knob: cost-based
+      // order is the default; syntactic keeps the FROM order and builds
+      // on the right input.
+      ChoiceSetting(
+          "join_order", {"cost", "syntactic"},
+          [](Connection& c) {
+            return c.join_order_ == JoinOrder::kCost ? "cost" : "syntactic";
+          },
+          [](Connection& c, size_t i) {
+            c.join_order_ = JoinOrder(i);
+            return Status::OK();
+          }),
       Counters("buffer_stats", false, [](Connection& c) -> StatsColumns {
         BufferManagerStats s = c.db_->buffers().GetStats();
         return {{"memory_used", s.memory_used},
@@ -898,7 +915,7 @@ Result<std::unique_ptr<StreamingQueryResult>> Connection::SendQuery(
     return Status::InvalidArgument(
         "SendQuery supports exactly one SELECT statement");
   }
-  Planner planner(&db_->catalog(), &db_->governor());
+  Planner planner = MakePlanner();
   MALLARD_ASSIGN_OR_RETURN(auto plan, planner.PlanStatement(*statements[0]));
   PhysicalOperator* raw = plan.plan.get();
   return StreamPlan(std::move(plan.plan), raw, std::move(plan.names),
@@ -934,7 +951,7 @@ Result<std::unique_ptr<PreparedStatement>> Connection::Prepare(
         std::to_string(statements.size()));
   }
   auto parameters = std::make_shared<BoundParameterData>();
-  Planner planner(&db_->catalog(), &db_->governor());
+  Planner planner = MakePlanner();
   planner.SetParameterData(parameters);
   uint64_t catalog_version = db_->catalog().version();
   MALLARD_ASSIGN_OR_RETURN(auto plan, planner.PlanStatement(*statements[0]));

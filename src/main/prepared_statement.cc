@@ -74,8 +74,7 @@ Status PreparedStatement::EnsureCurrentPlan() {
   // DDL happened since planning: re-plan from the stored AST. Parameter
   // values and previously inferred types survive in the shared slot; a
   // dropped table surfaces here as a catalog/binder error.
-  Planner planner(&connection_->database().catalog(),
-                  &connection_->database().governor());
+  Planner planner = connection_->MakePlanner();
   planner.SetParameterData(parameters_);
   MALLARD_ASSIGN_OR_RETURN(plan_, planner.PlanStatement(*statement_));
   catalog_version_ = current;

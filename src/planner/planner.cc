@@ -212,20 +212,10 @@ Status RemapColumnRefs(BoundExpression* expr,
   }
 }
 
-// Rough cardinality estimate for join planning.
-[[maybe_unused]] idx_t EstimateRows(const PhysicalOperator* op) {
-  std::string n = op->name();
-  if (StringUtil::StartsWith(n, "SEQ_SCAN")) {
-    // Encoded row count unavailable here; handled by caller for scans.
-    return 10000;
-  }
-  return 10000;
-}
-
-uint64_t EstimateBytes(PhysicalOperator* op, idx_t rows) {
+uint64_t EstimateBytes(PhysicalOperator* op, double rows) {
   uint64_t width = 0;
   for (TypeId t : op->types()) width += TypeSize(t);
-  return rows * std::max<uint64_t>(width, 8);
+  return static_cast<uint64_t>(rows) * std::max<uint64_t>(width, 8);
 }
 
 }  // namespace
@@ -237,6 +227,7 @@ uint64_t EstimateBytes(PhysicalOperator* op, idx_t rows) {
 struct Planner::Impl {
   Catalog* catalog;
   ResourceGovernor* governor;
+  PlannerOptions options;
   std::shared_ptr<BoundParameterData> parameters;  // null: params rejected
 
   // --- binding context ------------------------------------------------------
@@ -253,7 +244,6 @@ struct Planner::Impl {
     std::string csv_path;
     std::vector<TypeId> csv_file_types;
     std::unique_ptr<PhysicalOperator> subquery_plan;
-    idx_t approx_rows = 1000;
     std::vector<TableFilter> scan_filters;  // zone-map filters (base only)
     std::vector<LateBoundTableFilter> late_filters;  // parameterized ones
   };
@@ -296,14 +286,22 @@ struct Planner::Impl {
     return std::make_pair(found_global, found_leaf);
   }
 
-  TypeId GlobalType(idx_t global) const {
-    for (const auto& leaf : leaves) {
-      if (global >= leaf.global_offset &&
-          global < leaf.global_offset + leaf.types.size()) {
-        return leaf.types[global - leaf.global_offset];
+  /// The leaf holding global column `global`, or kInvalidIndex.
+  idx_t LeafOf(idx_t global) const {
+    for (idx_t l = 0; l < leaves.size(); l++) {
+      if (global >= leaves[l].global_offset &&
+          global < leaves[l].global_offset + leaves[l].types.size()) {
+        return l;
       }
     }
-    return TypeId::kInvalid;
+    return kInvalidIndex;
+  }
+
+  TypeId GlobalType(idx_t global) const {
+    idx_t l = LeafOf(global);
+    return l == kInvalidIndex
+               ? TypeId::kInvalid
+               : leaves[l].types[global - leaves[l].global_offset];
   }
 
   // --- type coercion --------------------------------------------------------
@@ -718,7 +716,7 @@ struct Planner::Impl {
     std::unique_ptr<PhysicalOperator> plan;
     std::vector<idx_t> layout;  // global index per output position
     std::set<idx_t> relations;
-    idx_t approx_rows = 1000;
+    double rows = 0;  // estimated output rows
   };
 
   static std::map<idx_t, idx_t> LayoutMapping(
@@ -755,7 +753,6 @@ struct Planner::Impl {
   Result<std::unique_ptr<PhysicalOperator>> BuildLeafScan(Leaf* leaf) {
     if (leaf->table) {
       std::vector<idx_t> column_ids = leaf->source_column_ids;
-      leaf->approx_rows = leaf->table->ApproxRowCount();
       return std::unique_ptr<PhysicalOperator>(
           std::make_unique<PhysicalTableScan>(leaf->table, column_ids,
                                               leaf->scan_filters,
@@ -788,14 +785,15 @@ struct Planner::Impl {
     return Status::Internal("leaf without a source");
   }
 
+  /// A hash or merge join by the governor's choice for a build side
+  /// (`right`) of `right_rows` estimated rows.
   std::unique_ptr<PhysicalOperator> MakeJoin(
       JoinType type, std::vector<JoinCondition> conditions,
       std::unique_ptr<PhysicalOperator> left,
-      std::unique_ptr<PhysicalOperator> right, idx_t right_rows) {
+      std::unique_ptr<PhysicalOperator> right, double right_rows) {
     uint64_t build_bytes = EstimateBytes(right.get(), right_rows);
-    JoinAlgorithm algo = governor_
-                             ? governor_->ChooseJoinAlgorithm(build_bytes)
-                             : JoinAlgorithm::kHash;
+    JoinAlgorithm algo = governor ? governor->ChooseJoinAlgorithm(build_bytes)
+                                  : JoinAlgorithm::kHash;
     if (algo == JoinAlgorithm::kMerge) {
       return std::make_unique<PhysicalMergeJoin>(
           type, std::move(conditions), std::move(left), std::move(right));
@@ -803,8 +801,6 @@ struct Planner::Impl {
     return std::make_unique<PhysicalHashJoin>(
         type, std::move(conditions), std::move(left), std::move(right));
   }
-
-  ResourceGovernor* governor_ = nullptr;
 };
 
 // ===========================================================================
@@ -827,22 +823,17 @@ void SplitConjuncts(ExprPtr expr, std::vector<ExprPtr>* out) {
   out->push_back(std::move(expr));
 }
 
-[[maybe_unused]] ExprPtr CombineConjuncts(std::vector<ExprPtr> exprs) {
-  if (exprs.empty()) return nullptr;
-  if (exprs.size() == 1) return std::move(exprs[0]);
-  return std::make_unique<BoundConjunction>(true, std::move(exprs));
-}
-
 }  // namespace
 
 // The full select planning routine lives in planner_select.cc; DML in
 // planner_dml.cc. Impl is shared via this factory.
-std::unique_ptr<Planner::Impl> MakePlannerImpl(Catalog* catalog,
-                                               ResourceGovernor* governor) {
+std::unique_ptr<Planner::Impl> MakePlannerImpl(
+    Catalog* catalog, ResourceGovernor* governor,
+    const PlannerOptions& options = {}) {
   auto impl = std::make_unique<Planner::Impl>();
   impl->catalog = catalog;
   impl->governor = governor;
-  impl->governor_ = governor;
+  impl->options = options;
   return impl;
 }
 
@@ -851,4 +842,5 @@ std::unique_ptr<Planner::Impl> MakePlannerImpl(Catalog* catalog,
 // Include the out-of-line planning logic (kept in separate files for
 // readability; they are part of this translation unit to share Impl).
 #include "planner_dml.inc"
+#include "planner_join_order.inc"
 #include "planner_select.inc"

@@ -33,6 +33,7 @@ Status DataTable::Append(Transaction* txn, const DataChunk& chunk) {
     return Status::InvalidArgument("appended chunk has wrong column count");
   }
   std::lock_guard<std::mutex> append_guard(append_lock_);
+  StatsChange change(this);
   idx_t offset = 0;
   while (offset < chunk.size()) {
     RowGroup* last = nullptr;
@@ -235,6 +236,7 @@ Result<idx_t> DataTable::Delete(Transaction* txn, const Vector& row_ids,
 Status DataTable::Update(Transaction* txn, const Vector& row_ids, idx_t count,
                          const std::vector<idx_t>& column_indexes,
                          const DataChunk& values) {
+  StatsChange change(this);
   const int64_t* ids = row_ids.data<int64_t>();
   idx_t i = 0;
   while (i < count) {
@@ -289,6 +291,74 @@ idx_t DataTable::ApproxRowCount() const {
   return total;
 }
 
+ColumnStatistics DataTable::ColumnStats(idx_t column) const {
+  uint64_t epoch = stats_epoch_.load();
+  {
+    std::lock_guard<std::mutex> guard(stats_lock_);
+    if (column < stats_cache_.size() && stats_cache_[column].first == epoch) {
+      return stats_cache_[column].second;
+    }
+  }
+  ColumnStatistics stats = ComputeColumnStats(column);
+  std::lock_guard<std::mutex> guard(stats_lock_);
+  if (stats_cache_.size() <= column) stats_cache_.resize(column + 1);
+  stats_cache_[column] = {epoch, stats};
+  return stats;
+}
+
+ColumnStatistics DataTable::ComputeColumnStats(idx_t column) const {
+  ColumnStatistics stats;
+  idx_t dict_rows = 0, dict_entries = 0, max_entries = 0;
+  // Groups whose value ranges follow one another without overlap (a
+  // clustered key) hold disjoint dictionaries, so their sizes add up.
+  bool disjoint = true;
+  Value previous_max;
+  std::shared_lock<std::shared_mutex> guard(row_groups_lock_);
+  for (const auto& rg : row_groups_) {
+    std::shared_lock<std::shared_mutex> rg_guard(rg->lock());
+    if (rg->quarantined() || rg->count() == 0) continue;
+    const ColumnSegment& seg = rg->column(column);
+    stats.rows += rg->count();
+    stats.null_count += seg.null_count();
+    if (seg.stats_min().is_null()) continue;  // all NULL
+    if (stats.min.is_null() || seg.stats_min().Compare(stats.min) < 0) {
+      stats.min = seg.stats_min();
+    }
+    if (stats.max.is_null() || seg.stats_max().Compare(stats.max) > 0) {
+      stats.max = seg.stats_max();
+    }
+    if (!previous_max.is_null() &&
+        seg.stats_min().Compare(previous_max) <= 0) {
+      disjoint = false;
+    }
+    previous_max = seg.stats_max();
+    if (seg.encoding() == SegmentEncoding::kDictionary) {
+      dict_rows += rg->count();
+      dict_entries += seg.dict_entry_count();
+      max_entries = std::max(max_entries, seg.dict_entry_count());
+    }
+  }
+  if (dict_rows == 0) return stats;  // distinct stays unknown
+  // Extrapolate the dictionary groups to the whole column. Disjoint
+  // groups add up; overlapping ones share values in proportion to how
+  // repetitive each group is (5 values per 8192 rows: ~5 overall; one
+  // value per row: the sum).
+  double sum = static_cast<double>(dict_entries) *
+               static_cast<double>(stats.rows) / static_cast<double>(dict_rows);
+  double ndv = sum;
+  if (!disjoint) {
+    double unique_share =
+        static_cast<double>(dict_entries) / static_cast<double>(dict_rows);
+    ndv = static_cast<double>(max_entries) +
+          (sum - static_cast<double>(max_entries)) * unique_share;
+  }
+  double non_null = static_cast<double>(stats.rows - stats.null_count);
+  ndv = std::min(ndv, non_null);
+  stats.distinct = static_cast<idx_t>(
+      std::max(ndv, static_cast<double>(max_entries)) + 0.5);
+  return stats;
+}
+
 idx_t DataTable::RowGroupCount() const {
   std::shared_lock<std::shared_mutex> guard(row_groups_lock_);
   return row_groups_.size();
@@ -310,6 +380,7 @@ void DataTable::CleanupUpdates(uint64_t lowest_active_start) {
 }
 
 Status DataTable::LoadCheckpointGroup(BinaryReader* reader, GroupChain chain) {
+  StatsChange change(this);
   std::unique_lock<std::shared_mutex> guard(row_groups_lock_);
   MALLARD_ASSIGN_OR_RETURN(
       auto rg, RowGroup::Deserialize(reader, row_groups_.size() * kRowGroupSize,
@@ -329,6 +400,7 @@ Status DataTable::LoadCheckpointGroup(BinaryReader* reader, GroupChain chain) {
 
 void DataTable::LoadQuarantinedGroup(idx_t rows, std::string reason) {
   resilience_->quarantined_row_groups.fetch_add(1);
+  StatsChange change(this);
   std::unique_lock<std::shared_mutex> guard(row_groups_lock_);
   row_groups_.push_back(RowGroup::Quarantined(
       row_groups_.size() * kRowGroupSize, types_, rows, std::move(reason)));

@@ -265,12 +265,30 @@ Status WriteAheadLog::CommitSync(std::vector<uint8_t> batch) {
   req.batch = std::move(batch);
   std::unique_lock<std::mutex> lock(mutex_);
   queue_.push_back(&req);
+  gather_cv_.notify_one();  // a gathering leader counts arrivals
   for (;;) {
     if (req.done) return req.status;  // a leader flushed us
     if (!flush_in_progress_) break;   // no leader: become one
     cv_.wait(lock);
   }
   flush_in_progress_ = true;
+  // Commit delay (PostgreSQL's commit_delay/commit_siblings): the writers
+  // of the last group, and those that queued behind it, are about to
+  // commit again. Without waiting for them a leader that returns first
+  // flushes alone, and groups alternate between 1 and N-1. The wait
+  // ends as soon as they have all queued, and after at most one flush
+  // time (capped by the governor's flush interval); a lone committer
+  // expects only itself and never waits.
+  if (queue_.size() < expected_group_) {
+    uint64_t cap_us =
+        (governor_ ? governor_->WalFlushIntervalMs() : 5) * uint64_t(1000);
+    auto deadline = std::chrono::steady_clock::now() +
+                    std::chrono::microseconds(
+                        std::min<uint64_t>(last_flush_us_, cap_us));
+    gather_cv_.wait_until(lock, deadline, [this] {
+      return queue_.size() >= expected_group_;
+    });
+  }
   std::vector<CommitRequest*> group(queue_.begin(), queue_.end());
   queue_.clear();
   std::vector<uint8_t> combined;
@@ -279,8 +297,15 @@ Status WriteAheadLog::CommitSync(std::vector<uint8_t> batch) {
     combined.insert(combined.end(), r->batch.begin(), r->batch.end());
   }
   lock.unlock();
+  auto flush_start = std::chrono::steady_clock::now();
   Status s = AppendAndSync(combined);
+  uint64_t flush_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - flush_start)
+          .count());
   lock.lock();
+  last_flush_us_ = flush_us;
+  expected_group_ = group.size() + queue_.size();
   if (s.ok()) {
     stats_.commits += group.size();
     stats_.flushes++;

@@ -279,8 +279,11 @@ TEST_F(ParallelSqlTest, UngroupedAggregateMatchesSerial) {
 
 TEST_F(ParallelSqlTest, HashJoinMatchesSerialAcrossThreadCounts) {
   // Build side spans multiple row groups with duplicate and NULL keys.
+  // The filtered probe_t would be the cheaper build side; keep the
+  // written order so build_t is what the parallel build splits.
   FillKeyed("probe_t", 6000, 300);
   FillKeyed("build_t", 30000, 300);
+  ASSERT_TRUE(con_->Query("PRAGMA join_order=syntactic").ok());
   const std::string sql =
       "SELECT probe_t.k, probe_t.v, build_t.v FROM probe_t "
       "JOIN build_t ON probe_t.k = build_t.k WHERE probe_t.v < 600";

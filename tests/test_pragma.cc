@@ -91,6 +91,7 @@ const std::vector<Setting>& Settings() {
       {"admission_timeout_ms", "250", "250", {"0", "99999999999999999999"}},
       {"compression", "Light", "light", {"max", "lz"}},
       {"wal_commit_mode", "ASYNC", "async", {"eventually"}},
+      {"join_order", "SYNTACTIC", "syntactic", {"greedy", "1"}},
       {"plan_cache", "off", "false", {"yes", "2"}, true},
       {"reactive", "on", "true", {"yes", "enabled"}, true},
       {"memtest_on_allocation", "on", "true", {"yes", "-1"}, true},
@@ -138,7 +139,7 @@ TEST_F(PragmaTest, EveryNameAnswersWithoutAValue) {
   std::vector<std::string> names = {"integrity_check"};
   for (const Setting& s : Settings()) names.push_back(s.name);
   for (const auto& [name, columns] : StatsColumns()) names.push_back(name);
-  ASSERT_EQ(names.size(), 22u);
+  ASSERT_EQ(names.size(), 23u);
   for (const std::string& name : names) {
     auto r = con_->Query("PRAGMA " + name);
     ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
@@ -200,6 +201,37 @@ TEST_F(PragmaTest, BarePlanCacheKeepsTheSharedCache) {
   EXPECT_EQ(con_->PlanCacheSize(), cached);
   ASSERT_TRUE(con_->Query("PRAGMA plan_cache=off").ok());
   EXPECT_EQ(con_->PlanCacheSize(), 0u);
+}
+
+TEST_F(PragmaTest, JoinOrderIsPartOfThePlanCacheKey) {
+  ASSERT_TRUE(con_->Query("CREATE TABLE a (k INTEGER)").ok());
+  ASSERT_TRUE(con_->Query("CREATE TABLE b (k INTEGER)").ok());
+  ASSERT_TRUE(con_->Query("INSERT INTO a VALUES (1), (2), (3)").ok());
+  ASSERT_TRUE(con_->Query("INSERT INTO b VALUES (2), (3), (4)").ok());
+  Connection other(db_.get());
+  ASSERT_TRUE(Set(&other, "join_order", "syntactic").ok());
+  auto stats = [&] {
+    auto r = con_->Query("PRAGMA plan_cache_stats");
+    return std::make_pair((*r)->GetValue(0, 0).GetBigInt(),   // hits
+                          (*r)->GetValue(1, 0).GetBigInt());  // misses
+  };
+  const std::string sql =
+      "SELECT count(*) FROM a JOIN b ON a.k = b.k WHERE a.k > 1";
+  auto before = stats();
+  auto r = con_->Query(sql);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ((*r)->GetValue(0, 0).GetBigInt(), 2);
+  // The same text under the other setting misses and plans its own.
+  r = other.Query(sql);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ((*r)->GetValue(0, 0).GetBigInt(), 2);
+  auto after = stats();
+  EXPECT_EQ(after.first, before.first);
+  EXPECT_EQ(after.second, before.second + 2);
+  // Each setting then hits its own entry.
+  ASSERT_TRUE(con_->Query(sql).ok());
+  ASSERT_TRUE(other.Query(sql).ok());
+  EXPECT_EQ(stats().first, before.first + 2);
 }
 
 TEST_F(PragmaTest, MemoryLimitRejectsUnitsAndNegatives) {

@@ -377,6 +377,9 @@ TEST_F(PreparedTest, PlanCacheDoesNotPinExecutionMemory) {
     ins += ",(" + std::to_string(i) + "," + std::to_string(i) + ")";
   }
   ASSERT_TRUE(con_->Query(ins).ok());
+  // Keep the written order: `big` is the build side under test, though
+  // the small `t` would be the cheaper one.
+  ASSERT_TRUE(con_->Query("PRAGMA join_order=syntactic").ok());
   uint64_t before = db_->buffers().memory_used();
   auto r = con_->Query(
       "SELECT count(*) FROM t JOIN big ON t.a = big.k");

@@ -112,5 +112,67 @@ TEST_F(ScanPruningTest, RangePredicatesAcrossGroupBoundaries) {
   EXPECT_EQ((*r)->GetValue(0, 0).GetBigInt(), 11);
 }
 
+
+TEST(ColumnStatsTest, SummarizesZoneMapsAndDictionaries) {
+  auto db = Database::Open(":memory:");
+  ASSERT_TRUE(db.ok());
+  Connection con(db->get());
+  ASSERT_TRUE(
+      con.Query("CREATE TABLE s (id INTEGER, cat VARCHAR, n INTEGER)").ok());
+  // Three full row groups plus an unfilled one (which stays plain).
+  const int kRows = 3 * static_cast<int>(kRowGroupSize) + 100;
+  auto app = Appender::Create(db->get(), "s");
+  ASSERT_TRUE(app.ok());
+  for (int row = 0; row < kRows; row++) {
+    (*app)->Append(row).Append("c" + std::to_string(row % 5));
+    if (row % 10 == 0) {
+      (*app)->Append(Value::Null(TypeId::kInteger));
+    } else {
+      (*app)->Append(row % 7);
+    }
+    ASSERT_TRUE((*app)->EndRow().ok());
+  }
+  ASSERT_TRUE((*app)->Close().ok());
+  DataTable* table = *(*db)->catalog().GetTable("s");
+
+  ColumnStatistics id = table->ColumnStats(0);
+  EXPECT_EQ(id.rows, static_cast<idx_t>(kRows));
+  EXPECT_EQ(id.null_count, 0u);
+  EXPECT_EQ(id.min.GetAsBigInt(), 0);
+  EXPECT_EQ(id.max.GetAsBigInt(), kRows - 1);
+  ColumnStatistics n = table->ColumnStats(2);
+  EXPECT_EQ(n.null_count, static_cast<idx_t>(kRows / 10 + 1));
+  EXPECT_EQ(n.min.GetAsBigInt(), 0);
+  EXPECT_EQ(n.max.GetAsBigInt(), 6);
+  ColumnStatistics cat = table->ColumnStats(1);
+  EXPECT_EQ(cat.min.GetString(), "c0");
+  EXPECT_EQ(cat.max.GetString(), "c4");
+
+  // Distinct counts come from dictionaries only (the encoding depends on
+  // MALLARD_FORCE_ENCODING). Overlapping groups of 5 values stay 5; the
+  // disjoint groups of a clustered key add up.
+  const RowGroup& first = *table->RowGroups()[0];
+  if (first.column(1).encoding() == SegmentEncoding::kDictionary) {
+    EXPECT_EQ(cat.distinct, 5u);
+  } else {
+    EXPECT_EQ(cat.distinct, kInvalidIndex);
+  }
+  if (first.column(0).encoding() == SegmentEncoding::kDictionary) {
+    EXPECT_EQ(id.distinct, static_cast<idx_t>(kRows));
+  } else {
+    EXPECT_EQ(id.distinct, kInvalidIndex);
+  }
+
+  // Statistics are cached, but an append or an update refreshes them.
+  ASSERT_TRUE(con.Query("INSERT INTO s VALUES (" + std::to_string(kRows + 5) +
+                        ", 'c9', 3)")
+                  .ok());
+  id = table->ColumnStats(0);
+  EXPECT_EQ(id.rows, static_cast<idx_t>(kRows + 1));
+  EXPECT_EQ(id.max.GetAsBigInt(), kRows + 5);
+  ASSERT_TRUE(con.Query("UPDATE s SET n = 100 WHERE id = 3").ok());
+  EXPECT_EQ(table->ColumnStats(2).max.GetAsBigInt(), 100);
+}
+
 }  // namespace
 }  // namespace mallard

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "mallard/main/connection.h"
 #include "mallard/main/database.h"
 
@@ -318,6 +320,183 @@ TEST_F(SqlBasicTest, MultiRowGroupScan) {
   EXPECT_EQ(r->GetValue(1, 0).GetInteger(), 0);
   EXPECT_EQ(r->GetValue(2, 0).GetInteger(), 9999);
   EXPECT_EQ(r->GetValue(3, 0).GetBigInt(), 49995000LL);
+}
+
+
+// --- join order ----------------------------------------------------------
+
+// The tables an EXPLAIN scans, in printed order: a join's probe (left)
+// input prints before its build (right) input.
+std::vector<std::string> ScanOrder(const std::string& plan) {
+  std::vector<std::string> tables;
+  std::istringstream in(plan);
+  std::string line;
+  while (std::getline(in, line)) {
+    size_t at = line.find("SEQ_SCAN(");
+    if (at == std::string::npos) continue;
+    size_t start = at + 9;
+    tables.push_back(line.substr(start, line.find(')', start) - start));
+  }
+  return tables;
+}
+
+class JoinOrderTest : public SqlBasicTest {
+ protected:
+  // A table `name` of (k, v) with k = 0 .. rows-1.
+  void Table(const std::string& name, int rows) {
+    Q("CREATE TABLE " + name + " (k INTEGER, v INTEGER)");
+    std::string insert = "INSERT INTO " + name + " VALUES ";
+    for (int i = 0; i < rows; i++) {
+      insert += (i ? ",(" : "(") + std::to_string(i) + ", " +
+                std::to_string(i * 3) + ")";
+    }
+    Q(insert);
+  }
+
+  std::string Explain(const std::string& sql) {
+    auto r = Q("EXPLAIN " + sql);
+    return r ? r->GetValue(0, 0).GetString() : "";
+  }
+};
+
+TEST_F(JoinOrderTest, OuterSemiAndAntiJoinsKeepTheirSides) {
+  Table("small", 5);
+  Table("big", 3000);
+  // An inner join builds on the smaller input, wherever it is written.
+  EXPECT_EQ(ScanOrder(Explain("SELECT * FROM small JOIN big "
+                              "ON small.k = big.k")),
+            (std::vector<std::string>{"big", "small"}));
+  for (const char* join : {"LEFT JOIN", "SEMI JOIN", "ANTI JOIN"}) {
+    std::string sql = std::string("SELECT small.v FROM small ") + join +
+                      " big ON small.k = big.k";
+    EXPECT_EQ(ScanOrder(Explain(sql)),
+              (std::vector<std::string>{"small", "big"}))
+        << join;
+  }
+  auto r = Q("SELECT count(*), count(big.v) FROM big LEFT JOIN small "
+             "ON small.k = big.k");
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->GetValue(0, 0).GetBigInt(), 3000);
+  EXPECT_EQ(r->GetValue(1, 0).GetBigInt(), 3000);
+  // The inner component left of an outer join still reorders.
+  std::string plan = Explain(
+      "SELECT count(*) FROM small JOIN big ON small.k = big.k "
+      "LEFT JOIN big AS b2 ON b2.k = small.k");
+  EXPECT_EQ(ScanOrder(plan),
+            (std::vector<std::string>{"big", "small", "big"}))
+      << plan;
+}
+
+TEST_F(JoinOrderTest, CommaJoinWithoutPredicateIsACrossProduct) {
+  Table("a", 7);
+  Table("b", 11);
+  Table("c", 13);
+  std::string plan = Explain("SELECT count(*) FROM a, b");
+  EXPECT_NE(plan.find("CROSS_PRODUCT"), std::string::npos) << plan;
+  auto r = Q("SELECT count(*) FROM a, b");
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->GetValue(0, 0).GetBigInt(), 77);
+  // Two of three relations connected: one hash join, one cross product.
+  plan = Explain("SELECT count(*) FROM a, b, c WHERE a.k = c.k");
+  EXPECT_NE(plan.find("CROSS_PRODUCT"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("HASH_JOIN"), std::string::npos) << plan;
+  r = Q("SELECT count(*) FROM a, b, c WHERE a.k = c.k");
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->GetValue(0, 0).GetBigInt(), 7 * 11);
+}
+
+TEST_F(JoinOrderTest, TwelveRelationChainTakesTheGreedyPath) {
+  // More relations than the exact (DPccp) enumeration takes.
+  std::string from, where;
+  for (int t = 0; t < 12; t++) {
+    std::string name = "t" + std::to_string(t);
+    Table(name, 20 + 37 * ((t * 5) % 12));
+    from += (t ? ", " : "") + name;
+    if (t > 0) {
+      where += (t > 1 ? " AND " : "") + name + ".k = t" +
+               std::to_string(t - 1) + ".k";
+    }
+  }
+  std::string sql = "SELECT count(*), sum(t11.v) FROM " + from +
+                    " WHERE " + where + " AND t3.v < 30";
+  std::string plan = Explain(sql);
+  size_t joins = 0;
+  for (size_t at = plan.find("HASH_JOIN"); at != std::string::npos;
+       at = plan.find("HASH_JOIN", at + 1)) {
+    joins++;
+  }
+  EXPECT_EQ(joins, 11u) << plan;
+  EXPECT_EQ(plan.find("CROSS_PRODUCT"), std::string::npos) << plan;
+  auto cost = Q(sql);
+  ASSERT_NE(cost, nullptr);
+  EXPECT_EQ(cost->GetValue(0, 0).GetBigInt(), 10);  // k = 0 .. 9
+  EXPECT_EQ(cost->GetValue(1, 0).GetBigInt(), 135);  // 3 * (0 + .. + 9)
+  Q("PRAGMA join_order=syntactic");
+  auto written = Q(sql);
+  ASSERT_NE(written, nullptr);
+  EXPECT_EQ(written->GetValue(0, 0).GetBigInt(), 10);
+  EXPECT_EQ(written->GetValue(1, 0).GetBigInt(), 135);
+}
+
+TEST_F(JoinOrderTest, OnConditionMustStayInsideItsJoin) {
+  Table("a", 3);
+  Table("b", 3);
+  Table("c", 3);
+  Status status = QFail(
+      "SELECT count(*) FROM a JOIN b ON a.k = c.k LEFT JOIN c ON c.k = a.k");
+  EXPECT_EQ(status.code(), StatusCode::kBinder) << status.ToString();
+  // Inside an inner component an ON conjunct is a WHERE conjunct.
+  auto r = Q("SELECT count(*) FROM a JOIN b ON b.k = a.k AND b.v > 0, c "
+             "WHERE c.k = a.k");
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->GetValue(0, 0).GetBigInt(), 2);
+}
+
+
+TEST_F(JoinOrderTest, GraphShapesMatchTheWrittenOrder) {
+  for (int t = 0; t < 10; t++) Table("t" + std::to_string(t), 5 + 3 * t);
+  // Edges (i, j) meaning ti.k = tj.k over the first `n` tables: chains,
+  // a star, a cycle, a clique, and two components joined by a cross
+  // product.
+  struct Shape {
+    int n;
+    std::vector<std::pair<int, int>> edges;
+  };
+  std::vector<Shape> shapes = {
+      {10, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 8},
+            {8, 9}}},
+      {8, {{3, 0}, {3, 1}, {3, 2}, {3, 4}, {3, 5}, {3, 6}, {3, 7}}},
+      {6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}}},
+      {5, {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 3}, {1, 4}, {2, 3},
+           {2, 4}, {3, 4}}},
+      {6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}}},
+      {9, {{8, 0}, {0, 5}, {5, 2}, {2, 7}, {7, 1}, {1, 4}, {4, 6}, {6, 3},
+           {3, 5}, {8, 7}}},
+  };
+  for (const Shape& shape : shapes) {
+    std::string from, where;
+    for (int t = 0; t < shape.n; t++) {
+      from += (t ? ", t" : "t") + std::to_string(t);
+    }
+    for (const auto& [a, b] : shape.edges) {
+      where += (where.empty() ? "" : " AND ") + std::string("t") +
+               std::to_string(a) + ".k = t" + std::to_string(b) + ".k";
+    }
+    std::string sql = "SELECT count(*), sum(t1.v), sum(t" +
+                      std::to_string(shape.n - 1) + ".k) FROM " + from +
+                      " WHERE " + where;
+    Q("PRAGMA join_order=cost");
+    auto cost = Q(sql);
+    Q("PRAGMA join_order=syntactic");
+    auto written = Q(sql);
+    ASSERT_NE(cost, nullptr) << sql;
+    ASSERT_NE(written, nullptr) << sql;
+    for (idx_t c = 0; c < 3; c++) {
+      EXPECT_EQ(cost->GetValue(c, 0).ToString(),
+                written->GetValue(c, 0).ToString())
+          << sql;
+    }
+  }
 }
 
 }  // namespace
