@@ -381,18 +381,39 @@ std::string BoundCase::ToString() const {
   return result + " END";
 }
 
+Result<std::vector<Value>> BoundInList::Values() const {
+  std::vector<Value> values;
+  values.reserve(items_.size());
+  for (const auto& item : items_) {
+    MALLARD_ASSIGN_OR_RETURN(Value v,
+                             ExpressionExecutor::ExecuteScalar(*item, {}));
+    values.push_back(std::move(v));
+  }
+  return values;
+}
+
+ExprPtr BoundInList::Copy() const {
+  std::vector<ExprPtr> items;
+  for (const auto& item : items_) items.push_back(item->Copy());
+  return std::make_unique<BoundInList>(child_->Copy(), std::move(items),
+                                       negated_);
+}
+
 std::string BoundInList::ToString() const {
   std::string result = child_->ToString() + (negated_ ? " NOT IN (" : " IN (");
-  for (size_t i = 0; i < values_.size(); i++) {
+  for (size_t i = 0; i < items_.size(); i++) {
     if (i > 0) result += ", ";
-    result += values_[i].ToString();
+    result += items_[i]->ToString();
   }
   return result + ")";
 }
 
 std::string BoundLike::ToString() const {
-  return child_->ToString() + (negated_ ? " NOT LIKE '" : " LIKE '") +
-         pattern_ + "'";
+  std::string pattern = pattern_->ToString();
+  if (pattern_->expr_class() == ExprClass::kConstant) {
+    pattern = "'" + pattern + "'";
+  }
+  return child_->ToString() + (negated_ ? " NOT LIKE " : " LIKE ") + pattern;
 }
 
 Result<Value> BoundParameter::GetValue() const {
@@ -581,6 +602,7 @@ Status ExpressionExecutor::Execute(const BoundExpression& expr,
     }
     case ExprClass::kInList: {
       const auto& e = static_cast<const BoundInList&>(expr);
+      MALLARD_ASSIGN_OR_RETURN(std::vector<Value> values, e.Values());
       Vector child(e.child().return_type());
       MALLARD_RETURN_NOT_OK(Execute(e.child(), input, &child));
       int8_t* out = result->data<int8_t>();
@@ -590,19 +612,20 @@ Status ExpressionExecutor::Execute(const BoundExpression& expr,
           continue;
         }
         Value v = child.GetValue(i);
-        bool found = false;
-        for (const auto& candidate : e.values()) {
-          if (v == candidate) {
-            found = true;
-            break;
-          }
-        }
+        bool found = std::find(values.begin(), values.end(), v) != values.end();
         out[i] = (found != e.negated()) ? 1 : 0;
       }
       return Status::OK();
     }
     case ExprClass::kLike: {
       const auto& e = static_cast<const BoundLike&>(expr);
+      MALLARD_ASSIGN_OR_RETURN(Value pattern_value,
+                               ExecuteScalar(e.pattern(), {}));
+      if (pattern_value.is_null()) {
+        for (idx_t i = 0; i < count; i++) result->validity().SetInvalid(i);
+        return Status::OK();
+      }
+      const std::string& pattern = pattern_value.GetString();
       Vector child(TypeId::kVarchar);
       MALLARD_RETURN_NOT_OK(Execute(e.child(), input, &child));
       int8_t* out = result->data<int8_t>();
@@ -621,8 +644,7 @@ Status ExpressionExecutor::Execute(const BoundExpression& expr,
           if (memo[code] < 0) {
             memo[code] = StringUtil::Like(entries[code].data,
                                           entries[code].size,
-                                          e.pattern().data(),
-                                          e.pattern().size())
+                                          pattern.data(), pattern.size())
                              ? 1
                              : 0;
           }
@@ -637,7 +659,7 @@ Status ExpressionExecutor::Execute(const BoundExpression& expr,
           continue;
         }
         bool match = StringUtil::Like(strs[i].data, strs[i].size,
-                                      e.pattern().data(), e.pattern().size());
+                                      pattern.data(), pattern.size());
         out[i] = (match != e.negated()) ? 1 : 0;
       }
       return Status::OK();
@@ -810,22 +832,20 @@ Result<Value> ExpressionExecutor::ExecuteScalar(const BoundExpression& expr,
       const auto& e = static_cast<const BoundInList&>(expr);
       MALLARD_ASSIGN_OR_RETURN(Value v, ExecuteScalar(e.child(), row));
       if (v.is_null()) return Value::Null(TypeId::kBoolean);
-      bool found = false;
-      for (const auto& candidate : e.values()) {
-        if (v == candidate) {
-          found = true;
-          break;
-        }
-      }
+      MALLARD_ASSIGN_OR_RETURN(std::vector<Value> values, e.Values());
+      bool found = std::find(values.begin(), values.end(), v) != values.end();
       return Value::Boolean(found != e.negated());
     }
     case ExprClass::kLike: {
       const auto& e = static_cast<const BoundLike&>(expr);
       MALLARD_ASSIGN_OR_RETURN(Value v, ExecuteScalar(e.child(), row));
-      if (v.is_null()) return Value::Null(TypeId::kBoolean);
+      MALLARD_ASSIGN_OR_RETURN(Value pattern, ExecuteScalar(e.pattern(), row));
+      if (v.is_null() || pattern.is_null()) {
+        return Value::Null(TypeId::kBoolean);
+      }
       const std::string& s = v.GetString();
-      bool match = StringUtil::Like(s.data(), s.size(), e.pattern().data(),
-                                    e.pattern().size());
+      const std::string& p = pattern.GetString();
+      bool match = StringUtil::Like(s.data(), s.size(), p.data(), p.size());
       return Value::Boolean(match != e.negated());
     }
     case ExprClass::kFunction: {

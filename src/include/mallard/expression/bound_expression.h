@@ -264,45 +264,50 @@ class BoundCase final : public BoundExpression {
   ExprPtr else_;
 };
 
+/// `child [NOT] IN (items)`. Each item is a constant of the child's type
+/// or a parameter typed to it; Values() reads the set an execution uses.
 class BoundInList final : public BoundExpression {
  public:
-  BoundInList(ExprPtr child, std::vector<Value> values, bool negated)
+  BoundInList(ExprPtr child, std::vector<ExprPtr> items, bool negated)
       : BoundExpression(ExprClass::kInList, TypeId::kBoolean),
         child_(std::move(child)),
-        values_(std::move(values)),
+        items_(std::move(items)),
         negated_(negated) {}
   const BoundExpression& child() const { return *child_; }
-  const std::vector<Value>& values() const { return values_; }
+  const std::vector<ExprPtr>& items() const { return items_; }
   bool negated() const { return negated_; }
-  ExprPtr Copy() const override {
-    return std::make_unique<BoundInList>(child_->Copy(), values_, negated_);
-  }
+  /// The items' values under the current parameter bindings.
+  Result<std::vector<Value>> Values() const;
+  ExprPtr Copy() const override;
   std::string ToString() const override;
 
  private:
   ExprPtr child_;
-  std::vector<Value> values_;
+  std::vector<ExprPtr> items_;
   bool negated_;
 };
 
+/// `child [NOT] LIKE pattern`, the pattern a VARCHAR constant or
+/// parameter; a NULL pattern makes every row NULL.
 class BoundLike final : public BoundExpression {
  public:
-  BoundLike(ExprPtr child, std::string pattern, bool negated)
+  BoundLike(ExprPtr child, ExprPtr pattern, bool negated)
       : BoundExpression(ExprClass::kLike, TypeId::kBoolean),
         child_(std::move(child)),
         pattern_(std::move(pattern)),
         negated_(negated) {}
   const BoundExpression& child() const { return *child_; }
-  const std::string& pattern() const { return pattern_; }
+  const BoundExpression& pattern() const { return *pattern_; }
   bool negated() const { return negated_; }
   ExprPtr Copy() const override {
-    return std::make_unique<BoundLike>(child_->Copy(), pattern_, negated_);
+    return std::make_unique<BoundLike>(child_->Copy(), pattern_->Copy(),
+                                       negated_);
   }
   std::string ToString() const override;
 
  private:
   ExprPtr child_;
-  std::string pattern_;
+  ExprPtr pattern_;
   bool negated_;
 };
 

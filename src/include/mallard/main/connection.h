@@ -167,12 +167,12 @@ class Connection {
   /// the outer slot — and cannot deadlock on it).
   Result<std::shared_ptr<void>> AdmitSlot();
 
-  /// Plans the normalized text of a cacheable statement into a
-  /// shared-cache entry: parameter slots are pre-typed from the
-  /// extracted literals, so binding reproduces the cold plan's literal
-  /// coercions exactly.
+  /// Parses the normalized tokens of a cacheable statement (consuming
+  /// them; `sql` is their source) and plans them into a shared-cache
+  /// entry: parameter slots are pre-typed from the extracted literals, so
+  /// binding reproduces the cold plan's literal coercions exactly.
   Result<std::unique_ptr<SharedPlanCache::Entry>> PlanNormalized(
-      const NormalizedQuery& normalized);
+      NormalizedQuery* normalized, const std::string& sql);
 
   /// Executes a checked-out cache entry with `literals` bound to its
   /// parameter slots (re-planning first if DDL moved the catalog

@@ -30,6 +30,7 @@
 #include "mallard/common/value.h"
 #include "mallard/expression/bound_expression.h"
 #include "mallard/parser/ast.h"
+#include "mallard/parser/parser.h"
 #include "mallard/planner/planner.h"
 
 namespace mallard {
@@ -41,12 +42,14 @@ struct NormalizedQuery {
   /// keyword, read_csv (file contents are not cacheable), or any text
   /// the lexer refuses.
   bool cacheable = false;
-  /// The SQL with every extracted literal replaced by `?` — parseable by
-  /// the regular parser, with positional parameters numbered in literal
-  /// order.
-  std::string normalized_sql;
-  /// Cache key: normalized SQL plus a per-literal type tag, so `id=7`
-  /// and `id=7.5` (integer vs double coercion) map to distinct plans.
+  /// The statement's tokens with every extracted literal swapped for a
+  /// positional kParameter token (a folded unary minus dropped), so a
+  /// miss parses them directly instead of lexing again.
+  std::vector<Token> tokens;
+  /// Cache key: the source bytes of every token, a `?` per extracted
+  /// literal, one space where the source had layout, then a type tag
+  /// per literal, so `id=7` and `id=7.5` (integer vs double coercion)
+  /// map to distinct plans.
   std::string key;
   /// Extracted literal values, in lexical order, typed exactly as the
   /// parser would have typed them in place (int32-fitting integers are
@@ -55,11 +58,10 @@ struct NormalizedQuery {
   std::vector<Value> literals;
 };
 
-/// Extracts literals from `sql` without parsing it. Mirrors the lexer's
-/// token rules ('' escapes, -- comments, exponents) and the parser's
-/// literal-position restrictions: literals after LIMIT/OFFSET/DATE/
-/// TIMESTAMP/INTERVAL and inside CAST type parameters stay in place
-/// because the grammar demands real tokens there.
+/// Lifts the literals out of `sql`'s tokens (Parser::Tokenize) without
+/// parsing. A literal stays in place where the grammar demands a real
+/// token: right after LIMIT, OFFSET, DATE, TIMESTAMP and INTERVAL, and
+/// inside CAST type parameters.
 NormalizedQuery NormalizeQueryText(const std::string& sql);
 
 /// Counters exposed via PRAGMA plan_cache_stats.

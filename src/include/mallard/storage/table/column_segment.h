@@ -32,12 +32,14 @@ enum class SegmentEncoding : uint8_t {
 
 const char* SegmentEncodingToString(SegmentEncoding encoding);
 
-/// Encoding event counters of one Database, surfaced by PRAGMA
-/// storage_stats. Every segment of that Database's tables ticks them.
+/// Encoding and scan-filter event counters of one Database, surfaced
+/// by PRAGMA storage_stats. Every segment and scan of that Database's
+/// tables ticks them.
 struct EncodingCounters {
   std::atomic<uint64_t> encodes{0};         // segments encoded
   std::atomic<uint64_t> decodes{0};         // EnsurePlain fallbacks
   std::atomic<uint64_t> filter_windows{0};  // code-space filter calls
+  std::atomic<uint64_t> zonemap_skips{0};   // row groups pruned by scans
 };
 
 /// Column data for one row group. Starts life as a plain fixed-capacity

@@ -129,15 +129,15 @@ Result<std::unique_ptr<MaterializedQueryResult>> Connection::Query(
         return ExecuteCachedEntry(entry, normalized.literals);
       }
       if (!busy) {
-        auto planned = PlanNormalized(normalized);
+        auto planned = PlanNormalized(&normalized, sql);
         if (planned.ok()) {
           entry = cache.Insert(std::move(*planned));
           return ExecuteCachedEntry(entry, normalized.literals);
         }
-        // Planning the normalized text failed — either the error is
-        // real (missing table: the uncached path below reproduces it
-        // with the original text) or the normalizer misjudged a literal
-        // position; both execute uncached.
+        // Planning the normalized statement failed. Either the error is
+        // real (a missing table: the uncached path below reproduces it
+        // from the original text) or a literal the binder needs as a
+        // constant became a parameter; both execute uncached.
       }
       // A busy entry means another connection is executing this exact
       // plan right now: plan fresh, uncached, instead of waiting.
@@ -157,21 +157,21 @@ Result<std::unique_ptr<MaterializedQueryResult>> Connection::Query(
 }
 
 Result<std::unique_ptr<SharedPlanCache::Entry>> Connection::PlanNormalized(
-    const NormalizedQuery& normalized) {
-  MALLARD_ASSIGN_OR_RETURN(auto statements,
-                           Parser::Parse(normalized.normalized_sql));
+    NormalizedQuery* normalized, const std::string& sql) {
+  MALLARD_ASSIGN_OR_RETURN(
+      auto statements, Parser::Parse(std::move(normalized->tokens), sql));
   if (statements.size() != 1 || !IsPlanCacheable(statements[0]->type)) {
     return Status::InvalidArgument("normalized statement is not cacheable");
   }
   auto entry = std::make_unique<SharedPlanCache::Entry>();
-  entry->key = normalized.key;
+  entry->key = normalized->key;
   entry->parameters = std::make_shared<BoundParameterData>();
-  entry->parameters->EnsureSize(normalized.literals.size());
+  entry->parameters->EnsureSize(normalized->literals.size());
   // Pre-typing each slot with its literal's parsed type makes the
   // binder coerce exactly as it would have with the literal in place —
   // `id = 7` and `id = 7.5` already landed on different cache keys.
-  for (idx_t i = 0; i < normalized.literals.size(); i++) {
-    entry->parameters->types[i] = normalized.literals[i].type();
+  for (idx_t i = 0; i < normalized->literals.size(); i++) {
+    entry->parameters->types[i] = normalized->literals[i].type();
   }
   Planner planner = MakePlanner();
   planner.SetParameterData(entry->parameters);
@@ -811,7 +811,8 @@ Result<std::unique_ptr<MaterializedQueryResult>> Connection::ExecutePragma(
                 {"dict_rows", t.dict_rows},
                 {"encode_count", e.encodes},
                 {"decode_count", e.decodes},
-                {"code_filter_windows", e.filter_windows}};
+                {"code_filter_windows", e.filter_windows},
+                {"zonemap_skips", e.zonemap_skips}};
       }),
       Counters("scheduler_stats", false, [](Connection& c) -> StatsColumns {
         SchedulerStats s = c.db_->scheduler().GetStats();

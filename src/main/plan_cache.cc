@@ -1,318 +1,148 @@
 #include "mallard/main/plan_cache.h"
 
-#include <cctype>
-#include <cstdint>
-#include <cstdlib>
-
 #include "mallard/common/string_util.h"
 
 namespace mallard {
 
 namespace {
 
-bool IsWordIn(const std::string& upper, std::initializer_list<const char*> set) {
-  for (const char* word : set) {
-    if (upper == word) return true;
-  }
-  return false;
+bool IsWord(const Token& token, const char* word) {
+  return token.type == TokenType::kIdentifier &&
+         StringUtil::CIEquals(token.text, word);
 }
 
-/// Keywords after which a `-` starts a unary (foldable) negative literal
-/// rather than binary subtraction. Misclassification is safe either way:
-/// a wrongly-binary minus leaves `0 - ?` arithmetic with identical
-/// results, a wrongly-unary one produces SQL the parser rejects and the
-/// caller falls back to the uncached path.
-bool KeywordLeadsExpression(const std::string& upper) {
-  return IsWordIn(upper,
-                  {"SELECT", "WHERE", "AND", "OR", "NOT", "BY", "THEN", "ELSE",
-                   "WHEN", "HAVING", "ON", "IN", "VALUES", "SET", "DISTINCT",
-                   "ALL", "BETWEEN", "LIKE", "CASE", "RETURNING"});
+bool IsSymbol(const Token& token, char symbol) {
+  return token.type == TokenType::kSymbol && token.text[0] == symbol;
+}
+
+/// The grammar demands a real literal token after these words (LIMIT 5,
+/// DATE '...', INTERVAL '1' DAY), so the literal stays in place.
+bool KeepsLiteral(const Token& prev) {
+  return IsWord(prev, "LIMIT") || IsWord(prev, "OFFSET") ||
+         IsWord(prev, "DATE") || IsWord(prev, "TIMESTAMP") ||
+         IsWord(prev, "INTERVAL");
+}
+
+/// Whether a `-` after `prev` is unary, which ParseUnary folds into the
+/// number that follows, rather than subtraction. Misjudging is safe: a
+/// unary minus taken for subtraction stays `- ?` (same value), and a
+/// subtraction taken for unary leaves `operand ?`, which the parser
+/// rejects, so the statement runs uncached.
+bool MinusIsUnary(const Token& prev) {
+  switch (prev.type) {
+    case TokenType::kOperator:
+      return true;
+    case TokenType::kSymbol:
+      return prev.text[0] != ')';
+    case TokenType::kIdentifier:
+      // A keyword leads an operand, except the two that end one.
+      return Parser::IsReserved(prev.text) && !IsWord(prev, "NULL") &&
+             !IsWord(prev, "END");
+    default:
+      return false;
+  }
+}
+
+char TypeTag(TypeId type) {
+  switch (type) {
+    case TypeId::kInteger:
+      return 'i';
+    case TypeId::kBigInt:
+      return 'l';
+    case TypeId::kDouble:
+      return 'd';
+    default:
+      return 's';
+  }
 }
 
 }  // namespace
 
 NormalizedQuery NormalizeQueryText(const std::string& sql) {
   NormalizedQuery out;
-  struct Span {
-    size_t begin;
-    size_t end;
-  };
-  std::vector<Span> spans;
-  std::vector<Value> values;
+  auto lexed = Parser::Tokenize(sql);
+  if (!lexed.ok()) return out;
+  std::vector<Token>& tokens = *lexed;
+  // Only plannable statements are worth caching; everything else (DDL,
+  // PRAGMA, COPY, transactions) bypasses the cache.
+  const Token& first = tokens[0];
+  if (!IsWord(first, "SELECT") && !IsWord(first, "INSERT") &&
+      !IsWord(first, "UPDATE") && !IsWord(first, "DELETE")) {
+    return out;
+  }
   std::string tags;
-
-  const size_t n = sql.size();
-  size_t i = 0;
-
-  // Layout = whitespace and -- comments, exactly as the lexer skips them.
-  auto skip_layout = [&] {
-    while (i < n) {
-      char c = sql[i];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        i++;
-        continue;
-      }
-      if (c == '-' && i + 1 < n && sql[i + 1] == '-') {
-        while (i < n && sql[i] != '\n') i++;
-        continue;
-      }
-      break;
-    }
-  };
-
-  // What the previous meaningful token was — drives the unary-minus and
-  // literal-position decisions below.
-  enum class Prev {
-    kNone,
-    kIdent,   // identifier or quoted identifier (prev_upper set)
-    kValue,   // literal
-    kOp,      // comparison operator
-    kOpen,    // (
-    kClose,   // )
-    kComma,
-    kArith,   // * + - / % .
-    kOther
-  };
-  Prev prev = Prev::kNone;
-  std::string prev_upper;
-  bool first_token = true;
-  // CAST(x AS TYPE(...)): the parser skips every token inside the type's
-  // parentheses up to the first ')', so literals there must stay put.
-  bool as_seen = false;          // previous token was AS
-  bool as_type_pending = false;  // previous tokens were AS <identifier>
-  bool in_cast_type = false;     // between the type's '(' and its ')'
-
-  auto scan_number = [&](bool* is_float) -> std::string {
-    size_t start = i;
-    *is_float = false;
-    while (i < n &&
-           (std::isdigit(static_cast<unsigned char>(sql[i])) ||
-            sql[i] == '.' || sql[i] == 'e' || sql[i] == 'E' ||
-            ((sql[i] == '+' || sql[i] == '-') && i > start &&
-             (sql[i - 1] == 'e' || sql[i - 1] == 'E')))) {
-      if (sql[i] == '.' || sql[i] == 'e' || sql[i] == 'E') *is_float = true;
-      i++;
-    }
-    return sql.substr(start, i - start);
-  };
-  // The parser's literal typing: int32-fitting integers are Integer,
-  // larger ones BigInt, floats Double; a folded unary minus negates
-  // after classifying the positive text (so -2147483648 stays BigInt,
-  // exactly like ParseUnary over ParsePrimary).
-  auto number_value = [](const std::string& text, bool is_float,
-                         bool negate) -> std::pair<Value, char> {
-    if (is_float) {
-      double v = std::strtod(text.c_str(), nullptr);
-      return {Value::Double(negate ? -v : v), 'd'};
-    }
-    int64_t v = std::strtoll(text.c_str(), nullptr, 10);
-    if (v >= INT32_MIN && v <= INT32_MAX) {
-      int32_t iv = static_cast<int32_t>(v);
-      return {Value::Integer(negate ? -iv : iv), 'i'};
-    }
-    return {Value::BigInt(negate ? -v : v), 'l'};
-  };
-
-  while (true) {
-    skip_layout();
-    if (i >= n) break;
-    char c = sql[i];
-
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t start = i;
-      while (i < n && (std::isalnum(static_cast<unsigned char>(sql[i])) ||
-                       sql[i] == '_')) {
-        i++;
-      }
-      std::string word = StringUtil::Upper(sql.substr(start, i - start));
-      if (first_token) {
-        // Only plannable single statements are worth caching; everything
-        // else (DDL, PRAGMA, COPY, transactions) bypasses the cache.
-        if (!IsWordIn(word, {"SELECT", "INSERT", "UPDATE", "DELETE"})) {
+  // CAST(x AS TYPE(...)): the parser skips the type's parameters up to
+  // the first ')', so literals there must stay put.
+  bool in_cast_type = false;
+  // Tokens are rewritten in place: `w` trails the read index by the
+  // folded minus signs dropped so far.
+  size_t w = 0;
+  for (size_t r = 0; r < tokens.size(); r++) {
+    Token token = std::move(tokens[r]);
+    switch (token.type) {
+      case TokenType::kParameter:
+        // Explicit parameters: this text belongs to Prepare, not the
+        // transparent cache (mixing would renumber the user's slots).
+        return out;
+      case TokenType::kIdentifier:
+        // read_csv scans a file whose contents can change between
+        // executions: never cache the plan.
+        if (StringUtil::CIEquals(token.text, "read_csv")) return out;
+        break;
+      case TokenType::kSymbol:
+        // Only a trailing semicolon: an entry holds exactly one plan.
+        if (IsSymbol(token, ';') && tokens[r + 1].type != TokenType::kEnd) {
           return out;
         }
-        first_token = false;
-      }
-      // read_csv scans a file whose contents can change between
-      // executions — never cache the plan.
-      if (word == "READ_CSV") return out;
-      as_type_pending = as_seen;
-      as_seen = (word == "AS");
-      prev = Prev::kIdent;
-      prev_upper = std::move(word);
-      continue;
-    }
-    if (first_token) return out;  // the parser would reject it anyway
-
-    if (c == '"') {  // quoted identifier — never a keyword
-      i++;
-      while (i < n && sql[i] != '"') i++;
-      if (i >= n) return out;  // unterminated
-      i++;
-      as_type_pending = as_seen;
-      as_seen = false;
-      prev = Prev::kIdent;
-      prev_upper.clear();
-      continue;
-    }
-
-    if (c == '\'') {
-      size_t start = i;
-      std::string value;
-      i++;
-      bool closed = false;
-      while (i < n) {
-        if (sql[i] == '\'') {
-          if (i + 1 < n && sql[i + 1] == '\'') {
-            value += '\'';
-            i += 2;
-            continue;
-          }
-          closed = true;
-          i++;
-          break;
+        if (IsSymbol(token, '(') && w >= 2 &&
+            tokens[w - 1].type == TokenType::kIdentifier &&
+            IsWord(tokens[w - 2], "AS")) {
+          in_cast_type = true;
         }
-        value += sql[i++];
-      }
-      if (!closed) return out;
-      // DATE/TIMESTAMP/INTERVAL '...' demand a real string token.
-      bool keep = in_cast_type ||
-                  (prev == Prev::kIdent &&
-                   IsWordIn(prev_upper, {"DATE", "TIMESTAMP", "INTERVAL"}));
-      if (!keep) {
-        spans.push_back({start, i});
-        values.push_back(Value::Varchar(value));
-        tags += 's';
-      }
-      prev = Prev::kValue;
-      prev_upper.clear();
-      as_seen = as_type_pending = false;
-      continue;
-    }
-
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < n &&
-         std::isdigit(static_cast<unsigned char>(sql[i + 1])))) {
-      size_t start = i;
-      bool is_float = false;
-      std::string text = scan_number(&is_float);
-      // LIMIT/OFFSET/INTERVAL demand a real integer token.
-      bool keep = in_cast_type ||
-                  (prev == Prev::kIdent &&
-                   IsWordIn(prev_upper, {"LIMIT", "OFFSET", "INTERVAL"}));
-      if (!keep) {
-        auto typed = number_value(text, is_float, /*negate=*/false);
-        spans.push_back({start, i});
-        values.push_back(std::move(typed.first));
-        tags += typed.second;
-      }
-      prev = Prev::kValue;
-      prev_upper.clear();
-      as_seen = as_type_pending = false;
-      continue;
-    }
-
-    // Explicit parameters: this text belongs to Prepare, not the
-    // transparent cache (mixing would renumber the user's slots).
-    if (c == '?' || c == '$') return out;
-
-    if (c == '<' || c == '>' || c == '=' || c == '!') {
-      i++;
-      if (i < n && (sql[i] == '=' || (c == '<' && sql[i] == '>'))) i++;
-      prev = Prev::kOp;
-      prev_upper.clear();
-      as_seen = as_type_pending = false;
-      continue;
-    }
-
-    if (c == '-') {
-      // Not a comment (skip_layout ran): a lone minus. In unary position
-      // it folds into the following numeric literal, mirroring
-      // ParseUnary; in binary position it stays subtraction and the
-      // operand is parameterized on its own.
-      bool unary = prev == Prev::kNone || prev == Prev::kOp ||
-                   prev == Prev::kOpen || prev == Prev::kComma ||
-                   prev == Prev::kArith ||
-                   (prev == Prev::kIdent && KeywordLeadsExpression(prev_upper));
-      size_t minus_pos = i;
-      i++;
-      if (unary && !in_cast_type) {
-        size_t resume = i;
-        skip_layout();
-        if (i < n && (std::isdigit(static_cast<unsigned char>(sql[i])) ||
-                      (sql[i] == '.' && i + 1 < n &&
-                       std::isdigit(static_cast<unsigned char>(sql[i + 1]))))) {
-          bool is_float = false;
-          std::string text = scan_number(&is_float);
-          auto typed = number_value(text, is_float, /*negate=*/true);
-          spans.push_back({minus_pos, i});
-          values.push_back(std::move(typed.first));
-          tags += typed.second;
-          prev = Prev::kValue;
-          prev_upper.clear();
-          as_seen = as_type_pending = false;
-          continue;
+        if (IsSymbol(token, ')')) in_cast_type = false;
+        break;
+      case TokenType::kInteger:
+      case TokenType::kFloat:
+      case TokenType::kString: {
+        if (in_cast_type || KeepsLiteral(tokens[w - 1])) break;
+        Value value = Parser::LiteralValue(token);
+        if (token.type != TokenType::kString &&
+            IsSymbol(tokens[w - 1], '-') && MinusIsUnary(tokens[w - 2])) {
+          // The parser classifies the positive text, then negates, so
+          // -2147483648 stays BigInt.
+          Parser::NegateNumber(&value);
+          token.begin = tokens[--w].begin;
         }
-        i = resume;  // `- identifier` etc.: plain arithmetic
-      }
-      prev = Prev::kArith;
-      prev_upper.clear();
-      as_seen = as_type_pending = false;
-      continue;
-    }
-
-    switch (c) {
-      case '(':
-        if (as_type_pending) in_cast_type = true;
-        prev = Prev::kOpen;
+        tags += TypeTag(value.type());
+        out.literals.push_back(std::move(value));
+        token.type = TokenType::kParameter;
+        token.text.clear();
         break;
-      case ')':
-        in_cast_type = false;
-        prev = Prev::kClose;
-        break;
-      case ',':
-        prev = Prev::kComma;
-        break;
-      case '*':
-      case '+':
-      case '/':
-      case '%':
-      case '.':
-        prev = Prev::kArith;
-        break;
-      case ';': {
-        // Only a trailing semicolon is cacheable — the shared cache
-        // holds exactly one plan per entry.
-        size_t rest = ++i;
-        i = rest;
-        skip_layout();
-        if (i < n) return out;
-        prev = Prev::kOther;
-        continue;
       }
       default:
-        return out;  // the lexer would reject this character
+        break;
     }
-    i++;
-    prev_upper.clear();
-    as_seen = as_type_pending = false;
-    continue;
+    tokens[w++] = std::move(token);
   }
+  tokens.resize(w);
 
-  if (first_token) return out;  // empty statement
-
-  out.normalized_sql.reserve(sql.size());
+  out.key.reserve(sql.size() + tags.size() + 1);
   size_t cursor = 0;
-  for (const auto& span : spans) {
-    out.normalized_sql.append(sql, cursor, span.begin - cursor);
-    out.normalized_sql += '?';
-    cursor = span.end;
+  for (const Token& token : tokens) {
+    if (token.type == TokenType::kEnd) break;
+    if (token.begin > cursor && cursor > 0) out.key += ' ';
+    if (token.type == TokenType::kParameter) {
+      out.key += '?';
+    } else {
+      out.key.append(sql, token.begin, token.end - token.begin);
+    }
+    cursor = token.end;
   }
-  out.normalized_sql.append(sql, cursor, sql.size() - cursor);
-  // '\x01' cannot appear in tokenizable SQL, so key collisions between
-  // different (sql, tags) pairs are impossible.
-  out.key = out.normalized_sql + '\x01' + tags;
-  out.literals = std::move(values);
+  // The type tags are letters after a '\x01', which no token text ends
+  // with, so a key splits back into tokens and tags one way only.
+  out.key += '\x01';
+  out.key += tags;
+  out.tokens = std::move(tokens);
   out.cacheable = true;
   return out;
 }

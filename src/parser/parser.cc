@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <cstring>
 
 #include "mallard/common/string_util.h"
 
@@ -10,159 +11,165 @@ namespace mallard {
 
 namespace {
 
+bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
+bool IsWordStart(char c) {
+  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+}
+bool IsWordChar(char c) { return IsWordStart(c) || IsDigit(c); }
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Lexer
 // ---------------------------------------------------------------------------
 
-enum class TokenType : uint8_t {
-  kIdentifier,
-  kInteger,
-  kFloat,
-  kString,
-  kSymbol,  // one of ( ) , ; . * + - / %
-  kOperator,  // = <> != < <= > >=
-  kParameter,  // ? (text empty) or $N (text = N)
-  kEnd,
-};
-
-struct Token {
-  TokenType type;
-  std::string text;  // uppercased for identifiers? keep original; compare CI
-  size_t position;
-};
-
-class Lexer {
- public:
-  explicit Lexer(const std::string& sql) : sql_(sql) {}
-
-  Status Tokenize(std::vector<Token>* tokens) {
-    size_t i = 0;
-    while (i < sql_.size()) {
-      char c = sql_[i];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        i++;
-        continue;
-      }
-      if (c == '-' && i + 1 < sql_.size() && sql_[i + 1] == '-') {
-        while (i < sql_.size() && sql_[i] != '\n') i++;
-        continue;
-      }
-      if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        size_t start = i;
-        while (i < sql_.size() &&
-               (std::isalnum(static_cast<unsigned char>(sql_[i])) ||
-                sql_[i] == '_')) {
-          i++;
-        }
-        tokens->push_back(
-            {TokenType::kIdentifier, sql_.substr(start, i - start), start});
-        continue;
-      }
-      if (std::isdigit(static_cast<unsigned char>(c)) ||
-          (c == '.' && i + 1 < sql_.size() &&
-           std::isdigit(static_cast<unsigned char>(sql_[i + 1])))) {
-        size_t start = i;
-        bool is_float = false;
-        while (i < sql_.size() &&
-               (std::isdigit(static_cast<unsigned char>(sql_[i])) ||
-                sql_[i] == '.' || sql_[i] == 'e' || sql_[i] == 'E' ||
-                ((sql_[i] == '+' || sql_[i] == '-') && i > start &&
-                 (sql_[i - 1] == 'e' || sql_[i - 1] == 'E')))) {
-          if (sql_[i] == '.' || sql_[i] == 'e' || sql_[i] == 'E') {
-            is_float = true;
-          }
-          i++;
-        }
-        tokens->push_back({is_float ? TokenType::kFloat : TokenType::kInteger,
-                           sql_.substr(start, i - start), start});
-        continue;
-      }
-      if (c == '\'') {
-        std::string value;
-        i++;
-        bool closed = false;
-        while (i < sql_.size()) {
-          if (sql_[i] == '\'') {
-            if (i + 1 < sql_.size() && sql_[i + 1] == '\'') {
-              value += '\'';
-              i += 2;
-              continue;
-            }
-            closed = true;
-            i++;
-            break;
-          }
-          value += sql_[i++];
-        }
-        if (!closed) {
-          return Status::Parser("unterminated string literal");
-        }
-        tokens->push_back({TokenType::kString, value, i});
-        continue;
-      }
-      if (c == '"') {
-        // Quoted identifier.
-        std::string value;
-        i++;
-        bool closed = false;
-        while (i < sql_.size()) {
-          if (sql_[i] == '"') {
-            closed = true;
-            i++;
-            break;
-          }
-          value += sql_[i++];
-        }
-        if (!closed) return Status::Parser("unterminated quoted identifier");
-        tokens->push_back({TokenType::kIdentifier, value, i});
-        continue;
-      }
-      // Prepared-statement parameter placeholders.
-      if (c == '?') {
-        tokens->push_back({TokenType::kParameter, "", i});
-        i++;
-        continue;
-      }
-      if (c == '$') {
-        size_t start = ++i;
-        while (i < sql_.size() &&
-               std::isdigit(static_cast<unsigned char>(sql_[i]))) {
-          i++;
-        }
-        if (i == start) {
-          return Status::Parser("expected parameter number after '$'");
-        }
-        tokens->push_back(
-            {TokenType::kParameter, sql_.substr(start, i - start), start});
-        continue;
-      }
-      // Operators.
-      if (c == '<' || c == '>' || c == '=' || c == '!') {
-        std::string op(1, c);
-        if (i + 1 < sql_.size() &&
-            (sql_[i + 1] == '=' || (c == '<' && sql_[i + 1] == '>'))) {
-          op += sql_[i + 1];
-          i++;
-        }
-        i++;
-        tokens->push_back({TokenType::kOperator, op, i});
-        continue;
-      }
-      if (std::string("(),;.*+-/%").find(c) != std::string::npos) {
-        tokens->push_back({TokenType::kSymbol, std::string(1, c), i});
-        i++;
-        continue;
-      }
-      return Status::Parser(StringUtil::Format(
-          "unexpected character '%c' at position %zu", c, i));
+Result<std::vector<Token>> Parser::Tokenize(const std::string& sql) {
+  std::vector<Token> tokens;
+  // About one token per four characters: one allocation for most queries.
+  tokens.reserve(sql.size() / 4 + 2);
+  const size_t n = sql.size();
+  size_t i = 0;
+  while (i < n) {
+    char c = sql[i];
+    if (std::isspace(static_cast<unsigned char>(c))) {
+      i++;
+      continue;
     }
-    tokens->push_back({TokenType::kEnd, "", sql_.size()});
-    return Status::OK();
+    if (c == '-' && i + 1 < n && sql[i + 1] == '-') {
+      while (i < n && sql[i] != '\n') i++;
+      continue;
+    }
+    size_t start = i;
+    if (IsWordStart(c)) {
+      while (i < n && IsWordChar(sql[i])) i++;
+      tokens.push_back(
+          {TokenType::kIdentifier, sql.substr(start, i - start), start, i});
+      continue;
+    }
+    if (IsDigit(c) || (c == '.' && i + 1 < n && IsDigit(sql[i + 1]))) {
+      bool is_float = false;
+      while (i < n &&
+             (IsDigit(sql[i]) || sql[i] == '.' || sql[i] == 'e' ||
+              sql[i] == 'E' ||
+              ((sql[i] == '+' || sql[i] == '-') && i > start &&
+               (sql[i - 1] == 'e' || sql[i - 1] == 'E')))) {
+        if (sql[i] == '.' || sql[i] == 'e' || sql[i] == 'E') is_float = true;
+        i++;
+      }
+      tokens.push_back({is_float ? TokenType::kFloat : TokenType::kInteger,
+                        sql.substr(start, i - start), start, i});
+      continue;
+    }
+    if (c == '\'' || c == '"') {
+      // String literal ('' escapes a quote) or quoted identifier.
+      std::string value;
+      i++;
+      bool closed = false;
+      while (i < n) {
+        if (sql[i] == c) {
+          if (c == '\'' && i + 1 < n && sql[i + 1] == '\'') {
+            value += '\'';
+            i += 2;
+            continue;
+          }
+          closed = true;
+          i++;
+          break;
+        }
+        value += sql[i++];
+      }
+      if (!closed) {
+        return Status::Parser(c == '\'' ? "unterminated string literal"
+                                        : "unterminated quoted identifier");
+      }
+      tokens.push_back({c == '\'' ? TokenType::kString : TokenType::kIdentifier,
+                        std::move(value), start, i});
+      continue;
+    }
+    // Prepared-statement parameter placeholders.
+    if (c == '?') {
+      i++;
+      tokens.push_back({TokenType::kParameter, "", start, i});
+      continue;
+    }
+    if (c == '$') {
+      i++;
+      while (i < n && IsDigit(sql[i])) i++;
+      if (i == start + 1) {
+        return Status::Parser("expected parameter number after '$'");
+      }
+      tokens.push_back({TokenType::kParameter,
+                        sql.substr(start + 1, i - start - 1), start, i});
+      continue;
+    }
+    if (c == '<' || c == '>' || c == '=' || c == '!') {
+      i++;
+      if (i < n && (sql[i] == '=' || (c == '<' && sql[i] == '>'))) i++;
+      tokens.push_back(
+          {TokenType::kOperator, sql.substr(start, i - start), start, i});
+      continue;
+    }
+    if (std::strchr("(),;.*+-/%", c) != nullptr && c != '\0') {
+      i++;
+      tokens.push_back({TokenType::kSymbol, std::string(1, c), start, i});
+      continue;
+    }
+    return Status::Parser(StringUtil::Format(
+        "unexpected character '%c' at position %zu", c, i));
   }
+  tokens.push_back({TokenType::kEnd, "", n, n});
+  return tokens;
+}
 
- private:
-  const std::string& sql_;
-};
+Value Parser::LiteralValue(const Token& token) {
+  switch (token.type) {
+    case TokenType::kInteger: {
+      int64_t v = std::strtoll(token.text.c_str(), nullptr, 10);
+      if (v >= INT32_MIN && v <= INT32_MAX) {
+        return Value::Integer(static_cast<int32_t>(v));
+      }
+      return Value::BigInt(v);
+    }
+    case TokenType::kFloat:
+      return Value::Double(std::strtod(token.text.c_str(), nullptr));
+    default:
+      return Value::Varchar(token.text);
+  }
+}
+
+bool Parser::NegateNumber(Value* value) {
+  switch (value->type()) {
+    case TypeId::kInteger:
+      *value = Value::Integer(-value->GetInteger());
+      return true;
+    case TypeId::kBigInt:
+      *value = Value::BigInt(-value->GetBigInt());
+      return true;
+    case TypeId::kDouble:
+      *value = Value::Double(-value->GetDouble());
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool Parser::IsReserved(const std::string& word) {
+  static const char* kReserved[] = {
+      "SELECT", "FROM",  "WHERE", "GROUP",  "HAVING", "ORDER",  "LIMIT",
+      "OFFSET", "JOIN",  "INNER", "LEFT",   "CROSS",  "ON",     "AS",
+      "AND",    "OR",    "NOT",   "IN",     "LIKE",   "BETWEEN", "IS",
+      "NULL",   "CASE",  "WHEN",  "THEN",   "ELSE",   "END",    "CAST",
+      "UNION",  "BY",    "ASC",   "DESC",   "DISTINCT", "VALUES", "SET",
+      "INSERT", "UPDATE", "DELETE", "CREATE", "DROP", "COPY",   "INTO",
+      "SEMI",   "ANTI",  "USING",
+  };
+  for (const char* kw : kReserved) {
+    if (StringUtil::CIEquals(word, kw)) return true;
+  }
+  return false;
+}
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Parser implementation
@@ -229,27 +236,16 @@ class ParserImpl {
   Status Error(const std::string& message) const {
     return Status::Parser(message + " near '" + Peek().text + "'");
   }
+  /// A non-reserved identifier: an alias may follow without AS.
+  bool PeekAlias() const {
+    return Peek().type == TokenType::kIdentifier &&
+           !Parser::IsReserved(Peek().text);
+  }
   Result<std::string> ExpectIdentifier() {
     if (Peek().type != TokenType::kIdentifier) {
       return Status::Parser("expected identifier near '" + Peek().text + "'");
     }
     return Advance().text;
-  }
-
-  static bool IsReserved(const std::string& word) {
-    static const char* kReserved[] = {
-        "SELECT", "FROM",  "WHERE", "GROUP",  "HAVING", "ORDER",  "LIMIT",
-        "OFFSET", "JOIN",  "INNER", "LEFT",   "CROSS",  "ON",     "AS",
-        "AND",    "OR",    "NOT",   "IN",     "LIKE",   "BETWEEN", "IS",
-        "NULL",   "CASE",  "WHEN",  "THEN",   "ELSE",   "END",    "CAST",
-        "UNION",  "BY",    "ASC",   "DESC",   "DISTINCT", "VALUES", "SET",
-        "INSERT", "UPDATE", "DELETE", "CREATE", "DROP", "COPY",   "INTO",
-        "SEMI",   "ANTI",  "USING",
-    };
-    for (const char* kw : kReserved) {
-      if (StringUtil::CIEquals(word, kw)) return true;
-    }
-    return false;
   }
 
   // --- statements ---------------------------------------------------------
@@ -314,8 +310,7 @@ class ParserImpl {
       MALLARD_ASSIGN_OR_RETURN(auto expr, ParseExpression());
       if (MatchKeyword("AS")) {
         MALLARD_ASSIGN_OR_RETURN(expr->alias, ExpectIdentifier());
-      } else if (Peek().type == TokenType::kIdentifier &&
-                 !IsReserved(Peek().text)) {
+      } else if (PeekAlias()) {
         expr->alias = Advance().text;
       }
       stmt->select_list.push_back(std::move(expr));
@@ -427,7 +422,7 @@ class ParserImpl {
       MALLARD_ASSIGN_OR_RETURN(ref->subquery, ParseSelect());
       MALLARD_RETURN_NOT_OK(ExpectSymbol(")"));
       MatchKeyword("AS");
-      if (Peek().type == TokenType::kIdentifier && !IsReserved(Peek().text)) {
+      if (PeekAlias()) {
         ref->alias = Advance().text;
       }
       return ref;
@@ -441,7 +436,7 @@ class ParserImpl {
       ref->csv_path = Advance().text;
       MALLARD_RETURN_NOT_OK(ExpectSymbol(")"));
       MatchKeyword("AS");
-      if (Peek().type == TokenType::kIdentifier && !IsReserved(Peek().text)) {
+      if (PeekAlias()) {
         ref->alias = Advance().text;
       }
       if (ref->alias.empty()) ref->alias = "read_csv";
@@ -450,7 +445,7 @@ class ParserImpl {
     auto ref = std::make_unique<TableRef>(TableRef::Type::kBase);
     ref->name = name;
     MatchKeyword("AS");
-    if (Peek().type == TokenType::kIdentifier && !IsReserved(Peek().text)) {
+    if (PeekAlias()) {
       ref->alias = Advance().text;
     } else {
       ref->alias = name;
@@ -478,10 +473,10 @@ class ParserImpl {
       }
       MALLARD_RETURN_NOT_OK(ExpectKeyword("AS"));
       // Store the raw SQL of the select.
-      size_t start_pos = Peek().position;
+      size_t start_pos = Peek().begin;
       MALLARD_ASSIGN_OR_RETURN(auto select, ParseSelect());
       (void)select;
-      size_t end_pos = AtEnd() ? sql_.size() : Peek().position;
+      size_t end_pos = Peek().begin;
       stmt->select_sql = sql_.substr(start_pos, end_pos - start_pos);
       return std::unique_ptr<SQLStatement>(stmt.release());
     }
@@ -779,20 +774,9 @@ class ParserImpl {
     if (Peek().type == TokenType::kSymbol && Peek().text == "-") {
       Advance();
       MALLARD_ASSIGN_OR_RETURN(auto child, ParseUnary());
-      // Fold negative literals.
-      if (child->type == PExprType::kConstant) {
-        if (child->constant.type() == TypeId::kBigInt) {
-          child->constant = Value::BigInt(-child->constant.GetBigInt());
-          return child;
-        }
-        if (child->constant.type() == TypeId::kInteger) {
-          child->constant = Value::Integer(-child->constant.GetInteger());
-          return child;
-        }
-        if (child->constant.type() == TypeId::kDouble) {
-          child->constant = Value::Double(-child->constant.GetDouble());
-          return child;
-        }
+      if (child->type == PExprType::kConstant &&
+          Parser::NegateNumber(&child->constant)) {
+        return child;
       }
       auto node = std::make_unique<ParsedExpression>(PExprType::kArithmetic);
       node->arith_op = ArithOp::kSubtract;
@@ -812,28 +796,12 @@ class ParserImpl {
   Result<PExpr> ParsePrimary() {
     const Token& token = Peek();
     switch (token.type) {
-      case TokenType::kInteger: {
-        Advance();
-        int64_t v = std::strtoll(token.text.c_str(), nullptr, 10);
-        auto node = std::make_unique<ParsedExpression>(PExprType::kConstant);
-        if (v >= INT32_MIN && v <= INT32_MAX) {
-          node->constant = Value::Integer(static_cast<int32_t>(v));
-        } else {
-          node->constant = Value::BigInt(v);
-        }
-        return PExpr(std::move(node));
-      }
-      case TokenType::kFloat: {
-        Advance();
-        auto node = std::make_unique<ParsedExpression>(PExprType::kConstant);
-        node->constant = Value::Double(std::strtod(token.text.c_str(),
-                                                   nullptr));
-        return PExpr(std::move(node));
-      }
+      case TokenType::kInteger:
+      case TokenType::kFloat:
       case TokenType::kString: {
         Advance();
         auto node = std::make_unique<ParsedExpression>(PExprType::kConstant);
-        node->constant = Value::Varchar(token.text);
+        node->constant = Parser::LiteralValue(token);
         return PExpr(std::move(node));
       }
       case TokenType::kSymbol:
@@ -978,7 +946,7 @@ class ParserImpl {
     }
     // Plain identifier: column ref, qualified ref, or function call.
     // Reserved words cannot start an expression (catches "SELECT FROM").
-    if (IsReserved(Peek().text)) {
+    if (Parser::IsReserved(Peek().text)) {
       return Error("unexpected keyword in expression");
     }
     std::string first = Advance().text;
@@ -1019,11 +987,13 @@ class ParserImpl {
 
 }  // namespace
 
-Result<std::vector<std::unique_ptr<SQLStatement>>> Parser::Parse(
-    const std::string& sql) {
-  Lexer lexer(sql);
-  std::vector<Token> tokens;
-  MALLARD_RETURN_NOT_OK(lexer.Tokenize(&tokens));
+Result<Parser::Statements> Parser::Parse(const std::string& sql) {
+  MALLARD_ASSIGN_OR_RETURN(auto tokens, Tokenize(sql));
+  return Parse(std::move(tokens), sql);
+}
+
+Result<Parser::Statements> Parser::Parse(std::vector<Token> tokens,
+                                         const std::string& sql) {
   ParserImpl impl(std::move(tokens), sql);
   return impl.ParseStatements();
 }

@@ -77,12 +77,18 @@ void VisitChildren(const BoundExpression& expr, Fn fn) {
       if (e.else_expr()) fn(*e.else_expr());
       break;
     }
-    case ExprClass::kInList:
-      fn(static_cast<const BoundInList&>(expr).child());
+    case ExprClass::kInList: {
+      const auto& e = static_cast<const BoundInList&>(expr);
+      fn(e.child());
+      for (const auto& item : e.items()) fn(*item);
       break;
-    case ExprClass::kLike:
-      fn(static_cast<const BoundLike&>(expr).child());
+    }
+    case ExprClass::kLike: {
+      const auto& e = static_cast<const BoundLike&>(expr);
+      fn(e.child());
+      fn(e.pattern());
       break;
+    }
     default:
       break;
   }
@@ -341,16 +347,25 @@ struct Planner::Impl {
           "cannot compare values of type %s and %s", TypeIdToString(lt),
           TypeIdToString(rt)));
     }
-    if (lt != target) left = std::make_unique<BoundCast>(std::move(left), target);
-    if (rt != target) {
-      right = std::make_unique<BoundCast>(std::move(right), target);
-    }
-    return std::make_pair(std::move(left), std::move(right));
+    return std::make_pair(CastTo(std::move(left), target),
+                          CastTo(std::move(right), target));
   }
 
+  /// Converts `expr` to `target`. A constant is cast now (a cast that
+  /// fails stays a BoundCast and errors at execution); a parameter takes
+  /// the type, since BoundParameter::GetValue casts the bound value.
+  /// Either way scan filters and estimates see a bare value.
   static ExprPtr CastTo(ExprPtr expr, TypeId target) {
     ResolveUntypedParameter(expr, target);
     if (expr->return_type() == target) return expr;
+    if (expr->expr_class() == ExprClass::kParameter) {
+      static_cast<BoundParameter*>(expr.get())->ResolveType(target);
+      return expr;
+    }
+    if (expr->expr_class() == ExprClass::kConstant) {
+      auto cast = static_cast<BoundConstant&>(*expr).value().CastTo(target);
+      if (cast.ok()) return std::make_unique<BoundConstant>(std::move(*cast));
+    }
     return std::make_unique<BoundCast>(std::move(expr), target);
   }
 
@@ -482,31 +497,37 @@ struct Planner::Impl {
       }
       case PExprType::kInList: {
         MALLARD_ASSIGN_OR_RETURN(auto child, Bind(*expr.children[0]));
-        std::vector<Value> values;
+        std::vector<ExprPtr> items;
         for (size_t i = 1; i < expr.children.size(); i++) {
           MALLARD_ASSIGN_OR_RETURN(auto item, Bind(*expr.children[i]));
           item = Fold(std::move(item));
-          if (item->expr_class() != ExprClass::kConstant) {
-            return Status::Binder("IN list elements must be constants");
+          if (item->expr_class() == ExprClass::kConstant) {
+            // A constant that does not convert fails the bind.
+            MALLARD_ASSIGN_OR_RETURN(
+                Value v, static_cast<BoundConstant&>(*item).value().CastTo(
+                             child->return_type()));
+            item = std::make_unique<BoundConstant>(std::move(v));
+          } else if (item->expr_class() != ExprClass::kParameter) {
+            return Status::Binder(
+                "IN list elements must be constants or parameters");
           }
-          Value v = static_cast<BoundConstant&>(*item).value();
-          MALLARD_ASSIGN_OR_RETURN(v, v.CastTo(child->return_type()));
-          values.push_back(std::move(v));
+          items.push_back(CastTo(std::move(item), child->return_type()));
         }
         return Fold(std::make_unique<BoundInList>(
-            std::move(child), std::move(values), expr.negated));
+            std::move(child), std::move(items), expr.negated));
       }
       case PExprType::kLike: {
         MALLARD_ASSIGN_OR_RETURN(auto child, Bind(*expr.children[0]));
         child = CastTo(std::move(child), TypeId::kVarchar);
         MALLARD_ASSIGN_OR_RETURN(auto pattern, Bind(*expr.children[1]));
-        pattern = Fold(std::move(pattern));
-        if (pattern->expr_class() != ExprClass::kConstant) {
-          return Status::Binder("LIKE pattern must be a constant");
+        pattern = Fold(CastTo(std::move(pattern), TypeId::kVarchar));
+        if (pattern->expr_class() != ExprClass::kConstant &&
+            pattern->expr_class() != ExprClass::kParameter) {
+          return Status::Binder(
+              "LIKE pattern must be a constant or a parameter");
         }
-        const Value& pv = static_cast<BoundConstant&>(*pattern).value();
         return Fold(std::make_unique<BoundLike>(
-            std::move(child), pv.GetString(), expr.negated));
+            std::move(child), std::move(pattern), expr.negated));
       }
       case PExprType::kCase: {
         std::vector<BoundCase::Clause> clauses;

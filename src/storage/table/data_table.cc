@@ -112,6 +112,7 @@ bool DataTable::Scan(const Transaction& txn, TableScanState* state,
       state->zonemap_checked = true;
       if (!state->filters.empty() && !rg->CheckZonemaps(state->filters)) {
         rg_guard.unlock();
+        encoding_->zonemap_skips.fetch_add(1, std::memory_order_relaxed);
         state->row_group_index++;
         state->offset = 0;
         state->zonemap_checked = false;

@@ -111,7 +111,8 @@ const std::map<std::string, std::vector<std::string>>& StatsColumns() {
       {"storage_stats",
        {"segments_total", "segments_plain", "segments_dict", "segments_for",
         "logical_bytes", "encoded_bytes", "dict_entries", "dict_rows",
-        "encode_count", "decode_count", "code_filter_windows"}},
+        "encode_count", "decode_count", "code_filter_windows",
+        "zonemap_skips"}},
       {"scheduler_stats",
        {"tasks_executed", "runs", "active_queries", "pool_size"}},
       {"admission_stats",

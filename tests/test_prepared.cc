@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "mallard/main/connection.h"
 #include "mallard/main/database.h"
 #include "mallard/main/prepared_statement.h"
@@ -171,6 +175,88 @@ TEST_F(PreparedTest, NullBindings) {
   ASSERT_TRUE(r.ok());
   // a > NULL matches nothing.
   EXPECT_EQ((*r)->GetValue(0, 0).GetBigInt(), 0);
+}
+
+// The `a` column of a result, in row order.
+std::vector<int32_t> Column(
+    const Result<std::unique_ptr<MaterializedQueryResult>>& r) {
+  std::vector<int32_t> out;
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok()) return out;
+  for (idx_t i = 0; i < (*r)->RowCount(); i++) {
+    out.push_back((*r)->GetValue(0, i).GetInteger());
+  }
+  return out;
+}
+
+using Ints = std::vector<int32_t>;
+
+TEST_F(PreparedTest, ParametersInInListsAndLikePatterns) {
+  ASSERT_TRUE(con_->Query("INSERT INTO t VALUES (6, NULL)").ok());
+  auto in = con_->Prepare("SELECT a FROM t WHERE a IN (?, ?) ORDER BY a");
+  ASSERT_TRUE(in.ok()) << in.status().ToString();
+  ASSERT_TRUE((*in)->Bind(1, 2).ok());
+  ASSERT_TRUE((*in)->Bind(2, 4).ok());
+  EXPECT_EQ(Column((*in)->Execute()), (Ints{2, 4}));
+  ASSERT_TRUE((*in)->Bind(1, 5).ok());
+  ASSERT_TRUE((*in)->Bind(2, 1).ok());
+  EXPECT_EQ(Column((*in)->Execute()), (Ints{1, 5}));
+
+  auto not_in = con_->Prepare("SELECT a FROM t WHERE a NOT IN (?) ORDER BY a");
+  ASSERT_TRUE(not_in.ok()) << not_in.status().ToString();
+  ASSERT_TRUE((*not_in)->Bind(1, 2).ok());
+  EXPECT_EQ(Column((*not_in)->Execute()), (Ints{1, 3, 4, 5, 6}));
+  ASSERT_TRUE((*not_in)->Bind(1, 6).ok());
+  EXPECT_EQ(Column((*not_in)->Execute()), (Ints{1, 2, 3, 4, 5}));
+
+  // Constants and parameters mix; the list takes the column's type.
+  auto mixed =
+      con_->Prepare("SELECT a FROM t WHERE s IN ('one', $1) ORDER BY a");
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  EXPECT_EQ((*mixed)->ParameterType(1), TypeId::kVarchar);
+  ASSERT_TRUE((*mixed)->Bind(1, "two").ok());
+  EXPECT_EQ(Column((*mixed)->Execute()), (Ints{1, 2, 5}));
+  ASSERT_TRUE((*mixed)->Bind(1, "four").ok());
+  EXPECT_EQ(Column((*mixed)->Execute()), (Ints{1, 4}));
+
+  auto like = con_->Prepare("SELECT a FROM t WHERE s LIKE ? ORDER BY a");
+  ASSERT_TRUE(like.ok()) << like.status().ToString();
+  EXPECT_EQ((*like)->ParameterType(1), TypeId::kVarchar);
+  ASSERT_TRUE((*like)->Bind(1, "t%").ok());
+  EXPECT_EQ(Column((*like)->Execute()), (Ints{2, 3, 5}));
+  ASSERT_TRUE((*like)->Bind(1, "%our").ok());
+  EXPECT_EQ(Column((*like)->Execute()), (Ints{4}));
+
+  auto not_like =
+      con_->Prepare("SELECT a FROM t WHERE s NOT LIKE $1 ORDER BY a");
+  ASSERT_TRUE(not_like.ok()) << not_like.status().ToString();
+  ASSERT_TRUE((*not_like)->Bind(1, "t%").ok());
+  EXPECT_EQ(Column((*not_like)->Execute()), (Ints{1, 4}));
+  ASSERT_TRUE((*not_like)->Bind(1, "%e").ok());
+  EXPECT_EQ(Column((*not_like)->Execute()), (Ints{2, 4, 5}));
+}
+
+TEST_F(PreparedTest, NullParameterMatchesTheNullLiteral) {
+  ASSERT_TRUE(con_->Query("INSERT INTO t VALUES (6, NULL)").ok());
+  const std::pair<const char*, const char*> shapes[] = {
+      {"a IN (?, 2)", "a IN (NULL, 2)"},
+      {"a NOT IN (?)", "a NOT IN (NULL)"},
+      {"s LIKE ?", "s LIKE NULL"},
+      {"s NOT LIKE ?", "s NOT LIKE NULL"},
+  };
+  for (const auto& [with_parameter, with_null] : shapes) {
+    const std::string select = "SELECT a FROM t WHERE ";
+    auto prepared = con_->Prepare(select + with_parameter + " ORDER BY a");
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    ASSERT_TRUE((*prepared)->BindNull(1).ok());
+    EXPECT_EQ(Column((*prepared)->Execute()),
+              Column(con_->Query(select + with_null + " ORDER BY a")))
+        << with_parameter;
+  }
+  // A NULL pattern matches nothing, and fails to match nothing.
+  EXPECT_TRUE(Column(con_->Query("SELECT a FROM t WHERE s LIKE NULL")).empty());
+  EXPECT_TRUE(
+      Column(con_->Query("SELECT a FROM t WHERE s NOT LIKE NULL")).empty());
 }
 
 TEST_F(PreparedTest, PrepareInvalidSqlFailsAndRecovers) {

@@ -112,6 +112,44 @@ TEST_F(ScanPruningTest, RangePredicatesAcrossGroupBoundaries) {
   EXPECT_EQ((*r)->GetValue(0, 0).GetBigInt(), 11);
 }
 
+TEST_F(ScanPruningTest, IntegerLiteralsPruneWiderColumns) {
+  ASSERT_TRUE(con_->Query("CREATE TABLE f (d DOUBLE)").ok());
+  auto app = Appender::Create(db_.get(), "f");
+  DataChunk chunk;
+  chunk.Initialize({TypeId::kDouble});
+  for (idx_t produced = 0; produced < 3 * kRowGroupSize;
+       produced += kVectorSize) {
+    chunk.Reset();
+    for (idx_t i = 0; i < kVectorSize; i++) {
+      chunk.column(0).data<double>()[i] = static_cast<double>(produced + i);
+    }
+    chunk.SetCardinality(kVectorSize);
+    ASSERT_TRUE((*app)->AppendChunk(chunk).ok());
+  }
+  ASSERT_TRUE((*app)->Close().ok());
+  Connection cold(db_.get());
+  ASSERT_TRUE(cold.Query("PRAGMA plan_cache=off").ok());
+  // The INTEGER literal is converted when the plan is made (a constant,
+  // or a parameter typed DOUBLE/BIGINT in a cached plan), so the scan
+  // gets a zone-map filter and skips the two later row groups: uncached,
+  // on a cache miss, and on a hit with a new literal.
+  const std::pair<Connection*, const char*> runs[] = {
+      {&cold, "d < 5"},    {con_.get(), "d < 5"}, {con_.get(), "d < 7"},
+      {&cold, "a < 5"},    {con_.get(), "a < 5"}, {con_.get(), "a < 7"},
+  };
+  for (const auto& [con, predicate] : runs) {
+    std::string table = predicate[0] == 'd' ? "f" : "t";
+    uint64_t before = db_->encoding_counters().zonemap_skips.load();
+    auto r = con->Query("SELECT count(*) FROM " + table + " WHERE " +
+                        predicate);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ((*r)->GetValue(0, 0).GetBigInt(), predicate[4] - '0')
+        << predicate;
+    EXPECT_EQ(db_->encoding_counters().zonemap_skips.load() - before, 2u)
+        << predicate;
+  }
+}
+
 
 TEST(ColumnStatsTest, SummarizesZoneMapsAndDictionaries) {
   auto db = Database::Open(":memory:");

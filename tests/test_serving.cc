@@ -24,6 +24,7 @@
 #include "mallard/main/database.h"
 #include "mallard/main/plan_cache.h"
 #include "mallard/net/client_server.h"
+#include "mallard/parser/parser.h"
 #include "mallard/parallel/task_scheduler.h"
 
 namespace mallard {
@@ -31,13 +32,29 @@ namespace {
 
 // --- Literal normalizer ----------------------------------------------------
 
+// The normalized statement as text: the source with each extracted
+// literal's span (a folded minus included) replaced by `?`.
+std::string Normalized(const std::string& sql) {
+  NormalizedQuery q = NormalizeQueryText(sql);
+  std::string text;
+  size_t cursor = 0;
+  for (const Token& token : q.tokens) {
+    if (token.type != TokenType::kParameter) continue;
+    text.append(sql, cursor, token.begin - cursor);
+    text += '?';
+    cursor = token.end;
+  }
+  return text + sql.substr(cursor);
+}
+
 TEST(NormalizeQueryText, IntegerLiteralsShareOneKey) {
   auto a = NormalizeQueryText("SELECT * FROM t WHERE id = 7");
   auto b = NormalizeQueryText("SELECT * FROM t WHERE id = 9");
   ASSERT_TRUE(a.cacheable);
   ASSERT_TRUE(b.cacheable);
   EXPECT_EQ(a.key, b.key);
-  EXPECT_EQ(a.normalized_sql, "SELECT * FROM t WHERE id = ?");
+  EXPECT_EQ(Normalized("SELECT * FROM t WHERE id = 7"),
+            "SELECT * FROM t WHERE id = ?");
   ASSERT_EQ(a.literals.size(), 1u);
   EXPECT_EQ(a.literals[0].type(), TypeId::kInteger);
   EXPECT_EQ(a.literals[0].GetInteger(), 7);
@@ -70,7 +87,8 @@ TEST(NormalizeQueryText, UnaryMinusFoldsLikeTheParser) {
   EXPECT_NE(a.key, b.key);
   // Binary minus stays arithmetic; only the operand is parameterized.
   auto d = NormalizeQueryText("SELECT * FROM t WHERE id = x - 5");
-  EXPECT_EQ(d.normalized_sql, "SELECT * FROM t WHERE id = x - ?");
+  EXPECT_EQ(Normalized("SELECT * FROM t WHERE id = x - 5"),
+            "SELECT * FROM t WHERE id = x - ?");
   EXPECT_EQ(d.literals[0].GetInteger(), 5);
 }
 
@@ -102,7 +120,9 @@ TEST(NormalizeQueryText, GrammarPositionsKeepTheirLiterals) {
   ASSERT_TRUE(d.cacheable);
   ASSERT_EQ(d.literals.size(), 1u);
   EXPECT_EQ(d.literals[0].GetInteger(), 3);
-  EXPECT_NE(d.normalized_sql.find("VARCHAR(5)"), std::string::npos);
+  EXPECT_NE(Normalized("SELECT CAST(id AS VARCHAR(5)) FROM t WHERE id = 3")
+                .find("VARCHAR(5)"),
+            std::string::npos);
 }
 
 TEST(NormalizeQueryText, UncacheableStatementsBail) {
@@ -118,6 +138,53 @@ TEST(NormalizeQueryText, UncacheableStatementsBail) {
   // A trailing semicolon is fine; a second statement is not.
   EXPECT_TRUE(NormalizeQueryText("SELECT 1;").cacheable);
   EXPECT_TRUE(NormalizeQueryText("SELECT 1 -- comment").cacheable);
+}
+
+TEST(NormalizeQueryText, QuotingNeverSharesAKey) {
+  // The key holds each token's source bytes: one quoted identifier
+  // `"a b"` and the two tokens `a b` stay apart.
+  auto quoted = NormalizeQueryText("SELECT \"a b\" FROM t WHERE id = 1");
+  auto plain = NormalizeQueryText("SELECT a b FROM t WHERE id = 1");
+  ASSERT_TRUE(quoted.cacheable);
+  ASSERT_TRUE(plain.cacheable);
+  EXPECT_NE(quoted.key, plain.key);
+  // Differently quoted spellings of one name never share a key either.
+  std::set<std::string> keys;
+  for (const char* sql :
+       {"SELECT a FROM t WHERE id = 1", "SELECT \"a\" FROM t WHERE id = 1",
+        "SELECT \"A\" FROM t WHERE id = 1", "SELECT A FROM t WHERE id = 1",
+        "SELECT \"a FROM t WHERE id\" = 1"}) {
+    auto q = NormalizeQueryText(sql);
+    ASSERT_TRUE(q.cacheable) << sql;
+    EXPECT_TRUE(keys.insert(q.key).second) << sql;
+  }
+  // Layout is not part of a statement: whitespace and comments collapse.
+  auto spaced = NormalizeQueryText("SELECT  a\n FROM t -- c\n WHERE id = 1");
+  auto tight = NormalizeQueryText("SELECT a FROM t WHERE id = 2");
+  EXPECT_EQ(spaced.key, tight.key);
+}
+
+TEST(NormalizeQueryText, LiteralsBecomeParameterTokens) {
+  // The miss path parses these tokens directly: each slot is a
+  // positional parameter, in literal order, with no unary minus left.
+  std::string sql = "SELECT a FROM t WHERE b IN (1, -2.5) AND s LIKE 'x%'";
+  auto q = NormalizeQueryText(sql);
+  ASSERT_TRUE(q.cacheable);
+  int parameters = 0;
+  for (const Token& token : q.tokens) {
+    if (token.type == TokenType::kParameter) {
+      EXPECT_TRUE(token.text.empty());
+      parameters++;
+    }
+    EXPECT_FALSE(token.type == TokenType::kSymbol && token.text == "-");
+  }
+  EXPECT_EQ(parameters, 3);
+  ASSERT_EQ(q.literals.size(), 3u);
+  EXPECT_EQ(q.literals[1].GetDouble(), -2.5);
+  EXPECT_EQ(q.tokens.back().type, TokenType::kEnd);
+  auto parsed = Parser::Parse(q.tokens, sql);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->size(), 1u);
 }
 
 // --- Fair thread shares ----------------------------------------------------

@@ -146,6 +146,34 @@ TEST_F(SqlBasicTest, LeftJoin) {
   EXPECT_TRUE(r->GetValue(1, 2).is_null());
 }
 
+TEST_F(SqlBasicTest, LeftJoinOnConjunctsKeepNullExtendedRows) {
+  Q("CREATE TABLE a (k INTEGER)");
+  Q("CREATE TABLE b (k INTEGER, v INTEGER)");
+  Q("INSERT INTO a VALUES (1), (2), (3)");
+  Q("INSERT INTO b VALUES (1, 10), (2, 1)");
+  // A right-only ON conjunct filters b before the join: every a row
+  // stays, NULL-extended where no b row passes.
+  auto r = Q("SELECT a.k, b.v FROM a LEFT JOIN b ON a.k = b.k AND b.v > 5 "
+             "ORDER BY a.k");
+  ASSERT_NE(r, nullptr);
+  ASSERT_EQ(r->RowCount(), 3u);
+  EXPECT_EQ(r->GetValue(1, 0).GetInteger(), 10);
+  EXPECT_TRUE(r->GetValue(1, 1).is_null());
+  EXPECT_TRUE(r->GetValue(1, 2).is_null());
+  // The same predicate in WHERE filters the join's output.
+  r = Q("SELECT a.k, b.v FROM a LEFT JOIN b ON a.k = b.k WHERE b.v > 5");
+  ASSERT_NE(r, nullptr);
+  ASSERT_EQ(r->RowCount(), 1u);
+  EXPECT_EQ(r->GetValue(0, 0).GetInteger(), 1);
+  // A left-only ON conjunct has no correct filter placement: a clean
+  // error naming it, not wrong rows.
+  Status status =
+      QFail("SELECT a.k, b.v FROM a LEFT JOIN b ON a.k = b.k AND a.k > 1");
+  EXPECT_EQ(status.code(), StatusCode::kNotImplemented) << status.ToString();
+  EXPECT_NE(status.ToString().find("(a.k > 1)"), std::string::npos)
+      << status.ToString();
+}
+
 TEST_F(SqlBasicTest, UpdateBasic) {
   Q("CREATE TABLE t (a INTEGER, b INTEGER)");
   Q("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)");

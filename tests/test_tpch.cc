@@ -9,6 +9,7 @@
 
 #include "mallard/main/connection.h"
 #include "mallard/main/database.h"
+#include "mallard/main/plan_cache.h"
 #include "mallard/tpch/tpch.h"
 
 namespace mallard {
@@ -310,6 +311,66 @@ TEST_F(TpchJoinOrderTest, BothOrdersReturnTheSameRows) {
       ExpectSameRows(Sorted(**a), Sorted(**b), what);
     }
   }
+}
+
+TEST_F(TpchJoinOrderTest, Q12Q14AndQ19HitThePlanCacheWithNewLiterals) {
+  // Two substitution sets each, differing only in literals the cache
+  // lifts into parameters: IN lists (Q12, Q19), a LIKE pattern (Q14).
+  const std::vector<std::pair<int, std::vector<std::string>>> cases = {
+      {12, {tpch::Query(12), Variants(12)[0]}},
+      {14, {tpch::Query(14), Substitute(tpch::Query(14),
+                                        {{"'PROMO%'", "'%BRASS'"}})}},
+      {19, {tpch::Query(19), Variants(19)[0]}},
+  };
+  Connection reference(db_);
+  ASSERT_TRUE(reference.Query("PRAGMA plan_cache=off").ok());
+  Connection cached(db_);
+  auto stat = [&](const char* column) -> int64_t {
+    auto r = cached.Query("PRAGMA plan_cache_stats");
+    EXPECT_TRUE(r.ok());
+    for (idx_t c = 0; c < (*r)->names().size(); c++) {
+      if ((*r)->names()[c] == column) return (*r)->GetValue(c, 0).GetBigInt();
+    }
+    ADD_FAILURE() << column;
+    return -1;
+  };
+  for (const auto& [q, sets] : cases) {
+    std::string what = "Q" + std::to_string(q);
+    auto first = cached.Query(sets[0]);
+    ASSERT_TRUE(first.ok()) << what << ": " << first.status().ToString();
+    int64_t hits = stat("hits"), misses = stat("misses");
+    auto second = cached.Query(sets[1]);
+    ASSERT_TRUE(second.ok()) << what << ": " << second.status().ToString();
+    EXPECT_EQ(stat("hits"), hits + 1) << what;
+    EXPECT_EQ(stat("misses"), misses) << what;
+    for (size_t s = 0; s < sets.size(); s++) {
+      auto want = reference.Query(sets[s]);
+      ASSERT_TRUE(want.ok()) << what << ": " << want.status().ToString();
+      ExpectSameRows(Sorted(s == 0 ? **first : **second), Sorted(**want),
+                     what + " set " + std::to_string(s));
+    }
+  }
+}
+
+TEST_F(TpchJoinOrderTest, Q6ComparesItsQuantityWithoutACast) {
+  // l_quantity is DOUBLE and 24 an INTEGER literal: the literal is
+  // converted at plan time, not wrapped in CAST, so the scan and the
+  // estimator see a bare value.
+  std::string plan = Explain(tpch::Query(6));
+  EXPECT_EQ(plan.find("CAST"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("(l_quantity < 24)"), std::string::npos) << plan;
+  // The cached plan: the slot itself is typed DOUBLE.
+  Connection con(db_);
+  ASSERT_TRUE(con.Query(tpch::Query(6)).ok());
+  NormalizedQuery normalized = NormalizeQueryText(tpch::Query(6));
+  bool busy = false;
+  SharedPlanCache::Entry* entry =
+      db_->plan_cache().Acquire(normalized.key, &busy);
+  ASSERT_NE(entry, nullptr);
+  std::string cached = entry->plan.plan->ToString();
+  db_->plan_cache().Release(entry, /*keep=*/true);
+  EXPECT_EQ(cached.find("CAST"), std::string::npos) << cached;
+  EXPECT_NE(cached.find("(l_quantity < $"), std::string::npos) << cached;
 }
 
 TEST_F(TpchJoinOrderTest, Q5ProbesWithLineitemAndAppliesTheCycle) {
