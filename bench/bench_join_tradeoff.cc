@@ -98,10 +98,11 @@ JoinRun RunJoin(Database* db, JoinAlgorithm algo, idx_t* out_rows,
   db->buffers().ResetPeak();
   DataChunk out;
   out.Initialize(join->types());
+  StatePtr state = join->MakeState();
   auto start = Clock::now();
   idx_t rows = 0;
   while (true) {
-    if (!join->GetChunk(&context, &out).ok()) break;
+    if (!join->GetChunk(&context, state.get(), &out).ok()) break;
     if (out.size() == 0) break;
     rows += out.size();
   }
@@ -112,9 +113,9 @@ JoinRun RunJoin(Database* db, JoinAlgorithm algo, idx_t* out_rows,
   run.ms = ms;
   run.peak_mb = db->buffers().GetStats().peak_memory / 1e6;
   if (algo == JoinAlgorithm::kHash) {
-    auto* hash_join = static_cast<PhysicalHashJoin*>(join.get());
-    run.build_ms = hash_join->BuildMs();
-    run.probe_ms = hash_join->ProbeMs();
+    const auto& hash_state = static_cast<PhysicalHashJoin::State&>(*state);
+    run.build_ms = hash_state.build_ms;
+    run.probe_ms = hash_state.probe_ms;
   }
   return run;
 }

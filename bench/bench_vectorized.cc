@@ -284,10 +284,11 @@ int main(int argc, char** argv) {
         context.thread_limit = threads;
         DataChunk out;
         out.Initialize(agg->types());
+        StatePtr state = agg->MakeState();
         auto start = Clock::now();
         idx_t rows = 0;
         while (true) {
-          if (!agg->GetChunk(&context, &out).ok()) return 1;
+          if (!agg->GetChunk(&context, state.get(), &out).ok()) return 1;
           if (out.size() == 0) break;
           rows += out.size();
         }
@@ -295,8 +296,10 @@ int main(int argc, char** argv) {
         (void)db->get()->transactions().Commit(txn.get());
         if (ms < best) {
           best = ms;
-          best_sink = agg->SinkMs();
-          best_merge = agg->MergeMs();
+          const auto& agg_state =
+              static_cast<PhysicalHashAggregate::State&>(*state);
+          best_sink = agg_state.sink_ms;
+          best_merge = agg_state.merge_ms;
           out_rows = rows;
         }
       }

@@ -43,7 +43,8 @@ Result<bool> RowFilter::Next(std::vector<Value>* row) {
     MALLARD_ASSIGN_OR_RETURN(bool has, child_->Next(row));
     if (!has) return false;
     MALLARD_ASSIGN_OR_RETURN(
-        Value v, ExpressionExecutor::ExecuteScalar(*predicate_, *row));
+        Value v,
+        ExpressionExecutor::ExecuteScalar(*predicate_, *row, nullptr));
     if (!v.is_null() && v.GetBoolean()) return true;
   }
 }
@@ -54,7 +55,8 @@ Result<bool> RowProject::Next(std::vector<Value>* row) {
   row->clear();
   for (const auto& expr : exprs_) {
     MALLARD_ASSIGN_OR_RETURN(
-        Value v, ExpressionExecutor::ExecuteScalar(*expr, input_row_));
+        Value v,
+        ExpressionExecutor::ExecuteScalar(*expr, input_row_, nullptr));
     row->push_back(std::move(v));
   }
   return true;
@@ -69,7 +71,7 @@ Result<bool> RowHashAggregate::Next(std::vector<Value>* row) {
       std::vector<Value> key;
       for (const auto& g : groups_) {
         MALLARD_ASSIGN_OR_RETURN(
-            Value v, ExpressionExecutor::ExecuteScalar(*g, input));
+            Value v, ExpressionExecutor::ExecuteScalar(*g, input, nullptr));
         key.push_back(std::move(v));
       }
       auto [it, inserted] =
@@ -79,7 +81,7 @@ Result<bool> RowHashAggregate::Next(std::vector<Value>* row) {
         if (aggregates_[a].arg) {
           MALLARD_ASSIGN_OR_RETURN(
               v, ExpressionExecutor::ExecuteScalar(*aggregates_[a].arg,
-                                                   input));
+                                                   input, nullptr));
         }
         AggregateFunction::UpdateValue(aggregates_[a].type, v,
                                        &it->second[a]);

@@ -7,6 +7,38 @@
 
 namespace mallard {
 
+namespace {
+/// A table scan's cursor. A serial scan covers the whole table as one
+/// range; a parallel worker's scan claims one row-group morsel at a
+/// time from the shared source.
+struct TableScanOperatorState : OperatorState {
+  TableScanState scan;
+  bool initialized = false;
+  bool range_active = false;
+  MorselWorker morsels;  // source null: serial scan
+};
+
+/// The chunk an operator pulls its child's output into.
+struct ChildChunkState : OperatorState {
+  explicit ChildChunkState(const std::vector<TypeId>& types) {
+    child_chunk.Initialize(types);
+  }
+  DataChunk child_chunk;
+};
+
+/// LIMIT's child chunk and how many rows it skipped and emitted.
+struct LimitState : ChildChunkState {
+  using ChildChunkState::ChildChunkState;
+  idx_t skipped = 0;
+  idx_t produced = 0;
+};
+
+/// The next row a VALUES or expression scan emits.
+struct RowPositionState : OperatorState {
+  idx_t position = 0;
+};
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // PhysicalTableScan
 // ---------------------------------------------------------------------------
@@ -21,17 +53,18 @@ PhysicalTableScan::PhysicalTableScan(
       filters_(std::move(filters)),
       late_filters_(std::move(late_filters)) {}
 
-std::vector<TableFilter> PhysicalTableScan::EffectiveFilters() const {
+std::vector<TableFilter> PhysicalTableScan::EffectiveFilters(
+    const ExecutionContext& context) const {
   std::vector<TableFilter> filters = filters_;
   // Materialize parameterized zone-map filters from the values bound
-  // at this execution. Unbound/NULL/uncastable values just skip the
+  // for this execution. Unbound/NULL/uncastable values just skip the
   // pruning; the residual filter above the scan keeps results exact.
   for (const auto& late : late_filters_) {
-    if (late.parameter_index >= late.parameters->values.size() ||
-        !late.parameters->is_set[late.parameter_index]) {
+    if (!context.parameters ||
+        late.parameter_index >= context.parameters->size()) {
       continue;
     }
-    const Value& bound = late.parameters->values[late.parameter_index];
+    const Value& bound = (*context.parameters)[late.parameter_index];
     if (bound.is_null()) continue;
     auto cast = bound.CastTo(late.column_type);
     if (!cast.ok()) continue;
@@ -41,31 +74,47 @@ std::vector<TableFilter> PhysicalTableScan::EffectiveFilters() const {
   return filters;
 }
 
-Status PhysicalTableScan::GetChunk(ExecutionContext* context, DataChunk* out) {
-  MALLARD_RETURN_NOT_OK(context->CheckInterrupt());
-  if (!initialized_) {
-    table_->InitializeScan(&state_, column_ids_, EffectiveFilters());
-    state_.salvage = context->salvage_mode;
-    initialized_ = true;
+StatePtr PhysicalTableScan::CreateState(const MorselWorker* worker) const {
+  auto state = std::make_unique<TableScanOperatorState>();
+  if (worker) state->morsels = *worker;
+  return state;
+}
+
+Status PhysicalTableScan::GetChunk(ExecutionContext* context,
+                                   OperatorState* state,
+                                   DataChunk* out) const {
+  auto& s = static_cast<TableScanOperatorState&>(*state);
+  if (!s.initialized) {
+    table_->InitializeScan(&s.scan, column_ids_, EffectiveFilters(*context));
+    s.scan.salvage = context->salvage_mode;
+    s.initialized = true;
+    s.range_active = !s.morsels.source;
   }
-  out->Reset();
-  if (!table_->Scan(*context->txn, &state_, out) && !state_.error.ok()) {
+  while (true) {
+    MALLARD_RETURN_NOT_OK(context->CheckInterrupt());
+    if (!s.range_active) {
+      idx_t row_group;
+      if (!s.morsels.source->Next(s.morsels.worker, &row_group)) {
+        out->Reset();
+        return Status::OK();
+      }
+      s.scan.row_group_index = row_group;
+      s.scan.max_row_group = row_group + 1;
+      s.scan.offset = 0;
+      s.scan.zonemap_checked = false;
+      s.range_active = true;
+    }
+    if (table_->Scan(*context->txn, &s.scan, out)) return Status::OK();
     // A quarantined row group outside salvage mode: surface the
     // corruption instead of silently truncating the result.
-    return std::move(state_.error);
+    if (!s.scan.error.ok()) return std::move(s.scan.error);
+    if (!s.morsels.source) return Status::OK();  // table exhausted
+    s.range_active = false;  // morsel exhausted; claim the next one
   }
-  return Status::OK();
 }
 
 std::string PhysicalTableScan::name() const {
   return "SEQ_SCAN(" + table_->name() + ")";
-}
-
-std::unique_ptr<PhysicalOperator> PhysicalTableScan::MorselClone(
-    const ParallelCloneContext& ctx) const {
-  return std::make_unique<PhysicalMorselScan>(ctx.source, ctx.worker, table_,
-                                              column_ids_, EffectiveFilters(),
-                                              types_);
 }
 
 // ---------------------------------------------------------------------------
@@ -75,27 +124,33 @@ std::unique_ptr<PhysicalOperator> PhysicalTableScan::MorselClone(
 PhysicalFilter::PhysicalFilter(ExprPtr predicate,
                                std::unique_ptr<PhysicalOperator> child)
     : PhysicalOperator(child->types()), predicate_(std::move(predicate)) {
-  child_chunk_.Initialize(child->types());
   AddChild(std::move(child));
 }
 
-Status PhysicalFilter::GetChunk(ExecutionContext* context, DataChunk* out) {
+StatePtr PhysicalFilter::CreateState(const MorselWorker*) const {
+  return std::make_unique<ChildChunkState>(types_);
+}
+
+Status PhysicalFilter::GetChunk(ExecutionContext* context,
+                                OperatorState* state, DataChunk* out) const {
+  DataChunk& input = static_cast<ChildChunkState&>(*state).child_chunk;
   out->Reset();
   while (true) {
-    MALLARD_RETURN_NOT_OK(child(0)->GetChunk(context, &child_chunk_));
-    if (child_chunk_.size() == 0) return Status::OK();
+    MALLARD_RETURN_NOT_OK(ChildChunk(0, context, state, &input));
+    if (input.size() == 0) return Status::OK();
     uint32_t sel[kVectorSize];
     MALLARD_ASSIGN_OR_RETURN(
-        idx_t m, ExpressionExecutor::Select(*predicate_, child_chunk_, sel));
+        idx_t m, ExpressionExecutor::Select(*predicate_, input, sel,
+                                            context->parameters));
     if (m == 0) continue;
-    if (m == child_chunk_.size()) {
+    if (m == input.size()) {
       // All rows pass: alias child vectors, zero copies.
       for (idx_t c = 0; c < out->ColumnCount(); c++) {
-        out->column(c).Reference(child_chunk_.column(c));
+        out->column(c).Reference(input.column(c));
       }
     } else {
       for (idx_t c = 0; c < out->ColumnCount(); c++) {
-        out->column(c).CopySelection(child_chunk_.column(c), sel, m);
+        out->column(c).CopySelection(input.column(c), sel, m);
       }
     }
     out->SetCardinality(m);
@@ -105,14 +160,6 @@ Status PhysicalFilter::GetChunk(ExecutionContext* context, DataChunk* out) {
 
 std::string PhysicalFilter::name() const {
   return "FILTER(" + predicate_->ToString() + ")";
-}
-
-std::unique_ptr<PhysicalOperator> PhysicalFilter::MorselClone(
-    const ParallelCloneContext& ctx) const {
-  auto child_clone = children_[0]->MorselClone(ctx);
-  if (!child_clone) return nullptr;
-  return std::make_unique<PhysicalFilter>(predicate_->Copy(),
-                                          std::move(child_clone));
 }
 
 // ---------------------------------------------------------------------------
@@ -127,20 +174,25 @@ PhysicalProjection::PhysicalProjection(std::vector<ExprPtr> expressions,
         return types;
       }()),
       expressions_(std::move(expressions)) {
-  child_chunk_.Initialize(child->types());
   AddChild(std::move(child));
 }
 
+StatePtr PhysicalProjection::CreateState(const MorselWorker*) const {
+  return std::make_unique<ChildChunkState>(children_[0]->types());
+}
+
 Status PhysicalProjection::GetChunk(ExecutionContext* context,
-                                    DataChunk* out) {
+                                    OperatorState* state,
+                                    DataChunk* out) const {
+  DataChunk& input = static_cast<ChildChunkState&>(*state).child_chunk;
   out->Reset();
-  MALLARD_RETURN_NOT_OK(child(0)->GetChunk(context, &child_chunk_));
-  if (child_chunk_.size() == 0) return Status::OK();
+  MALLARD_RETURN_NOT_OK(ChildChunk(0, context, state, &input));
+  if (input.size() == 0) return Status::OK();
   for (idx_t c = 0; c < expressions_.size(); c++) {
     MALLARD_RETURN_NOT_OK(ExpressionExecutor::Execute(
-        *expressions_[c], child_chunk_, &out->column(c)));
+        *expressions_[c], input, &out->column(c), context->parameters));
   }
-  out->SetCardinality(child_chunk_.size());
+  out->SetCardinality(input.size());
   return Status::OK();
 }
 
@@ -153,16 +205,6 @@ std::string PhysicalProjection::name() const {
   return result + ")";
 }
 
-std::unique_ptr<PhysicalOperator> PhysicalProjection::MorselClone(
-    const ParallelCloneContext& ctx) const {
-  auto child_clone = children_[0]->MorselClone(ctx);
-  if (!child_clone) return nullptr;
-  std::vector<ExprPtr> expressions;
-  for (const auto& e : expressions_) expressions.push_back(e->Copy());
-  return std::make_unique<PhysicalProjection>(std::move(expressions),
-                                              std::move(child_clone));
-}
-
 // ---------------------------------------------------------------------------
 // PhysicalLimit
 // ---------------------------------------------------------------------------
@@ -170,30 +212,35 @@ std::unique_ptr<PhysicalOperator> PhysicalProjection::MorselClone(
 PhysicalLimit::PhysicalLimit(idx_t limit, idx_t offset,
                              std::unique_ptr<PhysicalOperator> child)
     : PhysicalOperator(child->types()), limit_(limit), offset_(offset) {
-  child_chunk_.Initialize(child->types());
   AddChild(std::move(child));
 }
 
-Status PhysicalLimit::GetChunk(ExecutionContext* context, DataChunk* out) {
+StatePtr PhysicalLimit::CreateState(const MorselWorker*) const {
+  return std::make_unique<LimitState>(types_);
+}
+
+Status PhysicalLimit::GetChunk(ExecutionContext* context, OperatorState* state,
+                               DataChunk* out) const {
+  auto& s = static_cast<LimitState&>(*state);
   out->Reset();
-  while (produced_ < limit_) {
-    MALLARD_RETURN_NOT_OK(child(0)->GetChunk(context, &child_chunk_));
-    if (child_chunk_.size() == 0) return Status::OK();
+  while (s.produced < limit_) {
+    MALLARD_RETURN_NOT_OK(ChildChunk(0, context, state, &s.child_chunk));
+    if (s.child_chunk.size() == 0) return Status::OK();
     idx_t start = 0;
-    idx_t available = child_chunk_.size();
-    if (skipped_ < offset_) {
-      idx_t skip = std::min(offset_ - skipped_, available);
-      skipped_ += skip;
+    idx_t available = s.child_chunk.size();
+    if (s.skipped < offset_) {
+      idx_t skip = std::min(offset_ - s.skipped, available);
+      s.skipped += skip;
       start = skip;
       available -= skip;
       if (available == 0) continue;
     }
-    idx_t take = std::min(available, limit_ - produced_);
+    idx_t take = std::min(available, limit_ - s.produced);
     for (idx_t c = 0; c < out->ColumnCount(); c++) {
-      out->column(c).CopyFrom(child_chunk_.column(c), take, start, 0);
+      out->column(c).CopyFrom(s.child_chunk.column(c), take, start, 0);
     }
     out->SetCardinality(take);
-    produced_ += take;
+    s.produced += take;
     return Status::OK();
   }
   return Status::OK();
@@ -212,11 +259,17 @@ PhysicalValues::PhysicalValues(std::vector<std::vector<Value>> rows,
                                std::vector<TypeId> types)
     : PhysicalOperator(std::move(types)), rows_(std::move(rows)) {}
 
-Status PhysicalValues::GetChunk(ExecutionContext*, DataChunk* out) {
+StatePtr PhysicalValues::CreateState(const MorselWorker*) const {
+  return std::make_unique<RowPositionState>();
+}
+
+Status PhysicalValues::GetChunk(ExecutionContext*, OperatorState* state,
+                                DataChunk* out) const {
+  idx_t& position = static_cast<RowPositionState&>(*state).position;
   out->Reset();
   idx_t produced = 0;
-  while (position_ < rows_.size() && produced < kVectorSize) {
-    const auto& row = rows_[position_++];
+  while (position < rows_.size() && produced < kVectorSize) {
+    const auto& row = rows_[position++];
     for (idx_t c = 0; c < types_.size(); c++) {
       out->SetValue(c, produced, row[c]);
     }
@@ -238,14 +291,22 @@ PhysicalExpressionScan::PhysicalExpressionScan(
     std::vector<std::vector<ExprPtr>> rows, std::vector<TypeId> types)
     : PhysicalOperator(std::move(types)), rows_(std::move(rows)) {}
 
-Status PhysicalExpressionScan::GetChunk(ExecutionContext*, DataChunk* out) {
+StatePtr PhysicalExpressionScan::CreateState(const MorselWorker*) const {
+  return std::make_unique<RowPositionState>();
+}
+
+Status PhysicalExpressionScan::GetChunk(ExecutionContext* context,
+                                        OperatorState* state,
+                                        DataChunk* out) const {
+  idx_t& position = static_cast<RowPositionState&>(*state).position;
   out->Reset();
   idx_t produced = 0;
-  while (position_ < rows_.size() && produced < kVectorSize) {
-    const auto& row = rows_[position_++];
+  while (position < rows_.size() && produced < kVectorSize) {
+    const auto& row = rows_[position++];
     for (idx_t c = 0; c < types_.size(); c++) {
       MALLARD_ASSIGN_OR_RETURN(
-          Value v, ExpressionExecutor::ExecuteScalar(*row[c], {}));
+          Value v, ExpressionExecutor::ExecuteScalar(*row[c], {},
+                                                     context->parameters));
       if (!v.is_null() && v.type() != types_[c]) {
         MALLARD_ASSIGN_OR_RETURN(v, v.CastTo(types_[c]));
       }

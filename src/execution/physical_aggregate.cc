@@ -27,23 +27,20 @@ PhysicalUngroupedAggregate::PhysicalUngroupedAggregate(
     std::vector<BoundAggregate> aggregates,
     std::unique_ptr<PhysicalOperator> child)
     : PhysicalOperator(AggregateTypes({}, aggregates)),
-      aggregates_(std::move(aggregates)) {
+      aggregates_(std::move(aggregates)),
+      layout_(AggStateLayout::Plan(aggregates_)) {
   AddChild(std::move(child));
 }
 
-std::vector<ExprPtr> PhysicalUngroupedAggregate::CopyArgExprs() const {
-  std::vector<ExprPtr> exprs;
-  for (const auto& agg : aggregates_) {
-    exprs.push_back(agg.arg ? agg.arg->Copy() : nullptr);
-  }
-  return exprs;
+StatePtr PhysicalUngroupedAggregate::CreateState(const MorselWorker*) const {
+  return std::make_unique<EmitOnceState>();
 }
 
 Status PhysicalUngroupedAggregate::AggregateSource(
-    ExecutionContext* context, PhysicalOperator* source,
-    const std::vector<ExprPtr>& arg_exprs, State* state) {
+    ExecutionContext* context, OperatorState* source_state,
+    Accumulator* acc) const {
   DataChunk chunk;
-  chunk.Initialize(source->types());
+  chunk.Initialize(child(0)->types());
   // Every input row updates the one state row: group id 0.
   const std::vector<idx_t> group_ids(kVectorSize, 0);
   std::vector<Vector> arg_vectors;
@@ -52,64 +49,64 @@ Status PhysicalUngroupedAggregate::AggregateSource(
                                      : TypeId::kBigInt);
   }
   while (true) {
-    MALLARD_RETURN_NOT_OK(source->GetChunk(context, &chunk));
+    MALLARD_RETURN_NOT_OK(child(0)->GetChunk(context, source_state, &chunk));
     if (chunk.size() == 0) break;
     for (idx_t a = 0; a < aggregates_.size(); a++) {
       const Vector* arg = nullptr;
-      if (arg_exprs[a]) {
+      if (aggregates_[a].arg) {
         arg_vectors[a].Reset();
-        MALLARD_RETURN_NOT_OK(ExpressionExecutor::Execute(
-            *arg_exprs[a], chunk, &arg_vectors[a]));
+        MALLARD_RETURN_NOT_OK(
+            ExpressionExecutor::Execute(*aggregates_[a].arg, chunk,
+                                        &arg_vectors[a], context->parameters));
         arg = &arg_vectors[a];
       }
       layout_.Update(a, arg, chunk.size(), group_ids.data(), nullptr,
-                     state->row.data(), &state->strings);
+                     acc->row.data(), &acc->strings);
     }
   }
   return Status::OK();
 }
 
 Status PhysicalUngroupedAggregate::ParallelAggregate(
-    ExecutionContext* context, State* state, bool* done) {
-  std::vector<std::vector<ExprPtr>> arg_exprs;
-  std::vector<State> partials;
+    ExecutionContext* context, Accumulator* total, bool* done) const {
+  std::vector<Accumulator> partials;
   MALLARD_RETURN_NOT_OK(parallel::RunMorselPipeline(
       context, child(0), done,
       [&](idx_t workers) {
         for (idx_t w = 0; w < workers; w++) {
           partials.emplace_back(layout_.row_size());
-          arg_exprs.push_back(CopyArgExprs());
         }
       },
-      [&](int w, PhysicalOperator* scan) -> Status {
-        return AggregateSource(context, scan, arg_exprs[w], &partials[w]);
+      [&](int w, OperatorState* scan) -> Status {
+        return AggregateSource(context, scan, &partials[w]);
       }));
   if (!*done) return Status::OK();
   const idx_t dst_id = 0;
-  for (const State& partial : partials) {
-    layout_.Combine(partial.row.data(), 0, 1, &dst_id, state->row.data(),
-                    &state->strings);
+  for (const Accumulator& partial : partials) {
+    layout_.Combine(partial.row.data(), 0, 1, &dst_id, total->row.data(),
+                    &total->strings);
   }
   return Status::OK();
 }
 
 Status PhysicalUngroupedAggregate::GetChunk(ExecutionContext* context,
-                                            DataChunk* out) {
+                                            OperatorState* state,
+                                            DataChunk* out) const {
+  bool& done = static_cast<EmitOnceState&>(*state).done;
   out->Reset();
-  if (done_) return Status::OK();
-  layout_ = AggStateLayout::Plan(aggregates_);
-  State state(layout_.row_size());
+  if (done) return Status::OK();
+  Accumulator total(layout_.row_size());
   bool parallel_done = false;
-  MALLARD_RETURN_NOT_OK(ParallelAggregate(context, &state, &parallel_done));
+  MALLARD_RETURN_NOT_OK(ParallelAggregate(context, &total, &parallel_done));
   if (!parallel_done) {
     MALLARD_RETURN_NOT_OK(
-        AggregateSource(context, child(0), CopyArgExprs(), &state));
+        AggregateSource(context, state->children[0].get(), &total));
   }
   for (idx_t a = 0; a < aggregates_.size(); a++) {
-    out->SetValue(a, 0, layout_.Finalize(a, state.row.data()));
+    out->SetValue(a, 0, layout_.Finalize(a, total.row.data()));
   }
   out->SetCardinality(1);
-  done_ = true;
+  done = true;
   return Status::OK();
 }
 
@@ -141,27 +138,15 @@ std::vector<TypeId> PhysicalHashAggregate::GroupTypes() const {
   return types;
 }
 
-std::vector<ExprPtr> PhysicalHashAggregate::CopyGroupExprs() const {
-  std::vector<ExprPtr> exprs;
-  for (const auto& g : groups_) exprs.push_back(g->Copy());
-  return exprs;
-}
-
-std::vector<ExprPtr> PhysicalHashAggregate::CopyArgExprs() const {
-  std::vector<ExprPtr> exprs;
-  for (const auto& a : aggregates_) {
-    exprs.push_back(a.arg ? a.arg->Copy() : nullptr);
-  }
-  return exprs;
+StatePtr PhysicalHashAggregate::CreateState(const MorselWorker*) const {
+  return std::make_unique<State>();
 }
 
 Status PhysicalHashAggregate::SinkSource(
-    ExecutionContext* context, PhysicalOperator* source,
-    const std::vector<ExprPtr>& group_exprs,
-    const std::vector<ExprPtr>& arg_exprs,
-    RadixPartitionedAggregateTable* table) {
+    ExecutionContext* context, OperatorState* source_state,
+    RadixPartitionedAggregateTable* table) const {
   DataChunk chunk;
-  chunk.Initialize(source->types());
+  chunk.Initialize(child(0)->types());
   DataChunk group_chunk;
   group_chunk.Initialize(GroupTypes());
   std::vector<Vector> arg_vectors;
@@ -170,13 +155,13 @@ Status PhysicalHashAggregate::SinkSource(
                                      : TypeId::kBigInt);
   }
   while (true) {
-    MALLARD_RETURN_NOT_OK(source->GetChunk(context, &chunk));
+    MALLARD_RETURN_NOT_OK(child(0)->GetChunk(context, source_state, &chunk));
     if (chunk.size() == 0) break;
     idx_t count = chunk.size();
     group_chunk.Reset();
-    for (idx_t g = 0; g < group_exprs.size(); g++) {
+    for (idx_t g = 0; g < groups_.size(); g++) {
       MALLARD_RETURN_NOT_OK(ExpressionExecutor::Execute(
-          *group_exprs[g], chunk, &group_chunk.column(g)));
+          *groups_[g], chunk, &group_chunk.column(g), context->parameters));
     }
     group_chunk.SetCardinality(count);
     table->FindOrCreateGroups(group_chunk, count);
@@ -184,10 +169,11 @@ Status PhysicalHashAggregate::SinkSource(
     // the per-group states in one typed batch.
     for (idx_t a = 0; a < aggregates_.size(); a++) {
       const Vector* arg = nullptr;
-      if (arg_exprs[a]) {
+      if (aggregates_[a].arg) {
         arg_vectors[a].Reset();
-        MALLARD_RETURN_NOT_OK(ExpressionExecutor::Execute(
-            *arg_exprs[a], chunk, &arg_vectors[a]));
+        MALLARD_RETURN_NOT_OK(
+            ExpressionExecutor::Execute(*aggregates_[a].arg, chunk,
+                                        &arg_vectors[a], context->parameters));
         arg = &arg_vectors[a];
       }
       table->UpdateStates(a, arg, count);
@@ -200,12 +186,9 @@ Status PhysicalHashAggregate::SinkSource(
 }
 
 Status PhysicalHashAggregate::ParallelSink(ExecutionContext* context,
-                                           bool* done) {
+                                           State* state, bool* done) const {
+  std::unique_ptr<RadixPartitionedAggregateTable>& table = state->table;
   std::vector<TypeId> group_types = GroupTypes();
-  // Per-worker copies of the group and argument expressions, made up
-  // front so workers never evaluate through shared trees.
-  std::vector<std::vector<ExprPtr>> group_exprs;
-  std::vector<std::vector<ExprPtr>> arg_exprs;
   std::vector<std::unique_ptr<RadixPartitionedAggregateTable>> partials;
   idx_t worker_count = 1;
   MALLARD_RETURN_NOT_OK(parallel::RunMorselPipeline(
@@ -213,12 +196,8 @@ Status PhysicalHashAggregate::ParallelSink(ExecutionContext* context,
       [&](idx_t workers) {
         worker_count = workers;
         partials.resize(workers);
-        for (idx_t w = 0; w < workers; w++) {
-          group_exprs.push_back(CopyGroupExprs());
-          arg_exprs.push_back(CopyArgExprs());
-        }
       },
-      [&](int w, PhysicalOperator* scan) -> Status {
+      [&](int w, OperatorState* scan) -> Status {
         auto local = std::make_unique<RadixPartitionedAggregateTable>(
             group_types, aggregates_, /*partitioned=*/true);
         if (context->governor && context->buffers) {
@@ -227,8 +206,7 @@ Status PhysicalHashAggregate::ParallelSink(ExecutionContext* context,
           local->EnableSpilling(context->governor, context->buffers,
                                 2 * worker_count, &aggregates_);
         }
-        MALLARD_RETURN_NOT_OK(SinkSource(context, scan, group_exprs[w],
-                                         arg_exprs[w], local.get()));
+        MALLARD_RETURN_NOT_OK(SinkSource(context, scan, local.get()));
         partials[w] = std::move(local);
         return Status::OK();
       }));
@@ -242,69 +220,72 @@ Status PhysicalHashAggregate::ParallelSink(ExecutionContext* context,
   std::vector<RadixPartitionedAggregateTable*> rest;
   for (auto& partial : partials) {
     if (!partial) continue;
-    if (!table_) {
-      table_ = std::move(partial);
+    if (!table) {
+      table = std::move(partial);
     } else {
       rest.push_back(partial.get());
     }
   }
-  if (!table_) {
-    table_ = std::make_unique<RadixPartitionedAggregateTable>(
+  if (!table) {
+    table = std::make_unique<RadixPartitionedAggregateTable>(
         group_types, aggregates_, /*partitioned=*/true);
   }
   if (context->governor && context->buffers) {
     // One table survives the sink: it gets the full operator share back.
-    table_->EnableSpilling(context->governor, context->buffers, 2,
-                           &aggregates_);
+    table->EnableSpilling(context->governor, context->buffers, 2,
+                          &aggregates_);
   }
   if (!rest.empty()) {
     MALLARD_RETURN_NOT_OK(parallel::RunPartitionedTasks(
-        context, table_->PartitionCount(), [&](idx_t p) -> Status {
+        context, table->PartitionCount(), [&](idx_t p) -> Status {
           for (RadixPartitionedAggregateTable* other : rest) {
-            table_->partition(p).Merge(other->partition(p));
+            table->partition(p).Merge(other->partition(p));
           }
           // Partitions merge on different threads; each checks its own
           // 1/16 share of the budget (disjoint state, atomic flag).
-          return table_->MaybeSpillPartition(p);
+          return table->MaybeSpillPartition(p);
         }));
   }
   // Workers that spilled left runs behind; adopt them so emission merges
   // every run of a partition in one pass.
   for (RadixPartitionedAggregateTable* other : rest) {
-    table_->AdoptRuns(other);
+    table->AdoptRuns(other);
   }
-  merge_ms_ += std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - merge_start)
-                   .count();
+  state->merge_ms += std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - merge_start)
+                         .count();
   return Status::OK();
 }
 
-Status PhysicalHashAggregate::Sink(ExecutionContext* context) {
+Status PhysicalHashAggregate::Sink(ExecutionContext* context,
+                                   State* state) const {
+  std::unique_ptr<RadixPartitionedAggregateTable>& table = state->table;
   auto sink_start = std::chrono::steady_clock::now();
   bool parallel_done = false;
-  Status status = ParallelSink(context, &parallel_done);
+  Status status = ParallelSink(context, state, &parallel_done);
   if (status.ok() && !parallel_done) {
-    table_ = std::make_unique<RadixPartitionedAggregateTable>(
+    table = std::make_unique<RadixPartitionedAggregateTable>(
         GroupTypes(), aggregates_, /*partitioned=*/false);
     if (context->governor && context->buffers) {
-      table_->EnableSpilling(context->governor, context->buffers, 2,
-                             &aggregates_);
+      table->EnableSpilling(context->governor, context->buffers, 2,
+                            &aggregates_);
     }
-    status = SinkSource(context, child(0), CopyGroupExprs(), CopyArgExprs(),
-                        table_.get());
+    status = SinkSource(context, state->children[0].get(), table.get());
   }
-  sink_ms_ += std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - sink_start)
-                  .count() -
-              merge_ms_;
+  state->sink_ms += std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - sink_start)
+                        .count() -
+                    state->merge_ms;
   return status;
 }
 
 Status PhysicalHashAggregate::GetChunk(ExecutionContext* context,
-                                       DataChunk* out) {
-  if (!sunk_) {
-    MALLARD_RETURN_NOT_OK(Sink(context));
-    sunk_ = true;
+                                       OperatorState* state,
+                                       DataChunk* out) const {
+  auto& s = static_cast<State&>(*state);
+  if (!s.sunk) {
+    MALLARD_RETURN_NOT_OK(Sink(context, &s));
+    s.sunk = true;
   }
   out->Reset();
   // Emission pulls fully-merged tables from the radix front one at a
@@ -315,27 +296,26 @@ Status PhysicalHashAggregate::GetChunk(ExecutionContext* context,
   // before the last table).
   idx_t produced = 0;
   while (true) {
-    if (!emit_current_) {
-      MALLARD_RETURN_NOT_OK(table_->NextEmitTable(&emit_current_));
-      emit_offset_ = 0;
-      if (!emit_current_) break;  // every group emitted
+    if (!s.emit_current) {
+      MALLARD_RETURN_NOT_OK(s.table->NextEmitTable(&s.emit_current));
+      s.emit_offset = 0;
+      if (!s.emit_current) break;  // every group emitted
     }
-    idx_t remaining = emit_current_->GroupCount() - emit_offset_;
+    idx_t remaining = s.emit_current->GroupCount() - s.emit_offset;
     if (remaining == 0) {
-      emit_current_ = nullptr;
+      s.emit_current = nullptr;
       continue;
     }
     produced = std::min<idx_t>(remaining, kVectorSize);
-    emit_current_->EmitKeys(emit_offset_, produced, out);
+    s.emit_current->EmitKeys(s.emit_offset, produced, out);
     for (idx_t i = 0; i < produced; i++) {
-      idx_t group = emit_offset_ + i;
+      idx_t group = s.emit_offset + i;
       for (idx_t a = 0; a < aggregates_.size(); a++) {
         out->SetValue(groups_.size() + a, i,
-                      emit_current_->FinalizeState(group, a));
+                      s.emit_current->FinalizeState(group, a));
       }
     }
-    emit_offset_ += produced;
-    emitted_groups_ += produced;
+    s.emit_offset += produced;
     break;
   }
   out->SetCardinality(produced);

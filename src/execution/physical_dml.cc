@@ -19,14 +19,20 @@ PhysicalInsert::PhysicalInsert(DataTable* table,
   AddChild(std::move(child));
 }
 
-Status PhysicalInsert::GetChunk(ExecutionContext* context, DataChunk* out) {
+StatePtr PhysicalInsert::CreateState(const MorselWorker*) const {
+  return std::make_unique<EmitOnceState>();
+}
+
+Status PhysicalInsert::GetChunk(ExecutionContext* context,
+                                OperatorState* state, DataChunk* out) const {
+  bool& done = static_cast<EmitOnceState&>(*state).done;
   out->Reset();
-  if (done_) return Status::OK();
+  if (done) return Status::OK();
   DataChunk chunk;
   chunk.Initialize(table_->ColumnTypes());
   int64_t inserted = 0;
   while (true) {
-    MALLARD_RETURN_NOT_OK(child(0)->GetChunk(context, &chunk));
+    MALLARD_RETURN_NOT_OK(ChildChunk(0, context, state, &chunk));
     if (chunk.size() == 0) break;
     MALLARD_RETURN_NOT_OK(table_->Append(context->txn, chunk));
     context->txn->wal_records().push_back(
@@ -35,7 +41,7 @@ Status PhysicalInsert::GetChunk(ExecutionContext* context, DataChunk* out) {
   }
   out->SetValue(0, 0, Value::BigInt(inserted));
   out->SetCardinality(1);
-  done_ = true;
+  done = true;
   return Status::OK();
 }
 
@@ -53,14 +59,20 @@ PhysicalDelete::PhysicalDelete(DataTable* table,
   AddChild(std::move(child));
 }
 
-Status PhysicalDelete::GetChunk(ExecutionContext* context, DataChunk* out) {
+StatePtr PhysicalDelete::CreateState(const MorselWorker*) const {
+  return std::make_unique<EmitOnceState>();
+}
+
+Status PhysicalDelete::GetChunk(ExecutionContext* context,
+                                OperatorState* state, DataChunk* out) const {
+  bool& done = static_cast<EmitOnceState&>(*state).done;
   out->Reset();
-  if (done_) return Status::OK();
+  if (done) return Status::OK();
   DataChunk chunk;
   chunk.Initialize(child(0)->types());
   int64_t deleted = 0;
   while (true) {
-    MALLARD_RETURN_NOT_OK(child(0)->GetChunk(context, &chunk));
+    MALLARD_RETURN_NOT_OK(ChildChunk(0, context, state, &chunk));
     if (chunk.size() == 0) break;
     const Vector& row_ids = chunk.column(0);
     MALLARD_ASSIGN_OR_RETURN(idx_t n,
@@ -72,7 +84,7 @@ Status PhysicalDelete::GetChunk(ExecutionContext* context, DataChunk* out) {
   }
   out->SetValue(0, 0, Value::BigInt(deleted));
   out->SetCardinality(1);
-  done_ = true;
+  done = true;
   return Status::OK();
 }
 
@@ -93,9 +105,15 @@ PhysicalUpdate::PhysicalUpdate(DataTable* table,
   AddChild(std::move(child));
 }
 
-Status PhysicalUpdate::GetChunk(ExecutionContext* context, DataChunk* out) {
+StatePtr PhysicalUpdate::CreateState(const MorselWorker*) const {
+  return std::make_unique<EmitOnceState>();
+}
+
+Status PhysicalUpdate::GetChunk(ExecutionContext* context,
+                                OperatorState* state, DataChunk* out) const {
+  bool& done = static_cast<EmitOnceState&>(*state).done;
   out->Reset();
-  if (done_) return Status::OK();
+  if (done) return Status::OK();
   DataChunk chunk;
   chunk.Initialize(child(0)->types());
   std::vector<TypeId> value_types;
@@ -104,7 +122,7 @@ Status PhysicalUpdate::GetChunk(ExecutionContext* context, DataChunk* out) {
   }
   int64_t updated = 0;
   while (true) {
-    MALLARD_RETURN_NOT_OK(child(0)->GetChunk(context, &chunk));
+    MALLARD_RETURN_NOT_OK(ChildChunk(0, context, state, &chunk));
     if (chunk.size() == 0) break;
     const Vector& row_ids = chunk.column(0);
     // Split off the value columns as their own chunk view.
@@ -123,7 +141,7 @@ Status PhysicalUpdate::GetChunk(ExecutionContext* context, DataChunk* out) {
   }
   out->SetValue(0, 0, Value::BigInt(updated));
   out->SetCardinality(1);
-  done_ = true;
+  done = true;
   return Status::OK();
 }
 

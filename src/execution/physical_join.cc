@@ -42,20 +42,23 @@ std::vector<SortSpec> KeySpecs(idx_t count) {
 
 /// Internal probe source for one grace job: streams the stashed probe
 /// rows ([hash | RowCodec-encoded row]) of a partition back out as
-/// chunks, so the regular ProbeChunk body replays them unchanged.
+/// chunks, so the regular ProbeChunk body replays them unchanged. It is
+/// made per job by the running execution, never by the planner.
 class GraceStashScan final : public PhysicalOperator {
  public:
   GraceStashScan(std::vector<TypeId> types, SpillRowStore* store,
                  const RowCodec* codec)
       : PhysicalOperator(std::move(types)), store_(store), codec_(codec) {}
 
-  Status GetChunk(ExecutionContext*, DataChunk* out) override {
+  Status GetChunk(ExecutionContext*, OperatorState* state,
+                  DataChunk* out) const override {
+    SpillRowStore::Cursor& cursor = static_cast<CursorState&>(*state).cursor;
     out->Reset();
     idx_t n = 0;
     while (n < kVectorSize) {
       const uint8_t* row;
       uint32_t len;
-      MALLARD_RETURN_NOT_OK(store_->Next(&cursor_, &row, &len));
+      MALLARD_RETURN_NOT_OK(store_->Next(&cursor, &row, &len));
       if (!row) break;
       codec_->DecodeRow(row + 8, out, n, 0);
       n++;
@@ -65,10 +68,30 @@ class GraceStashScan final : public PhysicalOperator {
   }
   std::string name() const override { return "GRACE_STASH_SCAN"; }
 
+ protected:
+  StatePtr CreateState(
+      const MorselWorker*) const override {
+    return std::make_unique<CursorState>();
+  }
+
  private:
+  struct CursorState : OperatorState {
+    SpillRowStore::Cursor cursor;
+  };
+
   SpillRowStore* store_;
   const RowCodec* codec_;
-  SpillRowStore::Cursor cursor_;
+};
+
+/// The materialized right side and the (left row, right row) cursor.
+struct CrossProductState : OperatorState {
+  std::unique_ptr<ChunkCollection> right_data;
+  DataChunk left_chunk;
+  DataChunk right_chunk;
+  ChunkCollection::ScanState right_scan;
+  idx_t left_position = 0;
+  idx_t right_position = 0;
+  bool left_done = false;
 };
 
 }  // namespace
@@ -88,44 +111,50 @@ PhysicalHashJoin::PhysicalHashJoin(JoinType join_type,
       right_types_(right->types()) {
   AddChild(std::move(left));
   AddChild(std::move(right));
-  InitCursor(&probe_);
+}
+
+StatePtr PhysicalHashJoin::CreateState(const MorselWorker*) const {
+  auto state = std::make_unique<State>();
+  InitCursor(&state->probe);
+  return state;
 }
 
 void PhysicalHashJoin::InitCursor(ProbeCursor* cursor) const {
   cursor->chunk.Initialize(children_[0]->types());
   cursor->keys.Initialize(KeyTypes(conditions_, /*left_side=*/true));
-  cursor->exprs.clear();
-  for (const auto& c : conditions_) cursor->exprs.push_back(c.left->Copy());
   cursor->hashes.resize(kVectorSize);
   cursor->heads.resize(kVectorSize);
   cursor->sel.resize(kVectorSize);
   cursor->refs.resize(kVectorSize);
 }
 
-Status PhysicalHashJoin::EvaluateKeys(const std::vector<ExprPtr>& exprs,
-                                      const DataChunk& input,
-                                      DataChunk* keys) {
+Status PhysicalHashJoin::EvaluateKeys(const ExecutionContext& context,
+                                      bool left_side, const DataChunk& input,
+                                      DataChunk* keys) const {
   keys->Reset();
-  for (idx_t i = 0; i < exprs.size(); i++) {
-    MALLARD_RETURN_NOT_OK(
-        ExpressionExecutor::Execute(*exprs[i], input, &keys->column(i)));
+  for (idx_t i = 0; i < conditions_.size(); i++) {
+    const BoundExpression& expr =
+        left_side ? *conditions_[i].left : *conditions_[i].right;
+    MALLARD_RETURN_NOT_OK(ExpressionExecutor::Execute(
+        expr, input, &keys->column(i), context.parameters));
   }
   keys->SetCardinality(input.size());
   return Status::OK();
 }
 
 Status PhysicalHashJoin::SinkBuildSide(ExecutionContext* context,
-                                       PhysicalOperator* source,
-                                       const std::vector<ExprPtr>& key_exprs,
-                                       JoinHashTable* table) {
+                                       OperatorState* source_state,
+                                       JoinHashTable* table) const {
   DataChunk build_chunk;
   build_chunk.Initialize(right_types_);
   DataChunk key_chunk;
   key_chunk.Initialize(KeyTypes(conditions_, /*left_side=*/false));
   while (true) {
-    MALLARD_RETURN_NOT_OK(source->GetChunk(context, &build_chunk));
+    MALLARD_RETURN_NOT_OK(
+        child(1)->GetChunk(context, source_state, &build_chunk));
     if (build_chunk.size() == 0) break;
-    MALLARD_RETURN_NOT_OK(EvaluateKeys(key_exprs, build_chunk, &key_chunk));
+    MALLARD_RETURN_NOT_OK(
+        EvaluateKeys(*context, /*left_side=*/false, build_chunk, &key_chunk));
     MALLARD_RETURN_NOT_OK(
         table->Append(context, key_chunk, build_chunk, build_chunk.size()));
   }
@@ -133,24 +162,17 @@ Status PhysicalHashJoin::SinkBuildSide(ExecutionContext* context,
 }
 
 Status PhysicalHashJoin::ParallelBuild(ExecutionContext* context,
-                                       bool* done) {
+                                       State* state, bool* done) const {
   std::vector<TypeId> key_types = KeyTypes(conditions_, /*left_side=*/false);
-  // Per-worker expression copies are made up front on the calling
-  // thread; workers then never touch the shared condition trees.
-  std::vector<std::vector<ExprPtr>> exprs;
   std::vector<std::unique_ptr<JoinHashTable>> partitions;
   idx_t worker_count = 1;
   MALLARD_RETURN_NOT_OK(parallel::RunMorselPipeline(
       context, child(1), done,
       [&](idx_t workers) {
         worker_count = workers;
-        exprs.resize(workers);
         partitions.resize(workers);
-        for (auto& worker_exprs : exprs) {
-          for (auto& c : conditions_) worker_exprs.push_back(c.right->Copy());
-        }
       },
-      [&](int w, PhysicalOperator* scan) -> Status {
+      [&](int w, OperatorState* scan) -> Status {
         auto partition =
             std::make_unique<JoinHashTable>(key_types, right_types_);
         if (context->governor) {
@@ -160,8 +182,7 @@ Status PhysicalHashJoin::ParallelBuild(ExecutionContext* context,
           partition->EnableSpilling(context->governor, 2 * worker_count,
                                     /*radix_shift=*/0);
         }
-        MALLARD_RETURN_NOT_OK(
-            SinkBuildSide(context, scan, exprs[w], partition.get()));
+        MALLARD_RETURN_NOT_OK(SinkBuildSide(context, scan, partition.get()));
         partitions[w] = std::move(partition);
         return Status::OK();
       }));
@@ -169,41 +190,40 @@ Status PhysicalHashJoin::ParallelBuild(ExecutionContext* context,
   for (auto& partition : partitions) {
     // Clamped-away workers leave a null slot; their morsels were
     // claimed by the workers that did run.
-    if (partition) table_->MergePartition(std::move(*partition));
+    if (partition) state->table->MergePartition(std::move(*partition));
   }
   return Status::OK();
 }
 
-Status PhysicalHashJoin::Build(ExecutionContext* context) {
+Status PhysicalHashJoin::Build(ExecutionContext* context, State* state) const {
   auto build_start = std::chrono::steady_clock::now();
-  table_ = std::make_unique<JoinHashTable>(
+  state->table = std::make_unique<JoinHashTable>(
       KeyTypes(conditions_, /*left_side=*/false), right_types_);
   if (context->governor) {
     // The build side gets half the governor's budget; the other half
     // covers the probe stashes and operator scratch. Exceeding it turns
     // Finalize into grace mode instead of failing the query.
-    table_->EnableSpilling(context->governor, /*divisor=*/2,
-                           /*radix_shift=*/0);
+    state->table->EnableSpilling(context->governor, /*divisor=*/2,
+                                 /*radix_shift=*/0);
   }
   bool built_parallel = false;
-  MALLARD_RETURN_NOT_OK(ParallelBuild(context, &built_parallel));
+  MALLARD_RETURN_NOT_OK(ParallelBuild(context, state, &built_parallel));
   if (!built_parallel) {
-    std::vector<ExprPtr> right_exprs;
-    for (auto& c : conditions_) right_exprs.push_back(c.right->Copy());
-    MALLARD_RETURN_NOT_OK(
-        SinkBuildSide(context, child(1), right_exprs, table_.get()));
+    MALLARD_RETURN_NOT_OK(SinkBuildSide(context, state->children[1].get(),
+                                        state->table.get()));
   }
-  MALLARD_RETURN_NOT_OK(table_->Finalize());
-  probe_table_ = table_.get();
-  built_ = true;
-  build_ms_ += std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - build_start)
-                   .count();
+  MALLARD_RETURN_NOT_OK(state->table->Finalize());
+  state->probe_table = state->table.get();
+  state->built = true;
+  state->build_ms += std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - build_start)
+                         .count();
   return Status::OK();
 }
 
-idx_t PhysicalHashJoin::GatherMatches(ProbeCursor* cursor, idx_t capacity,
-                                      uint32_t* sel, uint64_t* refs) {
+idx_t PhysicalHashJoin::GatherMatches(const JoinHashTable* table,
+                                      ProbeCursor* cursor, idx_t capacity,
+                                      uint32_t* sel, uint64_t* refs) const {
   constexpr uint64_t kNullRef = JoinHashTable::kNullRef;
   ProbeCursor& c = *cursor;
   idx_t n = 0;
@@ -213,8 +233,7 @@ idx_t PhysicalHashJoin::GatherMatches(ProbeCursor* cursor, idx_t capacity,
     idx_t r = c.position;
     if (walk_chains) {
       if (!c.chain_active) {
-        c.chain_ref =
-            probe_table_->FirstMatch(c.heads[r], c.keys, r, c.hashes[r]);
+        c.chain_ref = table->FirstMatch(c.heads[r], c.keys, r, c.hashes[r]);
         c.chain_active = true;
         c.row_matched = false;
       }
@@ -223,7 +242,7 @@ idx_t PhysicalHashJoin::GatherMatches(ProbeCursor* cursor, idx_t capacity,
         refs[n] = c.chain_ref;
         n++;
         c.row_matched = true;
-        c.chain_ref = probe_table_->NextMatch(c.chain_ref, c.keys, r, c.hashes[r]);
+        c.chain_ref = table->NextMatch(c.chain_ref, c.keys, r, c.hashes[r]);
       }
       if (c.chain_ref != kNullRef) break;  // capacity filled mid-chain
       if (join_type_ == JoinType::kLeft && !c.row_matched) {
@@ -236,7 +255,7 @@ idx_t PhysicalHashJoin::GatherMatches(ProbeCursor* cursor, idx_t capacity,
       c.chain_active = false;
     } else {
       // Semi/anti: existence check only, one output row at most.
-      uint64_t match = probe_table_->FirstMatch(c.heads[r], c.keys, r, c.hashes[r]);
+      uint64_t match = table->FirstMatch(c.heads[r], c.keys, r, c.hashes[r]);
       if ((join_type_ == JoinType::kSemi) == (match != kNullRef)) {
         sel[n] = static_cast<uint32_t>(r);
         refs[n] = kNullRef;
@@ -249,8 +268,10 @@ idx_t PhysicalHashJoin::GatherMatches(ProbeCursor* cursor, idx_t capacity,
 }
 
 Status PhysicalHashJoin::ProbeChunk(ExecutionContext* context,
-                                    PhysicalOperator* source,
-                                    ProbeCursor* cursor, DataChunk* out) {
+                                    const PhysicalOperator* source,
+                                    OperatorState* source_state,
+                                    const JoinHashTable* table,
+                                    ProbeCursor* cursor, DataChunk* out) const {
   ProbeCursor& c = *cursor;
   out->Reset();
   idx_t produced = 0;
@@ -261,20 +282,21 @@ Status PhysicalHashJoin::ProbeChunk(ExecutionContext* context,
   while (produced < kVectorSize) {
     if (c.position >= c.chunk.size()) {
       if (c.exhausted) break;
-      MALLARD_RETURN_NOT_OK(source->GetChunk(context, &c.chunk));
+      MALLARD_RETURN_NOT_OK(source->GetChunk(context, source_state, &c.chunk));
       c.position = 0;
       c.chain_active = false;
       if (c.chunk.size() == 0) {
         c.exhausted = true;
         break;
       }
-      MALLARD_RETURN_NOT_OK(EvaluateKeys(c.exprs, c.chunk, &c.keys));
-      probe_table_->ProbeHeads(c.keys, c.chunk.size(), c.hashes.data(),
-                               c.heads.data());
+      MALLARD_RETURN_NOT_OK(
+          EvaluateKeys(*context, /*left_side=*/true, c.chunk, &c.keys));
+      table->ProbeHeads(c.keys, c.chunk.size(), c.hashes.data(),
+                        c.heads.data());
       continue;
     }
-    idx_t n = GatherMatches(cursor, kVectorSize - produced, c.sel.data(),
-                            c.refs.data());
+    idx_t n = GatherMatches(table, cursor, kVectorSize - produced,
+                            c.sel.data(), c.refs.data());
     if (n == 0) continue;
     // Probe side: one selection-vector copy per column; build side:
     // decode each matched row straight into the output chunk.
@@ -285,7 +307,7 @@ Status PhysicalHashJoin::ProbeChunk(ExecutionContext* context,
     if (emit_right) {
       for (idx_t i = 0; i < n; i++) {
         if (c.refs[i] != JoinHashTable::kNullRef) {
-          probe_table_->DecodePayload(c.refs[i], out, produced + i, left_width);
+          table->DecodePayload(c.refs[i], out, produced + i, left_width);
         } else {
           for (idx_t col = left_width; col < out->ColumnCount(); col++) {
             out->column(col).validity().SetInvalid(produced + i);
@@ -299,131 +321,132 @@ Status PhysicalHashJoin::ProbeChunk(ExecutionContext* context,
   return Status::OK();
 }
 
-Status PhysicalHashJoin::PlanParallelProbe(ExecutionContext* context) {
-  // Per-worker cursors (private expression copies, chunks, scratch) are
-  // sized up front on the calling thread; each worker then only touches
-  // its own cursor and its own result collection. The hash table itself
-  // is finalized and immutable: FirstMatch/NextMatch/DecodePayload are
-  // const and scratch-free, so concurrent probing is read-only-safe
-  // (docs/CONCURRENCY.md).
-  parallel_probe_ = probe_pipeline_.Plan(context, child(0));
-  if (!parallel_probe_) return Status::OK();
-  probe_cursors_.clear();
-  for (int w = 0; w < probe_pipeline_.threads(); w++) {
-    probe_cursors_.push_back(std::make_unique<ProbeCursor>());
-    InitCursor(probe_cursors_.back().get());
+Status PhysicalHashJoin::PlanParallelProbe(ExecutionContext* context,
+                                           State* state) const {
+  // Per-worker cursors (chunks, scratch) are sized up front on the
+  // calling thread; each worker then only touches its own cursor, its
+  // own state of the probe subtree and its own result collection. The
+  // hash table itself is finalized and immutable:
+  // FirstMatch/NextMatch/DecodePayload are const and scratch-free, so
+  // concurrent probing is read-only-safe (docs/CONCURRENCY.md).
+  state->parallel_probe = state->probe_pipeline.Plan(context, child(0));
+  if (!state->parallel_probe) return Status::OK();
+  for (int w = 0; w < state->probe_pipeline.threads(); w++) {
+    state->probe_cursors.push_back(std::make_unique<ProbeCursor>());
+    InitCursor(state->probe_cursors.back().get());
   }
   return Status::OK();
 }
 
-Status PhysicalHashJoin::RunProbePass(ExecutionContext* context) {
+Status PhysicalHashJoin::RunProbePass(ExecutionContext* context,
+                                      State* state) const {
   // Bound what one pass may materialize: a share of the governor's
   // current memory budget per cursor (floored so tiny budgets still
   // make progress one chunk at a time). The result buffers are the only
   // probe-side state that grows with the *output*, so this cap is what
   // keeps a high-fanout join from buffering an unbounded result — the
   // caller drains the buffers and runs another pass instead.
+  parallel::MorselPipeline& pipeline = state->probe_pipeline;
   const uint64_t pass_budget = std::max<uint64_t>(
       1ull << 22, context->governor->EffectiveMemoryBudget() /
-                      (4 * static_cast<uint64_t>(probe_pipeline_.threads())));
-  probe_results_.clear();
-  probe_results_.resize(probe_cursors_.size());
+                      (4 * static_cast<uint64_t>(pipeline.threads())));
+  state->probe_results.clear();
+  state->probe_results.resize(state->probe_cursors.size());
   // Unfinished cursors are claimed from a shared queue rather than
   // bound to the runner's own index: a governed pass the scheduler
   // clamps to fewer runners than cursors (reactive budget collapse)
   // still drives every pending cursor — otherwise a cursor paused on
   // the pass budget could starve forever and GetChunk would spin.
   std::vector<int> pending;
-  for (int i = 0; i < static_cast<int>(probe_cursors_.size()); i++) {
-    if (!probe_cursors_[i]->exhausted) pending.push_back(i);
+  for (int i = 0; i < static_cast<int>(state->probe_cursors.size()); i++) {
+    if (!state->probe_cursors[i]->exhausted) pending.push_back(i);
   }
   std::atomic<size_t> next{0};
-  return probe_pipeline_.RunPass(
-      context, [&](int, PhysicalOperator*) -> Status {
-        while (true) {
-          size_t claim = next.fetch_add(1);
-          if (claim >= pending.size()) return Status::OK();
-          int cw = pending[claim];
-          ProbeCursor& cursor = *probe_cursors_[cw];
-          PhysicalOperator* scan = probe_pipeline_.clone(cw);
-          auto result =
-              std::make_unique<ChunkCollection>(types(), context->governor);
-          DataChunk chunk;
-          chunk.Initialize(types());
-          while (true) {
-            MALLARD_RETURN_NOT_OK(
-                ProbeChunk(context, scan, &cursor, &chunk));
-            if (chunk.size() == 0) break;  // cursor.exhausted is now set
-            MALLARD_RETURN_NOT_OK(result->Append(chunk));
-            if (result->MemoryBytes() >= pass_budget) break;  // next pass
-          }
-          result->Finalize();
-          probe_results_[cw] = std::move(result);
-        }
-      });
+  return pipeline.RunPass(context, [&](int, OperatorState*) -> Status {
+    while (true) {
+      size_t claim = next.fetch_add(1);
+      if (claim >= pending.size()) return Status::OK();
+      int cw = pending[claim];
+      ProbeCursor& cursor = *state->probe_cursors[cw];
+      auto result =
+          std::make_unique<ChunkCollection>(types(), context->governor);
+      DataChunk chunk;
+      chunk.Initialize(types());
+      while (true) {
+        MALLARD_RETURN_NOT_OK(ProbeChunk(context, child(0), pipeline.state(cw),
+                                         state->probe_table, &cursor, &chunk));
+        if (chunk.size() == 0) break;  // cursor.exhausted is now set
+        MALLARD_RETURN_NOT_OK(result->Append(chunk));
+        if (result->MemoryBytes() >= pass_budget) break;  // next pass
+      }
+      result->Finalize();
+      state->probe_results[cw] = std::move(result);
+    }
+  });
 }
 
-bool PhysicalHashJoin::AllProbeWorkersDone() const {
-  for (const auto& cursor : probe_cursors_) {
-    if (!cursor->exhausted) return false;
-  }
-  return true;
-}
-
-Status PhysicalHashJoin::GetChunk(ExecutionContext* context, DataChunk* out) {
-  if (!built_) {
-    MALLARD_RETURN_NOT_OK(Build(context));
+Status PhysicalHashJoin::GetChunk(ExecutionContext* context,
+                                  OperatorState* state, DataChunk* out) const {
+  auto& s = static_cast<State&>(*state);
+  if (!s.built) {
+    MALLARD_RETURN_NOT_OK(Build(context, &s));
   }
   auto probe_start = std::chrono::steady_clock::now();
   auto track_probe = [&]() {
-    probe_ms_ += std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - probe_start)
-                     .count();
+    s.probe_ms += std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - probe_start)
+                      .count();
   };
-  if (table_->GraceMode()) {
-    Status status = GraceProbe(context, out);
+  if (s.table->GraceMode()) {
+    Status status = GraceProbe(context, &s, out);
     track_probe();
     return status;
   }
-  if (!probe_planned_) {
-    MALLARD_RETURN_NOT_OK(PlanParallelProbe(context));
-    probe_planned_ = true;
+  if (!s.probe_planned) {
+    MALLARD_RETURN_NOT_OK(PlanParallelProbe(context, &s));
+    s.probe_planned = true;
   }
-  if (parallel_probe_) {
+  if (s.parallel_probe) {
     out->Reset();
     while (true) {
       // Drain this pass's per-worker buffers in worker-index order, so
       // the output stream does not depend on worker completion timing.
-      while (drain_index_ < probe_results_.size()) {
-        if (!probe_results_[drain_index_]) {
-          drain_index_++;
+      while (s.drain_index < s.probe_results.size()) {
+        if (!s.probe_results[s.drain_index]) {
+          s.drain_index++;
           continue;
         }
         MALLARD_RETURN_NOT_OK(
-            probe_results_[drain_index_]->Scan(&drain_scan_, out));
+            s.probe_results[s.drain_index]->Scan(&s.drain_scan, out));
         if (out->size() > 0) {
           track_probe();
           return Status::OK();
         }
-        drain_index_++;
-        drain_scan_ = ChunkCollection::ScanState{};
+        s.drain_index++;
+        s.drain_scan = ChunkCollection::ScanState{};
       }
-      if (AllProbeWorkersDone()) break;
-      MALLARD_RETURN_NOT_OK(RunProbePass(context));
-      drain_index_ = 0;
-      drain_scan_ = ChunkCollection::ScanState{};
+      bool all_done = true;
+      for (const auto& cursor : s.probe_cursors) {
+        all_done = all_done && cursor->exhausted;
+      }
+      if (all_done) break;
+      MALLARD_RETURN_NOT_OK(RunProbePass(context, &s));
+      s.drain_index = 0;
+      s.drain_scan = ChunkCollection::ScanState{};
     }
     out->SetCardinality(0);
     track_probe();
     return Status::OK();
   }
-  Status status = ProbeChunk(context, child(0), &probe_, out);
+  Status status = ProbeChunk(context, child(0), state->children[0].get(),
+                             s.probe_table, &s.probe, out);
   track_probe();
   return status;
 }
 
-Status PhysicalHashJoin::RouteProbeSide(ExecutionContext* context) {
-  probe_codec_ = std::make_unique<RowCodec>(children_[0]->types());
+Status PhysicalHashJoin::RouteProbeSide(ExecutionContext* context,
+                                        State* state) const {
+  state->probe_codec = std::make_unique<RowCodec>(children_[0]->types());
   std::array<std::unique_ptr<SpillRowStore>, JoinHashTable::kPartitions>
       stashes;
   for (auto& stash : stashes) {
@@ -433,32 +456,32 @@ Status PhysicalHashJoin::RouteProbeSide(ExecutionContext* context) {
   chunk.Initialize(children_[0]->types());
   DataChunk keys;
   keys.Initialize(KeyTypes(conditions_, /*left_side=*/true));
-  std::vector<ExprPtr> exprs;
-  for (const auto& c : conditions_) exprs.push_back(c.left->Copy());
   std::vector<uint64_t> hashes(kVectorSize);
   std::vector<uint8_t> row;
+  const int radix_shift = state->table->radix_shift();
   while (true) {
-    MALLARD_RETURN_NOT_OK(child(0)->GetChunk(context, &chunk));
+    MALLARD_RETURN_NOT_OK(ChildChunk(0, context, state, &chunk));
     if (chunk.size() == 0) break;
-    MALLARD_RETURN_NOT_OK(EvaluateKeys(exprs, chunk, &keys));
+    MALLARD_RETURN_NOT_OK(
+        EvaluateKeys(*context, /*left_side=*/true, chunk, &keys));
     HashKeyColumns(keys, chunk.size(), hashes.data());
     for (idx_t r = 0; r < chunk.size(); r++) {
       row.clear();
       row.resize(8);
       std::memcpy(row.data(), &hashes[r], 8);
-      probe_codec_->EncodeRow(chunk, r, &row);
-      idx_t p = JoinHashTable::PartitionOf(hashes[r], table_->radix_shift());
+      state->probe_codec->EncodeRow(chunk, r, &row);
+      idx_t p = JoinHashTable::PartitionOf(hashes[r], radix_shift);
       MALLARD_RETURN_NOT_OK(
           stashes[p]->Append(row.data(), static_cast<uint32_t>(row.size())));
     }
   }
   for (auto& stash : stashes) stash->FinishAppend();
-  PushGraceJobs(nullptr, table_.get(), &stashes);
+  PushGraceJobs(state, nullptr, state->table.get(), &stashes);
   return Status::OK();
 }
 
 void PhysicalHashJoin::PushGraceJobs(
-    std::shared_ptr<JoinHashTable> owner, JoinHashTable* table,
+    State* state, std::shared_ptr<JoinHashTable> owner, JoinHashTable* table,
     std::array<std::unique_ptr<SpillRowStore>, JoinHashTable::kPartitions>*
         stashes) {
   // LIFO stack: spilled partitions go on first, resident ones on top, so
@@ -473,13 +496,13 @@ void PhysicalHashJoin::PushGraceJobs(
       job.table = table;
       job.partition = p;
       job.stash = std::move((*stashes)[p]);
-      grace_jobs_.push_back(std::move(job));
+      state->grace_jobs.push_back(std::move(job));
     }
   }
 }
 
 Status PhysicalHashJoin::SplitGraceJob(ExecutionContext* context,
-                                       GraceJob job) {
+                                       State* state, GraceJob job) const {
   JoinHashTable* table = job.table;
   idx_t p = job.partition;
   int child_shift = table->radix_shift() + JoinHashTable::kRadixBits;
@@ -511,7 +534,7 @@ Status PhysicalHashJoin::SplitGraceJob(ExecutionContext* context,
     whole.table = sub.get();
     whole.whole_table = true;
     whole.stash = std::move(job.stash);
-    grace_jobs_.push_back(std::move(whole));
+    state->grace_jobs.push_back(std::move(whole));
     return Status::OK();
   }
   // Still over budget at the finer level (skewed keys): re-route the
@@ -533,12 +556,12 @@ Status PhysicalHashJoin::SplitGraceJob(ExecutionContext* context,
     MALLARD_RETURN_NOT_OK(stashes[sp]->Append(row, len));
   }
   for (auto& stash : stashes) stash->FinishAppend();
-  PushGraceJobs(sub, sub.get(), &stashes);
+  PushGraceJobs(state, sub, sub.get(), &stashes);
   return Status::OK();
 }
 
 Status PhysicalHashJoin::PrepareGraceJob(ExecutionContext* context,
-                                         GraceJob job) {
+                                         State* state, GraceJob job) const {
   JoinHashTable* table = job.table;
   if (!job.whole_table) {
     idx_t p = job.partition;
@@ -553,54 +576,57 @@ Status PhysicalHashJoin::PrepareGraceJob(ExecutionContext* context,
     if (table->PartitionBytes(p) > table->SpillBudget() &&
         table->radix_shift() < JoinHashTable::kMaxRadixShift &&
         table->PartitionRows(p) > kVectorSize) {
-      return SplitGraceJob(context, std::move(job));
+      return SplitGraceJob(context, state, std::move(job));
     }
     MALLARD_RETURN_NOT_OK(table->LoadPartition(p));
     MALLARD_RETURN_NOT_OK(table->FinalizePartition(p));
   }
-  probe_table_ = table;
-  grace_source_ = std::make_unique<GraceStashScan>(
-      children_[0]->types(), job.stash.get(), probe_codec_.get());
+  state->probe_table = table;
+  state->grace_source = std::make_unique<GraceStashScan>(
+      children_[0]->types(), job.stash.get(), state->probe_codec.get());
+  state->grace_source_state = state->grace_source->MakeState();
   // Fresh serial cursor for this job's stash replay.
-  probe_.chunk.Reset();
-  probe_.position = 0;
-  probe_.chain_ref = JoinHashTable::kNullRef;
-  probe_.chain_active = false;
-  probe_.row_matched = false;
-  probe_.exhausted = false;
-  grace_current_ = std::move(job);
-  grace_active_ = true;
+  ProbeCursor& probe = state->probe;
+  probe.chunk.Reset();
+  probe.position = 0;
+  probe.chain_ref = JoinHashTable::kNullRef;
+  probe.chain_active = false;
+  probe.row_matched = false;
+  probe.exhausted = false;
+  state->grace_current = std::move(job);
+  state->grace_active = true;
   return Status::OK();
 }
 
-Status PhysicalHashJoin::GraceProbe(ExecutionContext* context,
-                                    DataChunk* out) {
-  if (!grace_routed_) {
-    MALLARD_RETURN_NOT_OK(RouteProbeSide(context));
-    grace_routed_ = true;
+Status PhysicalHashJoin::GraceProbe(ExecutionContext* context, State* state,
+                                    DataChunk* out) const {
+  if (!state->grace_routed) {
+    MALLARD_RETURN_NOT_OK(RouteProbeSide(context, state));
+    state->grace_routed = true;
   }
   while (true) {
-    if (grace_active_) {
-      MALLARD_RETURN_NOT_OK(
-          ProbeChunk(context, grace_source_.get(), &probe_, out));
+    if (state->grace_active) {
+      MALLARD_RETURN_NOT_OK(ProbeChunk(
+          context, state->grace_source.get(), state->grace_source_state.get(),
+          state->probe_table, &state->probe, out));
       if (out->size() > 0) return Status::OK();
       // Job drained: free its partition (and stash) before the next.
-      if (!grace_current_.whole_table) {
-        grace_current_.table->DropPartition(grace_current_.partition);
-      }
-      grace_source_.reset();
-      grace_current_ = GraceJob{};
-      grace_active_ = false;
+      GraceJob& current = state->grace_current;
+      if (!current.whole_table) current.table->DropPartition(current.partition);
+      state->grace_source_state.reset();
+      state->grace_source.reset();
+      current = GraceJob{};
+      state->grace_active = false;
       continue;
     }
-    if (grace_jobs_.empty()) {
+    if (state->grace_jobs.empty()) {
       out->Reset();
       out->SetCardinality(0);
       return Status::OK();
     }
-    GraceJob job = std::move(grace_jobs_.back());
-    grace_jobs_.pop_back();
-    MALLARD_RETURN_NOT_OK(PrepareGraceJob(context, std::move(job)));
+    GraceJob job = std::move(state->grace_jobs.back());
+    state->grace_jobs.pop_back();
+    MALLARD_RETURN_NOT_OK(PrepareGraceJob(context, state, std::move(job)));
   }
 }
 
@@ -628,21 +654,42 @@ PhysicalMergeJoin::PhysicalMergeJoin(JoinType join_type,
       conditions_(std::move(conditions)),
       left_types_(left->types()),
       right_types_(right->types()) {
-  left_chunk_.Initialize(left_types_);
-  right_chunk_.Initialize(right_types_);
-  left_keys_.Initialize(KeyTypes(conditions_, true));
-  right_keys_.Initialize(KeyTypes(conditions_, false));
   AddChild(std::move(left));
   AddChild(std::move(right));
 }
 
-Status PhysicalMergeJoin::SortInputs(ExecutionContext* context) {
+/// One execution of the merge join: both sorted inputs, the cursor over
+/// each, and the right side's current equal-key group.
+struct PhysicalMergeJoin::MergeState : OperatorState {
+  std::unique_ptr<ExternalSort> left_sort;
+  std::unique_ptr<ExternalSort> right_sort;
+  // Left cursor.
+  DataChunk left_chunk;
+  idx_t left_position = 0;
+  bool left_done = false;
+  // Right cursor + current equal-key group.
+  DataChunk right_chunk;
+  idx_t right_position = 0;
+  bool right_done = false;
+  std::string group_key;
+  std::vector<std::vector<Value>> group_rows;
+  bool group_valid = false;
+  idx_t emit_group_index = 0;
+  bool emitting_matches = false;
+};
+
+StatePtr PhysicalMergeJoin::CreateState(const MorselWorker*) const {
+  return std::make_unique<MergeState>();
+}
+
+Status PhysicalMergeJoin::SortInputs(ExecutionContext* context,
+                                     MergeState* state) const {
   // Sort keys are materialized as leading columns so the sorted stream
   // can be compared without re-evaluating expressions:
   // sorted layout = [key columns..., payload columns...].
-  auto sort_side = [&](PhysicalOperator* source,
-                       const std::vector<TypeId>& payload_types,
-                       bool left_side) -> Result<std::unique_ptr<ExternalSort>> {
+  auto sort_side = [&](idx_t side, const std::vector<TypeId>& payload_types)
+      -> Result<std::unique_ptr<ExternalSort>> {
+    const bool left_side = side == 0;
     std::vector<TypeId> all_types = KeyTypes(conditions_, left_side);
     idx_t key_count = all_types.size();
     all_types.insert(all_types.end(), payload_types.begin(),
@@ -659,17 +706,15 @@ Status PhysicalMergeJoin::SortInputs(ExecutionContext* context) {
     widened.Initialize(all_types);
     DataChunk keys;
     keys.Initialize(KeyTypes(conditions_, left_side));
-    std::vector<ExprPtr> exprs;
-    for (auto& c : conditions_) {
-      exprs.push_back(left_side ? c.left->Copy() : c.right->Copy());
-    }
     while (true) {
-      MALLARD_RETURN_NOT_OK(source->GetChunk(context, &input));
+      MALLARD_RETURN_NOT_OK(ChildChunk(side, context, state, &input));
       if (input.size() == 0) break;
       widened.Reset();
       for (idx_t k = 0; k < key_count; k++) {
+        const JoinCondition& c = conditions_[k];
         MALLARD_RETURN_NOT_OK(ExpressionExecutor::Execute(
-            *exprs[k], input, &widened.column(k)));
+            left_side ? *c.left : *c.right, input, &widened.column(k),
+            context->parameters));
       }
       for (idx_t c = 0; c < payload_types.size(); c++) {
         widened.column(key_count + c).Reference(input.column(c));
@@ -680,83 +725,84 @@ Status PhysicalMergeJoin::SortInputs(ExecutionContext* context) {
     MALLARD_RETURN_NOT_OK(sorter->Finalize());
     return sorter;
   };
-  MALLARD_ASSIGN_OR_RETURN(left_sort_,
-                           sort_side(child(0), left_types_, true));
-  MALLARD_ASSIGN_OR_RETURN(right_sort_,
-                           sort_side(child(1), right_types_, false));
-  // Re-initialize cursor chunks with the widened layouts.
+  MALLARD_ASSIGN_OR_RETURN(state->left_sort, sort_side(0, left_types_));
+  MALLARD_ASSIGN_OR_RETURN(state->right_sort, sort_side(1, right_types_));
+  // Cursor chunks have the widened layouts.
   std::vector<TypeId> lt = KeyTypes(conditions_, true);
   lt.insert(lt.end(), left_types_.begin(), left_types_.end());
-  left_chunk_.Initialize(lt);
+  state->left_chunk.Initialize(lt);
   std::vector<TypeId> rt = KeyTypes(conditions_, false);
   rt.insert(rt.end(), right_types_.begin(), right_types_.end());
-  right_chunk_.Initialize(rt);
-  sorted_ = true;
+  state->right_chunk.Initialize(rt);
   return Status::OK();
 }
 
-Status PhysicalMergeJoin::AdvanceLeft() {
-  left_position_++;
-  if (left_position_ >= left_chunk_.size()) {
-    MALLARD_RETURN_NOT_OK(left_sort_->GetChunk(&left_chunk_));
-    left_position_ = 0;
-    if (left_chunk_.size() == 0) left_done_ = true;
+Status PhysicalMergeJoin::AdvanceLeft(MergeState* state) const {
+  MergeState& s = *state;
+  s.left_position++;
+  if (s.left_position >= s.left_chunk.size()) {
+    MALLARD_RETURN_NOT_OK(s.left_sort->GetChunk(&s.left_chunk));
+    s.left_position = 0;
+    if (s.left_chunk.size() == 0) s.left_done = true;
   }
   return Status::OK();
 }
 
-Status PhysicalMergeJoin::LoadNextRightGroup() {
-  group_rows_.clear();
-  group_valid_ = false;
+Status PhysicalMergeJoin::LoadNextRightGroup(MergeState* state) const {
+  MergeState& s = *state;
+  s.group_rows.clear();
+  s.group_valid = false;
   auto specs = KeySpecs(conditions_.size());
   idx_t key_count = conditions_.size();
-  while (!right_done_) {
-    if (right_position_ >= right_chunk_.size()) {
-      MALLARD_RETURN_NOT_OK(right_sort_->GetChunk(&right_chunk_));
-      right_position_ = 0;
-      if (right_chunk_.size() == 0) {
-        right_done_ = true;
+  while (!s.right_done) {
+    if (s.right_position >= s.right_chunk.size()) {
+      MALLARD_RETURN_NOT_OK(s.right_sort->GetChunk(&s.right_chunk));
+      s.right_position = 0;
+      if (s.right_chunk.size() == 0) {
+        s.right_done = true;
         break;
       }
     }
-    // Key of the row at right_position_ (skip NULL keys).
+    // Key of the row at right_position (skip NULL keys).
     bool has_null = false;
     for (idx_t k = 0; k < key_count; k++) {
-      if (!right_chunk_.column(k).validity().RowIsValid(right_position_)) {
+      if (!s.right_chunk.column(k).validity().RowIsValid(s.right_position)) {
         has_null = true;
         break;
       }
     }
     if (has_null) {
-      right_position_++;
+      s.right_position++;
       continue;
     }
     std::string key;
     // Build a key-only view chunk by encoding the first key_count columns.
-    EncodeSortKey(right_chunk_, right_position_, specs, &key);
-    if (!group_valid_) {
-      group_key_ = key;
-      group_valid_ = true;
-    } else if (key != group_key_) {
+    EncodeSortKey(s.right_chunk, s.right_position, specs, &key);
+    if (!s.group_valid) {
+      s.group_key = key;
+      s.group_valid = true;
+    } else if (key != s.group_key) {
       return Status::OK();  // next group starts here
     }
     std::vector<Value> row;
     for (idx_t c = 0; c < right_types_.size(); c++) {
-      row.push_back(right_chunk_.GetValue(key_count + c, right_position_));
+      row.push_back(s.right_chunk.GetValue(key_count + c, s.right_position));
     }
-    group_rows_.push_back(std::move(row));
-    right_position_++;
+    s.group_rows.push_back(std::move(row));
+    s.right_position++;
   }
   return Status::OK();
 }
 
-Status PhysicalMergeJoin::GetChunk(ExecutionContext* context, DataChunk* out) {
-  if (!sorted_) {
-    MALLARD_RETURN_NOT_OK(SortInputs(context));
-    MALLARD_RETURN_NOT_OK(left_sort_->GetChunk(&left_chunk_));
-    left_position_ = 0;
-    left_done_ = left_chunk_.size() == 0;
-    MALLARD_RETURN_NOT_OK(LoadNextRightGroup());
+Status PhysicalMergeJoin::GetChunk(ExecutionContext* context,
+                                   OperatorState* state, DataChunk* out) const {
+  auto& s = static_cast<MergeState&>(*state);
+  if (!s.left_sort) {
+    MALLARD_RETURN_NOT_OK(SortInputs(context, &s));
+    MALLARD_RETURN_NOT_OK(s.left_sort->GetChunk(&s.left_chunk));
+    s.left_position = 0;
+    s.left_done = s.left_chunk.size() == 0;
+    MALLARD_RETURN_NOT_OK(LoadNextRightGroup(&s));
   }
   out->Reset();
   idx_t key_count = conditions_.size();
@@ -764,8 +810,8 @@ Status PhysicalMergeJoin::GetChunk(ExecutionContext* context, DataChunk* out) {
   idx_t produced = 0;
   auto emit_left_row = [&](bool null_pad) {
     for (idx_t c = 0; c < left_types_.size(); c++) {
-      out->column(c).CopyFrom(left_chunk_.column(key_count + c), 1,
-                              left_position_, produced);
+      out->column(c).CopyFrom(s.left_chunk.column(key_count + c), 1,
+                              s.left_position, produced);
     }
     if (null_pad && (join_type_ == JoinType::kLeft)) {
       for (idx_t c = left_types_.size(); c < out->ColumnCount(); c++) {
@@ -774,61 +820,61 @@ Status PhysicalMergeJoin::GetChunk(ExecutionContext* context, DataChunk* out) {
     }
   };
 
-  while (produced < kVectorSize && !left_done_) {
-    if (emitting_matches_) {
-      while (emit_group_index_ < group_rows_.size() &&
+  while (produced < kVectorSize && !s.left_done) {
+    if (s.emitting_matches) {
+      while (s.emit_group_index < s.group_rows.size() &&
              produced < kVectorSize) {
         emit_left_row(false);
-        const auto& row = group_rows_[emit_group_index_];
+        const auto& row = s.group_rows[s.emit_group_index];
         for (idx_t c = 0; c < right_types_.size(); c++) {
           out->SetValue(left_types_.size() + c, produced, row[c]);
         }
         produced++;
-        emit_group_index_++;
+        s.emit_group_index++;
       }
-      if (emit_group_index_ >= group_rows_.size()) {
-        emitting_matches_ = false;
-        MALLARD_RETURN_NOT_OK(AdvanceLeft());
+      if (s.emit_group_index >= s.group_rows.size()) {
+        s.emitting_matches = false;
+        MALLARD_RETURN_NOT_OK(AdvanceLeft(&s));
       }
       continue;
     }
     // Left row key (NULL keys never match).
     bool has_null = false;
     for (idx_t k = 0; k < key_count; k++) {
-      if (!left_chunk_.column(k).validity().RowIsValid(left_position_)) {
+      if (!s.left_chunk.column(k).validity().RowIsValid(s.left_position)) {
         has_null = true;
         break;
       }
     }
     std::string left_key;
     if (!has_null) {
-      EncodeSortKey(left_chunk_, left_position_, specs, &left_key);
+      EncodeSortKey(s.left_chunk, s.left_position, specs, &left_key);
     }
     if (has_null) {
       if (join_type_ == JoinType::kLeft || join_type_ == JoinType::kAnti) {
         emit_left_row(true);
         produced++;
       }
-      MALLARD_RETURN_NOT_OK(AdvanceLeft());
+      MALLARD_RETURN_NOT_OK(AdvanceLeft(&s));
       continue;
     }
     // Advance right groups until group_key >= left_key.
-    while (group_valid_ && group_key_ < left_key) {
-      MALLARD_RETURN_NOT_OK(LoadNextRightGroup());
+    while (s.group_valid && s.group_key < left_key) {
+      MALLARD_RETURN_NOT_OK(LoadNextRightGroup(&s));
     }
-    bool match = group_valid_ && group_key_ == left_key;
+    bool match = s.group_valid && s.group_key == left_key;
     switch (join_type_) {
       case JoinType::kInner:
       case JoinType::kLeft:
         if (match) {
-          emitting_matches_ = true;
-          emit_group_index_ = 0;
+          s.emitting_matches = true;
+          s.emit_group_index = 0;
         } else {
           if (join_type_ == JoinType::kLeft) {
             emit_left_row(true);
             produced++;
           }
-          MALLARD_RETURN_NOT_OK(AdvanceLeft());
+          MALLARD_RETURN_NOT_OK(AdvanceLeft(&s));
         }
         break;
       case JoinType::kSemi:
@@ -837,7 +883,7 @@ Status PhysicalMergeJoin::GetChunk(ExecutionContext* context, DataChunk* out) {
           emit_left_row(false);
           produced++;
         }
-        MALLARD_RETURN_NOT_OK(AdvanceLeft());
+        MALLARD_RETURN_NOT_OK(AdvanceLeft(&s));
         break;
     }
   }
@@ -864,72 +910,79 @@ PhysicalCrossProduct::PhysicalCrossProduct(
     std::unique_ptr<PhysicalOperator> right)
     : PhysicalOperator(
           JoinOutputTypes(JoinType::kInner, left->types(), right->types())) {
-  left_chunk_.Initialize(left->types());
-  right_chunk_.Initialize(right->types());
   AddChild(std::move(left));
   AddChild(std::move(right));
 }
 
+StatePtr PhysicalCrossProduct::CreateState(const MorselWorker*) const {
+  auto state = std::make_unique<CrossProductState>();
+  state->left_chunk.Initialize(children_[0]->types());
+  state->right_chunk.Initialize(children_[1]->types());
+  return state;
+}
+
 Status PhysicalCrossProduct::GetChunk(ExecutionContext* context,
-                                      DataChunk* out) {
-  if (!materialized_) {
-    right_data_ = std::make_unique<ChunkCollection>(child(1)->types(),
-                                                    context->governor);
+                                      OperatorState* state,
+                                      DataChunk* out) const {
+  auto& s = static_cast<CrossProductState&>(*state);
+  if (!s.right_data) {
+    s.right_data = std::make_unique<ChunkCollection>(child(1)->types(),
+                                                     context->governor);
     DataChunk chunk;
     chunk.Initialize(child(1)->types());
     while (true) {
-      MALLARD_RETURN_NOT_OK(child(1)->GetChunk(context, &chunk));
+      MALLARD_RETURN_NOT_OK(ChildChunk(1, context, state, &chunk));
       if (chunk.size() == 0) break;
-      MALLARD_RETURN_NOT_OK(right_data_->Append(chunk));
+      MALLARD_RETURN_NOT_OK(s.right_data->Append(chunk));
     }
-    right_data_->Finalize();
-    materialized_ = true;
-    MALLARD_RETURN_NOT_OK(child(0)->GetChunk(context, &left_chunk_));
-    left_done_ = left_chunk_.size() == 0;
-    left_position_ = 0;
-    right_scan_ = ChunkCollection::ScanState();
-    MALLARD_RETURN_NOT_OK(right_data_->Scan(&right_scan_, &right_chunk_));
-    right_position_ = 0;
+    s.right_data->Finalize();
+    MALLARD_RETURN_NOT_OK(ChildChunk(0, context, state, &s.left_chunk));
+    s.left_done = s.left_chunk.size() == 0;
+    s.left_position = 0;
+    s.right_scan = ChunkCollection::ScanState();
+    MALLARD_RETURN_NOT_OK(s.right_data->Scan(&s.right_scan, &s.right_chunk));
+    s.right_position = 0;
   }
   out->Reset();
   idx_t produced = 0;
-  idx_t left_width = left_chunk_.ColumnCount();
-  while (produced < kVectorSize && !left_done_) {
-    if (right_position_ >= right_chunk_.size()) {
-      MALLARD_RETURN_NOT_OK(right_data_->Scan(&right_scan_, &right_chunk_));
-      right_position_ = 0;
-      if (right_chunk_.size() == 0) {
+  idx_t left_width = s.left_chunk.ColumnCount();
+  while (produced < kVectorSize && !s.left_done) {
+    if (s.right_position >= s.right_chunk.size()) {
+      MALLARD_RETURN_NOT_OK(s.right_data->Scan(&s.right_scan, &s.right_chunk));
+      s.right_position = 0;
+      if (s.right_chunk.size() == 0) {
         // Right exhausted: advance left, restart right.
-        left_position_++;
-        if (left_position_ >= left_chunk_.size()) {
-          MALLARD_RETURN_NOT_OK(child(0)->GetChunk(context, &left_chunk_));
-          left_position_ = 0;
-          if (left_chunk_.size() == 0) {
-            left_done_ = true;
+        s.left_position++;
+        if (s.left_position >= s.left_chunk.size()) {
+          MALLARD_RETURN_NOT_OK(ChildChunk(0, context, state, &s.left_chunk));
+          s.left_position = 0;
+          if (s.left_chunk.size() == 0) {
+            s.left_done = true;
             break;
           }
         }
-        right_scan_ = ChunkCollection::ScanState();
-        MALLARD_RETURN_NOT_OK(right_data_->Scan(&right_scan_, &right_chunk_));
-        right_position_ = 0;
-        if (right_chunk_.size() == 0) {
+        s.right_scan = ChunkCollection::ScanState();
+        MALLARD_RETURN_NOT_OK(
+            s.right_data->Scan(&s.right_scan, &s.right_chunk));
+        s.right_position = 0;
+        if (s.right_chunk.size() == 0) {
           // Empty right side: cross product is empty.
-          left_done_ = true;
+          s.left_done = true;
           break;
         }
       }
       continue;
     }
     for (idx_t c = 0; c < left_width; c++) {
-      out->column(c).CopyFrom(left_chunk_.column(c), 1, left_position_,
+      out->column(c).CopyFrom(s.left_chunk.column(c), 1, s.left_position,
                               produced);
     }
-    for (idx_t c = 0; c < right_chunk_.ColumnCount(); c++) {
+    for (idx_t c = 0; c < s.right_chunk.ColumnCount(); c++) {
       out->column(left_width + c)
-          .CopyFrom(right_chunk_.column(c), 1, right_position_, produced);
+          .CopyFrom(s.right_chunk.column(c), 1, s.right_position, produced);
     }
     produced++;
-    right_position_++;
+    s.right_position++;
   }
   out->SetCardinality(produced);
   return Status::OK();

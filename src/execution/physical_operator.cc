@@ -2,6 +2,16 @@
 
 namespace mallard {
 
+StatePtr PhysicalOperator::MakeState(
+    const MorselWorker* worker) const {
+  StatePtr state = CreateState(worker);
+  state->children.reserve(children_.size());
+  for (const auto& child : children_) {
+    state->children.push_back(child->MakeState(worker));
+  }
+  return state;
+}
+
 std::string PhysicalOperator::ToString(int indent) const {
   std::string result(indent * 2, ' ');
   result += name();

@@ -4,28 +4,47 @@
 
 namespace mallard {
 
+namespace {
+/// The sorted runs, made by the first GetChunk.
+struct OrderByState : OperatorState {
+  std::unique_ptr<ExternalSort> sort;
+};
+
+/// The kept rows in output order, made by the first GetChunk, and the
+/// next one to emit.
+struct TopNState : OperatorState {
+  std::vector<std::vector<uint8_t>> sorted_rows;
+  bool computed = false;
+  idx_t position = 0;
+};
+}  // namespace
+
 PhysicalOrderBy::PhysicalOrderBy(std::vector<SortSpec> specs,
                                  std::unique_ptr<PhysicalOperator> child)
     : PhysicalOperator(child->types()), specs_(std::move(specs)) {
   AddChild(std::move(child));
 }
 
-Status PhysicalOrderBy::GetChunk(ExecutionContext* context, DataChunk* out) {
-  if (!sorted_) {
-    sort_ = std::make_unique<ExternalSort>(child(0)->types(), specs_,
-                                           context->buffers,
-                                           context->governor);
+StatePtr PhysicalOrderBy::CreateState(const MorselWorker*) const {
+  return std::make_unique<OrderByState>();
+}
+
+Status PhysicalOrderBy::GetChunk(ExecutionContext* context,
+                                 OperatorState* state, DataChunk* out) const {
+  std::unique_ptr<ExternalSort>& sort = static_cast<OrderByState&>(*state).sort;
+  if (!sort) {
+    sort = std::make_unique<ExternalSort>(types_, specs_, context->buffers,
+                                          context->governor);
     DataChunk chunk;
-    chunk.Initialize(child(0)->types());
+    chunk.Initialize(types_);
     while (true) {
-      MALLARD_RETURN_NOT_OK(child(0)->GetChunk(context, &chunk));
+      MALLARD_RETURN_NOT_OK(ChildChunk(0, context, state, &chunk));
       if (chunk.size() == 0) break;
-      MALLARD_RETURN_NOT_OK(sort_->Sink(chunk));
+      MALLARD_RETURN_NOT_OK(sort->Sink(chunk));
     }
-    MALLARD_RETURN_NOT_OK(sort_->Finalize());
-    sorted_ = true;
+    MALLARD_RETURN_NOT_OK(sort->Finalize());
   }
-  return sort_->GetChunk(out);
+  return sort->GetChunk(out);
 }
 
 std::string PhysicalOrderBy::name() const {
@@ -48,12 +67,19 @@ PhysicalTopN::PhysicalTopN(std::vector<SortSpec> specs, idx_t limit,
   AddChild(std::move(child));
 }
 
-Status PhysicalTopN::GetChunk(ExecutionContext* context, DataChunk* out) {
+StatePtr PhysicalTopN::CreateState(const MorselWorker*) const {
+  return std::make_unique<TopNState>();
+}
+
+Status PhysicalTopN::GetChunk(ExecutionContext* context, OperatorState* state,
+                              DataChunk* out) const {
+  auto& s = static_cast<TopNState&>(*state);
   idx_t keep = limit_ + offset_;
-  if (!computed_) {
-    RowCodec codec(child(0)->types());
+  if (!s.computed) {
+    RowCodec codec(types_);
     DataChunk chunk;
-    chunk.Initialize(child(0)->types());
+    chunk.Initialize(types_);
+    std::vector<std::pair<std::string, std::vector<uint8_t>>> heap;
     std::string key;
     // Max-heap on the key: the root is the worst row kept so far.
     auto cmp = [](const std::pair<std::string, std::vector<uint8_t>>& a,
@@ -61,35 +87,34 @@ Status PhysicalTopN::GetChunk(ExecutionContext* context, DataChunk* out) {
       return a.first < b.first;
     };
     while (true) {
-      MALLARD_RETURN_NOT_OK(child(0)->GetChunk(context, &chunk));
+      MALLARD_RETURN_NOT_OK(ChildChunk(0, context, state, &chunk));
       if (chunk.size() == 0) break;
       for (idx_t r = 0; r < chunk.size(); r++) {
         EncodeSortKey(chunk, r, specs_, &key);
-        if (heap_.size() >= keep && key >= heap_.front().first) continue;
+        if (heap.size() >= keep && key >= heap.front().first) continue;
         std::vector<uint8_t> row;
         codec.EncodeRow(chunk, r, &row);
-        heap_.emplace_back(key, std::move(row));
-        std::push_heap(heap_.begin(), heap_.end(), cmp);
-        if (heap_.size() > keep) {
-          std::pop_heap(heap_.begin(), heap_.end(), cmp);
-          heap_.pop_back();
+        heap.emplace_back(key, std::move(row));
+        std::push_heap(heap.begin(), heap.end(), cmp);
+        if (heap.size() > keep) {
+          std::pop_heap(heap.begin(), heap.end(), cmp);
+          heap.pop_back();
         }
       }
     }
-    std::sort(heap_.begin(), heap_.end(),
+    std::sort(heap.begin(), heap.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (idx_t i = offset_; i < heap_.size(); i++) {
-      sorted_rows_.push_back(std::move(heap_[i].second));
+    for (idx_t i = offset_; i < heap.size(); i++) {
+      s.sorted_rows.push_back(std::move(heap[i].second));
     }
-    heap_.clear();
-    computed_ = true;
+    s.computed = true;
   }
   out->Reset();
   RowCodec codec(types_);
   idx_t produced = 0;
-  while (position_ < sorted_rows_.size() && produced < kVectorSize) {
-    codec.DecodeRow(sorted_rows_[position_].data(), out, produced);
-    position_++;
+  while (s.position < s.sorted_rows.size() && produced < kVectorSize) {
+    codec.DecodeRow(s.sorted_rows[s.position].data(), out, produced);
+    s.position++;
     produced++;
   }
   out->SetCardinality(produced);

@@ -259,7 +259,9 @@ Status ArithLoop(const Vector& left, const Vector& right, idx_t count,
             result->validity().SetInvalid(i);
             continue;
           }
-          out[i] = l[i] % r[i];
+          // x % -1 is 0; computing it traps (SIGFPE) for the type's
+          // minimum, whose quotient overflows.
+          out[i] = r[i] == -1 ? 0 : l[i] % r[i];
         } else {
           out[i] = static_cast<T>(
               std::fmod(static_cast<double>(l[i]), static_cast<double>(r[i])));
@@ -318,6 +320,11 @@ Status CastVector(const Vector& in, idx_t count, Vector* out) {
     default:
       return slow_path();
   }
+}
+
+bool ListHasNull(const std::vector<Value>& values) {
+  return std::any_of(values.begin(), values.end(),
+                     [](const Value& v) { return v.is_null(); });
 }
 
 // Converts a boolean vector to 3-valued-logic state: 1 true, 0 false,
@@ -381,12 +388,13 @@ std::string BoundCase::ToString() const {
   return result + " END";
 }
 
-Result<std::vector<Value>> BoundInList::Values() const {
+Result<std::vector<Value>> BoundInList::Values(
+    const ParameterValues* params) const {
   std::vector<Value> values;
   values.reserve(items_.size());
   for (const auto& item : items_) {
-    MALLARD_ASSIGN_OR_RETURN(Value v,
-                             ExpressionExecutor::ExecuteScalar(*item, {}));
+    MALLARD_ASSIGN_OR_RETURN(
+        Value v, ExpressionExecutor::ExecuteScalar(*item, {}, params));
     values.push_back(std::move(v));
   }
   return values;
@@ -416,13 +424,13 @@ std::string BoundLike::ToString() const {
   return child_->ToString() + (negated_ ? " NOT LIKE " : " LIKE ") + pattern;
 }
 
-Result<Value> BoundParameter::GetValue() const {
-  if (!data_ || index_ >= data_->values.size() || !data_->is_set[index_]) {
+Result<Value> BoundParameter::GetValue(const ParameterValues* params) const {
+  if (!params || index_ >= params->size()) {
     return Status::InvalidArgument(
         "prepared statement parameter $" + std::to_string(index_ + 1) +
         " has not been bound");
   }
-  Value value = data_->values[index_];
+  const Value& value = (*params)[index_];
   TypeId target = return_type();
   if (target == TypeId::kInvalid) return value;
   if (value.is_null()) return Value::Null(target);
@@ -431,7 +439,8 @@ Result<Value> BoundParameter::GetValue() const {
 }
 
 Status ExpressionExecutor::Execute(const BoundExpression& expr,
-                                   const DataChunk& input, Vector* result) {
+                                   const DataChunk& input, Vector* result,
+                                   const ParameterValues* params) {
   idx_t count = input.size();
   switch (expr.expr_class()) {
     case ExprClass::kConstant: {
@@ -450,8 +459,8 @@ Status ExpressionExecutor::Execute(const BoundExpression& expr,
       const auto& e = static_cast<const BoundComparison&>(expr);
       Vector left(e.left().return_type());
       Vector right(e.right().return_type());
-      MALLARD_RETURN_NOT_OK(Execute(e.left(), input, &left));
-      MALLARD_RETURN_NOT_OK(Execute(e.right(), input, &right));
+      MALLARD_RETURN_NOT_OK(Execute(e.left(), input, &left, params));
+      MALLARD_RETURN_NOT_OK(Execute(e.right(), input, &right, params));
       // Dictionary fast path: column vs constant translates the constant
       // into code space once instead of gathering strings per row.
       if (count > 0 && left.type() == TypeId::kVarchar) {
@@ -474,7 +483,7 @@ Status ExpressionExecutor::Execute(const BoundExpression& expr,
       std::vector<int8_t> state(count, e.is_and() ? 1 : 0);
       for (const auto& child : e.children()) {
         Vector v(TypeId::kBoolean);
-        MALLARD_RETURN_NOT_OK(Execute(*child, input, &v));
+        MALLARD_RETURN_NOT_OK(Execute(*child, input, &v, params));
         for (idx_t i = 0; i < count; i++) {
           int8_t s = BoolState(v, i);
           if (e.is_and()) {
@@ -508,8 +517,8 @@ Status ExpressionExecutor::Execute(const BoundExpression& expr,
       const auto& e = static_cast<const BoundArithmetic&>(expr);
       Vector left(e.left().return_type());
       Vector right(e.right().return_type());
-      MALLARD_RETURN_NOT_OK(Execute(e.left(), input, &left));
-      MALLARD_RETURN_NOT_OK(Execute(e.right(), input, &right));
+      MALLARD_RETURN_NOT_OK(Execute(e.left(), input, &left, params));
+      MALLARD_RETURN_NOT_OK(Execute(e.right(), input, &right, params));
       switch (expr.return_type()) {
         case TypeId::kInteger:
           return ArithLoop<int32_t>(left, right, count, e.op(), result);
@@ -530,7 +539,8 @@ Status ExpressionExecutor::Execute(const BoundExpression& expr,
       }
       std::vector<Vector*> arg_ptrs;
       for (idx_t i = 0; i < e.args().size(); i++) {
-        MALLARD_RETURN_NOT_OK(Execute(*e.args()[i], input, &arg_vectors[i]));
+        MALLARD_RETURN_NOT_OK(
+            Execute(*e.args()[i], input, &arg_vectors[i], params));
         arg_ptrs.push_back(&arg_vectors[i]);
       }
       return e.impl()(arg_ptrs, count, result);
@@ -538,13 +548,13 @@ Status ExpressionExecutor::Execute(const BoundExpression& expr,
     case ExprClass::kCast: {
       const auto& e = static_cast<const BoundCast&>(expr);
       Vector child(e.child().return_type());
-      MALLARD_RETURN_NOT_OK(Execute(e.child(), input, &child));
+      MALLARD_RETURN_NOT_OK(Execute(e.child(), input, &child, params));
       return CastVector(child, count, result);
     }
     case ExprClass::kIsNull: {
       const auto& e = static_cast<const BoundIsNull&>(expr);
       Vector child(e.child().return_type());
-      MALLARD_RETURN_NOT_OK(Execute(e.child(), input, &child));
+      MALLARD_RETURN_NOT_OK(Execute(e.child(), input, &child, params));
       int8_t* out = result->data<int8_t>();
       for (idx_t i = 0; i < count; i++) {
         bool is_null = !child.validity().RowIsValid(i);
@@ -555,7 +565,7 @@ Status ExpressionExecutor::Execute(const BoundExpression& expr,
     case ExprClass::kNot: {
       const auto& e = static_cast<const BoundNot&>(expr);
       Vector child(TypeId::kBoolean);
-      MALLARD_RETURN_NOT_OK(Execute(e.child(), input, &child));
+      MALLARD_RETURN_NOT_OK(Execute(e.child(), input, &child, params));
       int8_t* out = result->data<int8_t>();
       for (idx_t i = 0; i < count; i++) {
         if (!child.validity().RowIsValid(i)) {
@@ -571,9 +581,9 @@ Status ExpressionExecutor::Execute(const BoundExpression& expr,
       std::vector<bool> decided(count, false);
       for (const auto& clause : e.clauses()) {
         Vector when(TypeId::kBoolean);
-        MALLARD_RETURN_NOT_OK(Execute(*clause.when, input, &when));
+        MALLARD_RETURN_NOT_OK(Execute(*clause.when, input, &when, params));
         Vector then(expr.return_type());
-        MALLARD_RETURN_NOT_OK(Execute(*clause.then, input, &then));
+        MALLARD_RETURN_NOT_OK(Execute(*clause.then, input, &then, params));
         for (idx_t i = 0; i < count; i++) {
           if (decided[i]) continue;
           if (BoolState(when, i) == 1) {
@@ -588,7 +598,8 @@ Status ExpressionExecutor::Execute(const BoundExpression& expr,
       }
       Vector else_vec(expr.return_type());
       if (e.else_expr()) {
-        MALLARD_RETURN_NOT_OK(Execute(*e.else_expr(), input, &else_vec));
+        MALLARD_RETURN_NOT_OK(
+            Execute(*e.else_expr(), input, &else_vec, params));
       }
       for (idx_t i = 0; i < count; i++) {
         if (decided[i]) continue;
@@ -602,9 +613,10 @@ Status ExpressionExecutor::Execute(const BoundExpression& expr,
     }
     case ExprClass::kInList: {
       const auto& e = static_cast<const BoundInList&>(expr);
-      MALLARD_ASSIGN_OR_RETURN(std::vector<Value> values, e.Values());
+      MALLARD_ASSIGN_OR_RETURN(std::vector<Value> values, e.Values(params));
+      const bool has_null = ListHasNull(values);
       Vector child(e.child().return_type());
-      MALLARD_RETURN_NOT_OK(Execute(e.child(), input, &child));
+      MALLARD_RETURN_NOT_OK(Execute(e.child(), input, &child, params));
       int8_t* out = result->data<int8_t>();
       for (idx_t i = 0; i < count; i++) {
         if (!child.validity().RowIsValid(i)) {
@@ -613,6 +625,10 @@ Status ExpressionExecutor::Execute(const BoundExpression& expr,
         }
         Value v = child.GetValue(i);
         bool found = std::find(values.begin(), values.end(), v) != values.end();
+        if (!found && has_null) {
+          result->validity().SetInvalid(i);  // unknown, IN and NOT IN alike
+          continue;
+        }
         out[i] = (found != e.negated()) ? 1 : 0;
       }
       return Status::OK();
@@ -620,14 +636,14 @@ Status ExpressionExecutor::Execute(const BoundExpression& expr,
     case ExprClass::kLike: {
       const auto& e = static_cast<const BoundLike&>(expr);
       MALLARD_ASSIGN_OR_RETURN(Value pattern_value,
-                               ExecuteScalar(e.pattern(), {}));
+                               ExecuteScalar(e.pattern(), {}, params));
       if (pattern_value.is_null()) {
         for (idx_t i = 0; i < count; i++) result->validity().SetInvalid(i);
         return Status::OK();
       }
       const std::string& pattern = pattern_value.GetString();
       Vector child(TypeId::kVarchar);
-      MALLARD_RETURN_NOT_OK(Execute(e.child(), input, &child));
+      MALLARD_RETURN_NOT_OK(Execute(e.child(), input, &child, params));
       int8_t* out = result->data<int8_t>();
       if (child.is_dictionary()) {
         // Match each distinct dictionary entry at most once, then fan
@@ -666,7 +682,7 @@ Status ExpressionExecutor::Execute(const BoundExpression& expr,
     }
     case ExprClass::kParameter: {
       const auto& e = static_cast<const BoundParameter&>(expr);
-      MALLARD_ASSIGN_OR_RETURN(Value v, e.GetValue());
+      MALLARD_ASSIGN_OR_RETURN(Value v, e.GetValue(params));
       for (idx_t i = 0; i < count; i++) {
         result->SetValue(i, v);
       }
@@ -677,10 +693,10 @@ Status ExpressionExecutor::Execute(const BoundExpression& expr,
 }
 
 Result<idx_t> ExpressionExecutor::Select(const BoundExpression& expr,
-                                         const DataChunk& input,
-                                         uint32_t* sel) {
+                                         const DataChunk& input, uint32_t* sel,
+                                         const ParameterValues* params) {
   Vector result(TypeId::kBoolean);
-  MALLARD_RETURN_NOT_OK(Execute(expr, input, &result));
+  MALLARD_RETURN_NOT_OK(Execute(expr, input, &result, params));
   const int8_t* data = result.data<int8_t>();
   idx_t m = 0;
   if (result.validity().AllValid()) {
@@ -697,8 +713,9 @@ Result<idx_t> ExpressionExecutor::Select(const BoundExpression& expr,
   return m;
 }
 
-Result<Value> ExpressionExecutor::ExecuteScalar(const BoundExpression& expr,
-                                                const std::vector<Value>& row) {
+Result<Value> ExpressionExecutor::ExecuteScalar(
+    const BoundExpression& expr, const std::vector<Value>& row,
+    const ParameterValues* params) {
   switch (expr.expr_class()) {
     case ExprClass::kConstant:
       return static_cast<const BoundConstant&>(expr).value();
@@ -708,8 +725,8 @@ Result<Value> ExpressionExecutor::ExecuteScalar(const BoundExpression& expr,
     }
     case ExprClass::kComparison: {
       const auto& e = static_cast<const BoundComparison&>(expr);
-      MALLARD_ASSIGN_OR_RETURN(Value l, ExecuteScalar(e.left(), row));
-      MALLARD_ASSIGN_OR_RETURN(Value r, ExecuteScalar(e.right(), row));
+      MALLARD_ASSIGN_OR_RETURN(Value l, ExecuteScalar(e.left(), row, params));
+      MALLARD_ASSIGN_OR_RETURN(Value r, ExecuteScalar(e.right(), row, params));
       if (l.is_null() || r.is_null()) return Value::Null(TypeId::kBoolean);
       int cmp = l.Compare(r);
       bool v = false;
@@ -739,7 +756,7 @@ Result<Value> ExpressionExecutor::ExecuteScalar(const BoundExpression& expr,
       const auto& e = static_cast<const BoundConjunction&>(expr);
       int8_t state = e.is_and() ? 1 : 0;
       for (const auto& child : e.children()) {
-        MALLARD_ASSIGN_OR_RETURN(Value v, ExecuteScalar(*child, row));
+        MALLARD_ASSIGN_OR_RETURN(Value v, ExecuteScalar(*child, row, params));
         int8_t s = v.is_null() ? -1 : (v.GetBoolean() ? 1 : 0);
         if (e.is_and()) {
           if (state == 0 || s == 0) {
@@ -760,8 +777,8 @@ Result<Value> ExpressionExecutor::ExecuteScalar(const BoundExpression& expr,
     }
     case ExprClass::kArithmetic: {
       const auto& e = static_cast<const BoundArithmetic&>(expr);
-      MALLARD_ASSIGN_OR_RETURN(Value l, ExecuteScalar(e.left(), row));
-      MALLARD_ASSIGN_OR_RETURN(Value r, ExecuteScalar(e.right(), row));
+      MALLARD_ASSIGN_OR_RETURN(Value l, ExecuteScalar(e.left(), row, params));
+      MALLARD_ASSIGN_OR_RETURN(Value r, ExecuteScalar(e.right(), row, params));
       if (l.is_null() || r.is_null()) return Value::Null(expr.return_type());
       if (expr.return_type() == TypeId::kDouble) {
         double a = l.GetAsDouble(), b = r.GetAsDouble();
@@ -796,50 +813,53 @@ Result<Value> ExpressionExecutor::ExecuteScalar(const BoundExpression& expr,
           break;
         case ArithOp::kModulo:
           if (b == 0) return Value::Null(expr.return_type());
-          v = a % b;
+          v = b == -1 ? 0 : a % b;  // INT64_MIN % -1 traps
           break;
       }
       return Value::Numeric(expr.return_type(), v);
     }
     case ExprClass::kCast: {
       const auto& e = static_cast<const BoundCast&>(expr);
-      MALLARD_ASSIGN_OR_RETURN(Value v, ExecuteScalar(e.child(), row));
+      MALLARD_ASSIGN_OR_RETURN(Value v, ExecuteScalar(e.child(), row, params));
       return v.CastTo(expr.return_type());
     }
     case ExprClass::kIsNull: {
       const auto& e = static_cast<const BoundIsNull&>(expr);
-      MALLARD_ASSIGN_OR_RETURN(Value v, ExecuteScalar(e.child(), row));
+      MALLARD_ASSIGN_OR_RETURN(Value v, ExecuteScalar(e.child(), row, params));
       return Value::Boolean(v.is_null() != e.negated());
     }
     case ExprClass::kNot: {
       const auto& e = static_cast<const BoundNot&>(expr);
-      MALLARD_ASSIGN_OR_RETURN(Value v, ExecuteScalar(e.child(), row));
+      MALLARD_ASSIGN_OR_RETURN(Value v, ExecuteScalar(e.child(), row, params));
       if (v.is_null()) return Value::Null(TypeId::kBoolean);
       return Value::Boolean(!v.GetBoolean());
     }
     case ExprClass::kCase: {
       const auto& e = static_cast<const BoundCase&>(expr);
       for (const auto& clause : e.clauses()) {
-        MALLARD_ASSIGN_OR_RETURN(Value w, ExecuteScalar(*clause.when, row));
+        MALLARD_ASSIGN_OR_RETURN(Value w,
+                                 ExecuteScalar(*clause.when, row, params));
         if (!w.is_null() && w.GetBoolean()) {
-          return ExecuteScalar(*clause.then, row);
+          return ExecuteScalar(*clause.then, row, params);
         }
       }
-      if (e.else_expr()) return ExecuteScalar(*e.else_expr(), row);
+      if (e.else_expr()) return ExecuteScalar(*e.else_expr(), row, params);
       return Value::Null(expr.return_type());
     }
     case ExprClass::kInList: {
       const auto& e = static_cast<const BoundInList&>(expr);
-      MALLARD_ASSIGN_OR_RETURN(Value v, ExecuteScalar(e.child(), row));
+      MALLARD_ASSIGN_OR_RETURN(Value v, ExecuteScalar(e.child(), row, params));
       if (v.is_null()) return Value::Null(TypeId::kBoolean);
-      MALLARD_ASSIGN_OR_RETURN(std::vector<Value> values, e.Values());
+      MALLARD_ASSIGN_OR_RETURN(std::vector<Value> values, e.Values(params));
       bool found = std::find(values.begin(), values.end(), v) != values.end();
+      if (!found && ListHasNull(values)) return Value::Null(TypeId::kBoolean);
       return Value::Boolean(found != e.negated());
     }
     case ExprClass::kLike: {
       const auto& e = static_cast<const BoundLike&>(expr);
-      MALLARD_ASSIGN_OR_RETURN(Value v, ExecuteScalar(e.child(), row));
-      MALLARD_ASSIGN_OR_RETURN(Value pattern, ExecuteScalar(e.pattern(), row));
+      MALLARD_ASSIGN_OR_RETURN(Value v, ExecuteScalar(e.child(), row, params));
+      MALLARD_ASSIGN_OR_RETURN(Value pattern,
+                               ExecuteScalar(e.pattern(), row, params));
       if (v.is_null() || pattern.is_null()) {
         return Value::Null(TypeId::kBoolean);
       }
@@ -855,11 +875,12 @@ Result<Value> ExpressionExecutor::ExecuteScalar(const BoundExpression& expr,
       std::vector<Vector> arg_vectors;
       std::vector<Vector*> arg_ptrs;
       for (const auto& arg : e.args()) {
-        MALLARD_ASSIGN_OR_RETURN(Value v, ExecuteScalar(*arg, row));
+        MALLARD_ASSIGN_OR_RETURN(Value v, ExecuteScalar(*arg, row, params));
         arg_vectors.emplace_back(arg->return_type());
       }
       for (idx_t i = 0; i < e.args().size(); i++) {
-        MALLARD_ASSIGN_OR_RETURN(Value v, ExecuteScalar(*e.args()[i], row));
+        MALLARD_ASSIGN_OR_RETURN(Value v,
+                                 ExecuteScalar(*e.args()[i], row, params));
         arg_vectors[i].SetValue(0, v);
         arg_ptrs.push_back(&arg_vectors[i]);
       }
@@ -868,7 +889,7 @@ Result<Value> ExpressionExecutor::ExecuteScalar(const BoundExpression& expr,
       return result.GetValue(0);
     }
     case ExprClass::kParameter:
-      return static_cast<const BoundParameter&>(expr).GetValue();
+      return static_cast<const BoundParameter&>(expr).GetValue(params);
   }
   return Status::Internal("unknown expression class");
 }

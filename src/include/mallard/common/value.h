@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "mallard/common/result.h"
 #include "mallard/common/types.h"
@@ -78,6 +79,11 @@ class Value {
   } value_;
   std::string string_value_;
 };
+
+/// The values one execution binds to a statement's parameters: slot i
+/// holds $i+1. Plans never store them; they travel with the execution
+/// (ExecutionContext::parameters).
+using ParameterValues = std::vector<Value>;
 
 }  // namespace mallard
 

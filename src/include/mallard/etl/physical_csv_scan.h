@@ -25,24 +25,18 @@ class PhysicalCsvScan final : public PhysicalOperator {
         column_ids_(std::move(column_ids)),
         file_types_(std::move(file_types)) {}
 
-  Status GetChunk(ExecutionContext* context, DataChunk* out) override;
+  Status GetChunk(ExecutionContext* context, OperatorState* state,
+                  DataChunk* out) const override;
   std::string name() const override { return "CSV_SCAN(" + path_ + ")"; }
 
  protected:
-  Status ResetOperator() override {
-    reader_.reset();
-    initialized_ = false;
-    return Status::OK();
-  }
+  StatePtr CreateState(const MorselWorker* worker) const override;
 
  private:
   std::string path_;
   CsvOptions options_;
   std::vector<idx_t> column_ids_;
   std::vector<TypeId> file_types_;
-  std::unique_ptr<CsvReader> reader_;
-  DataChunk file_chunk_;
-  bool initialized_ = false;
 };
 
 }  // namespace mallard

@@ -12,67 +12,63 @@
 namespace mallard {
 
 /// A zone-map filter whose comparison value is a prepared-statement
-/// parameter: the concrete TableFilter is materialized from the bound
-/// value at scan initialization, so every re-execution of a prepared
-/// plan prunes row groups with its fresh parameter values.
+/// parameter: the concrete TableFilter is materialized from the value
+/// the execution binds when its scan starts, so every execution of a
+/// prepared or cached plan prunes row groups with its own values.
 struct LateBoundTableFilter {
   idx_t column_index;  // into the base table schema
   CompareOp op;
   TypeId column_type;
-  std::shared_ptr<BoundParameterData> parameters;
   idx_t parameter_index;
 };
 
 /// Sequential scan over a DataTable with projection pushdown (column ids)
 /// and zone-map filters (plan-time constants plus late-bound parameters).
+/// As one worker of a parallel pipeline it scans the row-group morsels
+/// its shared source hands it instead of the whole table.
 class PhysicalTableScan final : public PhysicalOperator {
  public:
   PhysicalTableScan(DataTable* table, std::vector<idx_t> column_ids,
                     std::vector<TableFilter> filters,
                     std::vector<TypeId> types,
                     std::vector<LateBoundTableFilter> late_filters = {});
-  Status GetChunk(ExecutionContext* context, DataChunk* out) override;
+  Status GetChunk(ExecutionContext* context, OperatorState* state,
+                  DataChunk* out) const override;
   std::string name() const override;
   const DataTable* ParallelSourceTable() const override { return table_; }
-  std::unique_ptr<PhysicalOperator> MorselClone(
-      const ParallelCloneContext& ctx) const override;
 
  protected:
-  Status ResetOperator() override {
-    state_ = TableScanState{};
-    initialized_ = false;
-    return Status::OK();
-  }
+  StatePtr CreateState(const MorselWorker* worker) const override;
 
  private:
   /// Plan-time filters plus zone-map filters materialized from the
-  /// currently bound parameter values (late-bound filters with unbound,
+  /// execution's parameter values (late-bound filters with unbound,
   /// NULL or uncastable values are skipped — pruning stays optional).
-  std::vector<TableFilter> EffectiveFilters() const;
+  std::vector<TableFilter> EffectiveFilters(
+      const ExecutionContext& context) const;
 
   DataTable* table_;
   std::vector<idx_t> column_ids_;
   std::vector<TableFilter> filters_;
   std::vector<LateBoundTableFilter> late_filters_;
-  TableScanState state_;
-  bool initialized_ = false;
 };
 
 /// Filters rows by a boolean predicate, compacting survivors.
 class PhysicalFilter final : public PhysicalOperator {
  public:
   PhysicalFilter(ExprPtr predicate, std::unique_ptr<PhysicalOperator> child);
-  Status GetChunk(ExecutionContext* context, DataChunk* out) override;
+  Status GetChunk(ExecutionContext* context, OperatorState* state,
+                  DataChunk* out) const override;
   std::string name() const override;
   const DataTable* ParallelSourceTable() const override {
     return children_[0]->ParallelSourceTable();
   }
-  std::unique_ptr<PhysicalOperator> MorselClone(
-      const ParallelCloneContext& ctx) const override;
+
+ protected:
+  StatePtr CreateState(const MorselWorker* worker) const override;
 
  private:
   ExprPtr predicate_;
-  DataChunk child_chunk_;
 };
 
 /// Computes one output vector per expression.
@@ -80,17 +76,18 @@ class PhysicalProjection final : public PhysicalOperator {
  public:
   PhysicalProjection(std::vector<ExprPtr> expressions,
                      std::unique_ptr<PhysicalOperator> child);
-  Status GetChunk(ExecutionContext* context, DataChunk* out) override;
+  Status GetChunk(ExecutionContext* context, OperatorState* state,
+                  DataChunk* out) const override;
   std::string name() const override;
   const DataTable* ParallelSourceTable() const override {
     return children_[0]->ParallelSourceTable();
   }
-  std::unique_ptr<PhysicalOperator> MorselClone(
-      const ParallelCloneContext& ctx) const override;
+
+ protected:
+  StatePtr CreateState(const MorselWorker* worker) const override;
 
  private:
   std::vector<ExprPtr> expressions_;
-  DataChunk child_chunk_;
 };
 
 /// LIMIT / OFFSET.
@@ -98,22 +95,16 @@ class PhysicalLimit final : public PhysicalOperator {
  public:
   PhysicalLimit(idx_t limit, idx_t offset,
                 std::unique_ptr<PhysicalOperator> child);
-  Status GetChunk(ExecutionContext* context, DataChunk* out) override;
+  Status GetChunk(ExecutionContext* context, OperatorState* state,
+                  DataChunk* out) const override;
   std::string name() const override;
 
  protected:
-  Status ResetOperator() override {
-    skipped_ = 0;
-    produced_ = 0;
-    return Status::OK();
-  }
+  StatePtr CreateState(const MorselWorker* worker) const override;
 
  private:
   idx_t limit_;
   idx_t offset_;
-  idx_t skipped_ = 0;
-  idx_t produced_ = 0;
-  DataChunk child_chunk_;
 };
 
 /// Constant VALUES rows.
@@ -121,18 +112,15 @@ class PhysicalValues final : public PhysicalOperator {
  public:
   PhysicalValues(std::vector<std::vector<Value>> rows,
                  std::vector<TypeId> types);
-  Status GetChunk(ExecutionContext* context, DataChunk* out) override;
+  Status GetChunk(ExecutionContext* context, OperatorState* state,
+                  DataChunk* out) const override;
   std::string name() const override;
 
  protected:
-  Status ResetOperator() override {
-    position_ = 0;
-    return Status::OK();
-  }
+  StatePtr CreateState(const MorselWorker* worker) const override;
 
  private:
   std::vector<std::vector<Value>> rows_;
-  idx_t position_ = 0;
 };
 
 /// Rows of arbitrary (column-free) expressions, evaluated at execution
@@ -142,18 +130,15 @@ class PhysicalExpressionScan final : public PhysicalOperator {
  public:
   PhysicalExpressionScan(std::vector<std::vector<ExprPtr>> rows,
                          std::vector<TypeId> types);
-  Status GetChunk(ExecutionContext* context, DataChunk* out) override;
+  Status GetChunk(ExecutionContext* context, OperatorState* state,
+                  DataChunk* out) const override;
   std::string name() const override;
 
  protected:
-  Status ResetOperator() override {
-    position_ = 0;
-    return Status::OK();
-  }
+  StatePtr CreateState(const MorselWorker* worker) const override;
 
  private:
   std::vector<std::vector<ExprPtr>> rows_;
-  idx_t position_ = 0;
 };
 
 /// Produces nothing (planner shortcut for provably empty results).
@@ -161,7 +146,8 @@ class PhysicalEmptyResult final : public PhysicalOperator {
  public:
   explicit PhysicalEmptyResult(std::vector<TypeId> types)
       : PhysicalOperator(std::move(types)) {}
-  Status GetChunk(ExecutionContext*, DataChunk* out) override {
+  Status GetChunk(ExecutionContext*, OperatorState*,
+                  DataChunk* out) const override {
     out->Reset();
     return Status::OK();
   }

@@ -18,39 +18,35 @@ class PhysicalUngroupedAggregate final : public PhysicalOperator {
  public:
   PhysicalUngroupedAggregate(std::vector<BoundAggregate> aggregates,
                              std::unique_ptr<PhysicalOperator> child);
-  Status GetChunk(ExecutionContext* context, DataChunk* out) override;
+  Status GetChunk(ExecutionContext* context, OperatorState* state,
+                  DataChunk* out) const override;
   std::string name() const override;
 
  protected:
-  Status ResetOperator() override {
-    done_ = false;
-    return Status::OK();
-  }
+  StatePtr CreateState(const MorselWorker* worker) const override;
 
  private:
   /// One state row of layout_ and the arena its VARCHAR extremes live in.
-  struct State {
-    explicit State(idx_t row_size) : row(row_size, 0) {}
+  struct Accumulator {
+    explicit Accumulator(idx_t row_size) : row(row_size, 0) {}
     std::vector<uint8_t> row;
     ArenaAllocator strings;
   };
 
   /// Thread-local partial state rows combined with AggStateLayout::Combine;
   /// sets `*done` when the parallel path ran.
-  Status ParallelAggregate(ExecutionContext* context, State* state,
-                           bool* done);
+  Status ParallelAggregate(ExecutionContext* context, Accumulator* total,
+                           bool* done) const;
   /// The accumulation loop shared by the serial path and every parallel
-  /// worker: pull chunks from `source`, evaluate `arg_exprs` (null
-  /// entry = COUNT(*)), fold into `state`. One body keeps serial and
-  /// parallel semantics from diverging.
-  Status AggregateSource(ExecutionContext* context, PhysicalOperator* source,
-                         const std::vector<ExprPtr>& arg_exprs, State* state);
-  /// One nullable Copy of each aggregate's argument expression.
-  std::vector<ExprPtr> CopyArgExprs() const;
+  /// worker: pull chunks from the child through `source_state` (the
+  /// serial child state or a worker's), evaluate the aggregates'
+  /// arguments, fold into `acc`. One body keeps serial and parallel
+  /// semantics from diverging.
+  Status AggregateSource(ExecutionContext* context,
+                         OperatorState* source_state, Accumulator* acc) const;
 
   std::vector<BoundAggregate> aggregates_;
-  AggStateLayout layout_;  // planned at each execution
-  bool done_ = false;
+  AggStateLayout layout_;
 };
 
 /// Hash aggregation: output columns are the group keys followed by the
@@ -79,73 +75,49 @@ class PhysicalHashAggregate final : public PhysicalOperator {
   PhysicalHashAggregate(std::vector<ExprPtr> groups,
                         std::vector<BoundAggregate> aggregates,
                         std::unique_ptr<PhysicalOperator> child);
-  Status GetChunk(ExecutionContext* context, DataChunk* out) override;
+  Status GetChunk(ExecutionContext* context, OperatorState* state,
+                  DataChunk* out) const override;
   std::string name() const override;
 
-  /// Number of distinct groups seen (stats for tests/benches). When the
-  /// aggregate spilled, resident tables are drained during emission, so
-  /// the count of emitted groups takes over once emission ran.
-  idx_t GroupCount() const {
-    idx_t resident = table_ ? table_->GroupCount() : 0;
-    return emitted_groups_ > resident ? emitted_groups_ : resident;
-  }
-
-  /// True when any groups were externalized to spill runs (tests).
-  bool Spilled() const { return table_ && table_->Spilled(); }
-
-  /// Phase timing of the last execution (benches): time spent in the
-  /// (possibly parallel) input sink, and in the partition-merge pass
-  /// (0 for serial sinks, which have no merge).
-  double SinkMs() const { return sink_ms_; }
-  double MergeMs() const { return merge_ms_; }
+  /// One execution's aggregation: the table and the emission cursor.
+  struct State : OperatorState {
+    std::unique_ptr<RadixPartitionedAggregateTable> table;
+    bool sunk = false;
+    // Emission cursor: tables come from table->NextEmitTable (resident
+    // partition or merged spill slice); the offset is kVectorSize-aligned
+    // within the current table.
+    AggregateHashTable* emit_current = nullptr;
+    idx_t emit_offset = 0;
+    /// Phase timing (benches): time spent in the (possibly parallel)
+    /// input sink, and in the partition-merge pass (0 for serial sinks,
+    /// which have no merge).
+    double sink_ms = 0;
+    double merge_ms = 0;
+  };
 
  protected:
-  Status ResetOperator() override {
-    emit_current_ = nullptr;
-    table_.reset();
-    sunk_ = false;
-    emit_offset_ = 0;
-    emitted_groups_ = 0;
-    sink_ms_ = 0;
-    merge_ms_ = 0;
-    return Status::OK();
-  }
+  StatePtr CreateState(const MorselWorker* worker) const override;
 
  private:
-  Status Sink(ExecutionContext* context);
+  Status Sink(ExecutionContext* context, State* state) const;
   /// Morsel-driven pre-aggregation: workers aggregate disjoint morsels
   /// into thread-local radix-partitioned tables; the per-partition
   /// merges then run through parallel::RunPartitionedTasks. Sets `*done`
   /// when the parallel path ran; otherwise the caller runs the serial
   /// sink loop.
-  Status ParallelSink(ExecutionContext* context, bool* done);
+  Status ParallelSink(ExecutionContext* context, State* state,
+                      bool* done) const;
   /// The sink loop shared by the serial path (source = child(0), one
-  /// unpartitioned table) and every parallel worker (source = its morsel
-  /// clone, table = its thread-local partitioned table): pull chunks,
-  /// evaluate groups, FindOrCreateGroups, update states. One body keeps
-  /// serial and parallel semantics from diverging. Argument entries may
-  /// be null (COUNT(*)).
-  Status SinkSource(ExecutionContext* context, PhysicalOperator* source,
-                    const std::vector<ExprPtr>& group_exprs,
-                    const std::vector<ExprPtr>& arg_exprs,
-                    RadixPartitionedAggregateTable* table);
+  /// unpartitioned table) and every parallel worker (its own state of
+  /// the child subtree, table = its thread-local partitioned table):
+  /// pull chunks, evaluate groups, FindOrCreateGroups, update states.
+  /// One body keeps serial and parallel semantics from diverging.
+  Status SinkSource(ExecutionContext* context, OperatorState* source_state,
+                    RadixPartitionedAggregateTable* table) const;
   std::vector<TypeId> GroupTypes() const;
-  std::vector<ExprPtr> CopyGroupExprs() const;
-  std::vector<ExprPtr> CopyArgExprs() const;
 
   std::vector<ExprPtr> groups_;
   std::vector<BoundAggregate> aggregates_;
-
-  std::unique_ptr<RadixPartitionedAggregateTable> table_;
-  bool sunk_ = false;
-  // Emission cursor: tables come from table_->NextEmitTable (resident
-  // partition or merged spill slice); the offset is kVectorSize-aligned
-  // within the current table.
-  AggregateHashTable* emit_current_ = nullptr;
-  idx_t emit_offset_ = 0;
-  idx_t emitted_groups_ = 0;
-  double sink_ms_ = 0;
-  double merge_ms_ = 0;
 };
 
 }  // namespace mallard

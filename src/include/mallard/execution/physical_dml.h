@@ -15,36 +15,30 @@ namespace mallard {
 class PhysicalInsert final : public PhysicalOperator {
  public:
   PhysicalInsert(DataTable* table, std::unique_ptr<PhysicalOperator> child);
-  Status GetChunk(ExecutionContext* context, DataChunk* out) override;
+  Status GetChunk(ExecutionContext* context, OperatorState* state,
+                  DataChunk* out) const override;
   std::string name() const override;
 
  protected:
-  Status ResetOperator() override {
-    done_ = false;
-    return Status::OK();
-  }
+  StatePtr CreateState(const MorselWorker* worker) const override;
 
  private:
   DataTable* table_;
-  bool done_ = false;
 };
 
 /// DELETE: child produces a single row-id column; emits the delete count.
 class PhysicalDelete final : public PhysicalOperator {
  public:
   PhysicalDelete(DataTable* table, std::unique_ptr<PhysicalOperator> child);
-  Status GetChunk(ExecutionContext* context, DataChunk* out) override;
+  Status GetChunk(ExecutionContext* context, OperatorState* state,
+                  DataChunk* out) const override;
   std::string name() const override;
 
  protected:
-  Status ResetOperator() override {
-    done_ = false;
-    return Status::OK();
-  }
+  StatePtr CreateState(const MorselWorker* worker) const override;
 
  private:
   DataTable* table_;
-  bool done_ = false;
 };
 
 /// UPDATE: child produces [row id, new values...]; applies in-place MVCC
@@ -53,19 +47,16 @@ class PhysicalUpdate final : public PhysicalOperator {
  public:
   PhysicalUpdate(DataTable* table, std::vector<idx_t> column_indexes,
                  std::unique_ptr<PhysicalOperator> child);
-  Status GetChunk(ExecutionContext* context, DataChunk* out) override;
+  Status GetChunk(ExecutionContext* context, OperatorState* state,
+                  DataChunk* out) const override;
   std::string name() const override;
 
  protected:
-  Status ResetOperator() override {
-    done_ = false;
-    return Status::OK();
-  }
+  StatePtr CreateState(const MorselWorker* worker) const override;
 
  private:
   DataTable* table_;
   std::vector<idx_t> column_indexes_;
-  bool done_ = false;
 };
 
 }  // namespace mallard

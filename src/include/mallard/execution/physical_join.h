@@ -66,67 +66,14 @@ struct JoinCondition {
 /// Every join type works unchanged because each probe row lives in
 /// exactly one stash and is replayed exactly once.
 class PhysicalHashJoin final : public PhysicalOperator {
- public:
-  PhysicalHashJoin(JoinType join_type, std::vector<JoinCondition> conditions,
-                   std::unique_ptr<PhysicalOperator> left,
-                   std::unique_ptr<PhysicalOperator> right);
-  Status GetChunk(ExecutionContext* context, DataChunk* out) override;
-  std::string name() const override;
-
-  uint64_t BuildBytes() const { return table_ ? table_->BuildBytes() : 0; }
-
-  /// Phase timing of the last execution (benches): build = sink +
-  /// Finalize of the hash table; probe = everything after (for a
-  /// parallel probe, the whole materialization lands in the first
-  /// GetChunk and is counted here).
-  double BuildMs() const { return build_ms_; }
-  double ProbeMs() const { return probe_ms_; }
-
- protected:
-  Status ResetOperator() override {
-    table_.reset();
-    built_ = false;
-    // Drop the probe cursor completely: its chain head refs point into
-    // the destroyed table, and a stale probe chunk cardinality would
-    // replay old rows against the rebuilt one.
-    probe_.chunk.Reset();
-    probe_.position = 0;
-    probe_.chain_ref = JoinHashTable::kNullRef;
-    probe_.chain_active = false;
-    probe_.row_matched = false;
-    probe_.exhausted = false;
-    // Parallel probe pipeline and result buffers are per-execution
-    // state: an abandoned mid-drain stream must not replay stale chunks
-    // or resume a stale morsel counter.
-    probe_planned_ = false;
-    parallel_probe_ = false;
-    probe_pipeline_ = parallel::MorselPipeline{};
-    probe_cursors_.clear();
-    probe_results_.clear();
-    drain_index_ = 0;
-    drain_scan_ = ChunkCollection::ScanState{};
-    // Grace probe state (stashes, job stack, the active job's source).
-    probe_table_ = nullptr;
-    grace_routed_ = false;
-    grace_active_ = false;
-    grace_source_.reset();
-    grace_current_ = GraceJob{};
-    grace_jobs_.clear();
-    probe_codec_.reset();
-    build_ms_ = 0;
-    probe_ms_ = 0;
-    return Status::OK();
-  }
-
  private:
   /// Per-worker (or serial) probe-side state: the current probe chunk,
   /// its evaluated keys/hashes/chain heads, and the mid-chain resume
-  /// position. Each parallel probe worker owns one; the serial path uses
-  /// the operator's own instance.
+  /// position. Each parallel probe worker owns one; the serial path
+  /// (and the grace stash replay) uses the state's own instance.
   struct ProbeCursor {
     DataChunk chunk;
     DataChunk keys;
-    std::vector<ExprPtr> exprs;
     std::vector<uint64_t> hashes;
     std::vector<uint64_t> heads;
     std::vector<uint32_t> sel;   // gather scratch
@@ -138,59 +85,10 @@ class PhysicalHashJoin final : public PhysicalOperator {
     bool exhausted = false;  // source drained and cursor fully consumed
   };
 
-  Status Build(ExecutionContext* context);
-  /// Morsel-driven partitioned build: workers scan disjoint row-group
-  /// morsels of the build side into private JoinHashTable partitions,
-  /// which are then merged into table_ (still un-finalized). Sets
-  /// `*done` when the parallel path ran; otherwise the caller falls
-  /// back to the serial pull loop.
-  Status ParallelBuild(ExecutionContext* context, bool* done);
-  /// The build-side sink loop shared by the serial path (source =
-  /// child(1), table = table_) and every parallel worker (source = its
-  /// morsel clone, table = its partition): pull chunks, evaluate keys,
-  /// append. Keeping one body keeps serial and parallel semantics from
-  /// diverging.
-  Status SinkBuildSide(ExecutionContext* context, PhysicalOperator* source,
-                       const std::vector<ExprPtr>& key_exprs,
-                       JoinHashTable* table);
-  /// Sizes a cursor's chunks/scratch and fills its key expressions with
-  /// private copies of the probe-side condition expressions.
-  void InitCursor(ProbeCursor* cursor) const;
-  /// Produces the next output chunk (up to kVectorSize rows) by pulling
-  /// probe chunks from `source` through `cursor` — the probe loop body
-  /// shared by the serial path (source = child(0), cursor = probe_) and
-  /// every parallel worker (source = its morsel clone, cursor = its
-  /// private one). An empty output chunk signals source exhaustion.
-  Status ProbeChunk(ExecutionContext* context, PhysicalOperator* source,
-                    ProbeCursor* cursor, DataChunk* out);
-  /// Plans the morsel-parallel probe over the (finalized, immutable)
-  /// hash table: clones the probe subtree per worker and sizes the
-  /// per-worker cursors. Sets parallel_probe_; when false the serial
-  /// streaming probe runs instead.
-  Status PlanParallelProbe(ExecutionContext* context);
-  /// One bounded pass: every unfinished cursor probes morsels into a
-  /// fresh private ChunkCollection until the source is exhausted for it
-  /// or the pass's per-cursor byte budget is reached (mid-morsel
-  /// cursors resume next pass). Pass runners claim pending cursors from
-  /// a shared queue, so every unfinished cursor advances even when the
-  /// governor clamps a pass to fewer runners than cursors — the pass
-  /// always makes progress. GetChunk drains the buffers in cursor order
-  /// between passes.
-  Status RunProbePass(ExecutionContext* context);
-  /// True when every cursor has fully drained its morsels.
-  bool AllProbeWorkersDone() const;
-  static Status EvaluateKeys(const std::vector<ExprPtr>& exprs,
-                             const DataChunk& input, DataChunk* keys);
-  /// Gathers up to `capacity` output rows from the cursor's current
-  /// probe chunk into (probe row, build ref) pairs; build ref kNullRef
-  /// marks a NULL-padded left-join row. Resumes mid-chain across calls.
-  idx_t GatherMatches(ProbeCursor* cursor, idx_t capacity, uint32_t* sel,
-                      uint64_t* refs);
-
   /// One unit of grace-mode probe work: join partition `partition` of
   /// `table` against the stashed probe rows. `owner` keeps a recursion
   /// child table alive for as long as any of its jobs are pending;
-  /// root jobs (over the operator's own table_) leave it null. A
+  /// root jobs (over the execution's own table) leave it null. A
   /// `whole_table` job probes the entire table (a recursion child that
   /// turned out to fit in memory) with the parent partition's stash.
   struct GraceJob {
@@ -201,56 +99,127 @@ class PhysicalHashJoin final : public PhysicalOperator {
     std::unique_ptr<SpillRowStore> stash;
   };
 
+ public:
+  PhysicalHashJoin(JoinType join_type, std::vector<JoinCondition> conditions,
+                   std::unique_ptr<PhysicalOperator> left,
+                   std::unique_ptr<PhysicalOperator> right);
+  Status GetChunk(ExecutionContext* context, OperatorState* state,
+                  DataChunk* out) const override;
+  std::string name() const override;
+
+  /// One execution of the join: the hash table, the probe cursors and
+  /// pass buffers, and the grace jobs.
+  struct State : OperatorState {
+    std::unique_ptr<JoinHashTable> table;
+    bool built = false;
+    // Table the probe paths read from: `table` normally; in grace mode
+    // the per-partition (or recursion-child) table of the active job.
+    JoinHashTable* probe_table = nullptr;
+    // Grace probe state: the stash replay of the active job runs through
+    // `grace_source` (with its own state) into the serial cursor.
+    bool grace_routed = false;
+    bool grace_active = false;
+    std::unique_ptr<RowCodec> probe_codec;
+    std::vector<GraceJob> grace_jobs;  // LIFO; resident partitions on top
+    GraceJob grace_current;
+    std::unique_ptr<PhysicalOperator> grace_source;
+    StatePtr grace_source_state;
+    // Serial probe state.
+    ProbeCursor probe;
+    // Parallel probe state: the resumable pipeline, per-worker cursors,
+    // this pass's per-worker result buffers (null for workers that did
+    // not run this pass) and the drain cursor over them.
+    bool probe_planned = false;
+    bool parallel_probe = false;
+    parallel::MorselPipeline probe_pipeline;
+    std::vector<std::unique_ptr<ProbeCursor>> probe_cursors;
+    std::vector<std::unique_ptr<ChunkCollection>> probe_results;
+    idx_t drain_index = 0;
+    ChunkCollection::ScanState drain_scan;
+    /// Phase timing (benches): build = sink + Finalize of the hash
+    /// table; probe = everything after (for a parallel probe, the whole
+    /// materialization lands in the first GetChunk and is counted here).
+    double build_ms = 0;
+    double probe_ms = 0;
+  };
+
+ protected:
+  StatePtr CreateState(const MorselWorker* worker) const override;
+
+ private:
+  Status Build(ExecutionContext* context, State* state) const;
+  /// Morsel-driven partitioned build: workers scan disjoint row-group
+  /// morsels of the build side into private JoinHashTable partitions,
+  /// which are then merged into the state's table (still un-finalized).
+  /// Sets `*done` when the parallel path ran; otherwise the caller falls
+  /// back to the serial pull loop.
+  Status ParallelBuild(ExecutionContext* context, State* state,
+                       bool* done) const;
+  /// The build-side sink loop shared by the serial path (the state's
+  /// child state, table = the state's) and every parallel worker (its
+  /// own state of the build subtree, table = its partition): pull
+  /// chunks, evaluate keys, append. Keeping one body keeps serial and
+  /// parallel semantics from diverging.
+  Status SinkBuildSide(ExecutionContext* context, OperatorState* source_state,
+                       JoinHashTable* table) const;
+  /// Sizes a cursor's chunks and scratch.
+  void InitCursor(ProbeCursor* cursor) const;
+  /// Produces the next output chunk (up to kVectorSize rows) by pulling
+  /// probe chunks from `source` (through `source_state`) via `cursor`
+  /// against `table` — the probe loop body shared by the serial path,
+  /// every parallel worker and the grace stash replay. An empty output
+  /// chunk signals source exhaustion.
+  Status ProbeChunk(ExecutionContext* context, const PhysicalOperator* source,
+                    OperatorState* source_state, const JoinHashTable* table,
+                    ProbeCursor* cursor, DataChunk* out) const;
+  /// Plans the morsel-parallel probe over the (finalized, immutable)
+  /// hash table: one state of the probe subtree per worker and the
+  /// per-worker cursors. Sets parallel_probe; when false the serial
+  /// streaming probe runs instead.
+  Status PlanParallelProbe(ExecutionContext* context, State* state) const;
+  /// One bounded pass: every unfinished cursor probes morsels into a
+  /// fresh private ChunkCollection until the source is exhausted for it
+  /// or the pass's per-cursor byte budget is reached (mid-morsel
+  /// cursors resume next pass). Pass runners claim pending cursors from
+  /// a shared queue, so every unfinished cursor advances even when the
+  /// governor clamps a pass to fewer runners than cursors — the pass
+  /// always makes progress. GetChunk drains the buffers in cursor order
+  /// between passes.
+  Status RunProbePass(ExecutionContext* context, State* state) const;
+  /// Evaluates one side's condition expressions over `input`.
+  Status EvaluateKeys(const ExecutionContext& context, bool left_side,
+                      const DataChunk& input, DataChunk* keys) const;
+  /// Gathers up to `capacity` output rows from the cursor's current
+  /// probe chunk into (probe row, build ref) pairs; build ref kNullRef
+  /// marks a NULL-padded left-join row. Resumes mid-chain across calls.
+  idx_t GatherMatches(const JoinHashTable* table, ProbeCursor* cursor,
+                      idx_t capacity, uint32_t* sel, uint64_t* refs) const;
+
   /// Grace-mode driver: routes the probe side once, then pops jobs off
   /// the LIFO stack until every partition has been joined.
-  Status GraceProbe(ExecutionContext* context, DataChunk* out);
+  Status GraceProbe(ExecutionContext* context, State* state,
+                    DataChunk* out) const;
   /// Pulls the whole probe side and scatters it into one spillable
   /// stash per build partition ([hash | RowCodec-encoded probe row]).
-  Status RouteProbeSide(ExecutionContext* context);
+  Status RouteProbeSide(ExecutionContext* context, State* state) const;
   /// Activates a job (load + per-partition finalize + stash replay), or
   /// splits it into 16 finer jobs when the partition alone exceeds the
   /// budget (recursive grace at radix shift + 4).
-  Status PrepareGraceJob(ExecutionContext* context, GraceJob job);
-  Status SplitGraceJob(ExecutionContext* context, GraceJob job);
+  Status PrepareGraceJob(ExecutionContext* context, State* state,
+                         GraceJob job) const;
+  Status SplitGraceJob(ExecutionContext* context, State* state,
+                       GraceJob job) const;
   /// Pushes one job per partition, spilled partitions first so the LIFO
   /// stack pops resident ones before reload pressure can evict them.
-  void PushGraceJobs(
-      std::shared_ptr<JoinHashTable> owner, JoinHashTable* table,
+  static void PushGraceJobs(
+      State* state, std::shared_ptr<JoinHashTable> owner,
+      JoinHashTable* table,
       std::array<std::unique_ptr<SpillRowStore>, JoinHashTable::kPartitions>*
           stashes);
 
   JoinType join_type_;
   std::vector<JoinCondition> conditions_;
   std::vector<TypeId> right_types_;
-
-  std::unique_ptr<JoinHashTable> table_;
-  bool built_ = false;
-
-  // Table the probe paths read from: table_ normally; in grace mode the
-  // per-partition (or recursion-child) table of the active job.
-  JoinHashTable* probe_table_ = nullptr;
-  // Grace probe state.
-  bool grace_routed_ = false;
-  bool grace_active_ = false;
-  std::unique_ptr<RowCodec> probe_codec_;
-  std::vector<GraceJob> grace_jobs_;  // LIFO; resident partitions on top
-  GraceJob grace_current_;
-  std::unique_ptr<PhysicalOperator> grace_source_;
-
-  // Serial probe state.
-  ProbeCursor probe_;
-  // Parallel probe state: the resumable pipeline, per-worker cursors,
-  // this pass's per-worker result buffers (null for workers that did
-  // not run this pass) and the drain cursor over them.
-  bool probe_planned_ = false;
-  bool parallel_probe_ = false;
-  parallel::MorselPipeline probe_pipeline_;
-  std::vector<std::unique_ptr<ProbeCursor>> probe_cursors_;
-  std::vector<std::unique_ptr<ChunkCollection>> probe_results_;
-  idx_t drain_index_ = 0;
-  ChunkCollection::ScanState drain_scan_;
-  double build_ms_ = 0;
-  double probe_ms_ = 0;
 };
 
 /// Sort-merge join over both children using the out-of-core external
@@ -261,55 +230,24 @@ class PhysicalMergeJoin final : public PhysicalOperator {
   PhysicalMergeJoin(JoinType join_type, std::vector<JoinCondition> conditions,
                     std::unique_ptr<PhysicalOperator> left,
                     std::unique_ptr<PhysicalOperator> right);
-  Status GetChunk(ExecutionContext* context, DataChunk* out) override;
+  Status GetChunk(ExecutionContext* context, OperatorState* state,
+                  DataChunk* out) const override;
   std::string name() const override;
 
  protected:
-  Status ResetOperator() override {
-    left_sort_.reset();
-    right_sort_.reset();
-    sorted_ = false;
-    left_position_ = 0;
-    left_done_ = false;
-    right_position_ = 0;
-    right_done_ = false;
-    group_key_.clear();
-    group_rows_.clear();
-    group_valid_ = false;
-    emit_group_index_ = 0;
-    emitting_matches_ = false;
-    return Status::OK();
-  }
+  StatePtr CreateState(const MorselWorker* worker) const override;
 
  private:
-  Status SortInputs(ExecutionContext* context);
-  Status AdvanceLeft();
-  Status LoadNextRightGroup();
+  struct MergeState;
+
+  Status SortInputs(ExecutionContext* context, MergeState* state) const;
+  Status AdvanceLeft(MergeState* state) const;
+  Status LoadNextRightGroup(MergeState* state) const;
 
   JoinType join_type_;
   std::vector<JoinCondition> conditions_;
   std::vector<TypeId> left_types_;
   std::vector<TypeId> right_types_;
-
-  std::unique_ptr<ExternalSort> left_sort_;
-  std::unique_ptr<ExternalSort> right_sort_;
-  bool sorted_ = false;
-
-  // Left cursor.
-  DataChunk left_chunk_;
-  DataChunk left_keys_;
-  idx_t left_position_ = 0;
-  bool left_done_ = false;
-  // Right cursor + current equal-key group.
-  DataChunk right_chunk_;
-  DataChunk right_keys_;
-  idx_t right_position_ = 0;
-  bool right_done_ = false;
-  std::string group_key_;
-  std::vector<std::vector<Value>> group_rows_;
-  bool group_valid_ = false;
-  idx_t emit_group_index_ = 0;
-  bool emitting_matches_ = false;
 };
 
 /// Cross product with the right side materialized in a (governor-
@@ -318,29 +256,12 @@ class PhysicalCrossProduct final : public PhysicalOperator {
  public:
   PhysicalCrossProduct(std::unique_ptr<PhysicalOperator> left,
                        std::unique_ptr<PhysicalOperator> right);
-  Status GetChunk(ExecutionContext* context, DataChunk* out) override;
+  Status GetChunk(ExecutionContext* context, OperatorState* state,
+                  DataChunk* out) const override;
   std::string name() const override;
 
  protected:
-  Status ResetOperator() override {
-    right_data_.reset();
-    right_scan_ = ChunkCollection::ScanState{};
-    left_position_ = 0;
-    right_position_ = 0;
-    materialized_ = false;
-    left_done_ = false;
-    return Status::OK();
-  }
-
- private:
-  std::unique_ptr<ChunkCollection> right_data_;
-  DataChunk left_chunk_;
-  DataChunk right_chunk_;
-  ChunkCollection::ScanState right_scan_;
-  idx_t left_position_ = 0;
-  idx_t right_position_ = 0;
-  bool materialized_ = false;
-  bool left_done_ = false;
+  StatePtr CreateState(const MorselWorker* worker) const override;
 };
 
 }  // namespace mallard

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "mallard/common/result.h"
+#include "mallard/common/value.h"
 #include "mallard/vector/data_chunk.h"
 
 namespace mallard {
@@ -20,7 +21,7 @@ class TableMorselSource;
 class DataTable;
 class QueryTicket;
 
-/// Per-query execution state threaded through the operator tree. The
+/// Per-query execution context threaded through the operator tree. The
 /// struct is read-only while a query runs, so one instance is safely
 /// shared by every worker of a parallel pipeline.
 struct ExecutionContext {
@@ -49,6 +50,9 @@ struct ExecutionContext {
   /// PRAGMA salvage_mode: table scans skip quarantined row groups
   /// (reporting skipped counts) instead of failing with kCorruption.
   bool salvage_mode = false;
+  /// The values this execution binds to the statement's parameters;
+  /// null when it binds none.
+  const ParameterValues* parameters = nullptr;
 
   /// Chunk/morsel-boundary cancellation point: a pending
   /// Connection::Interrupt() becomes kInterrupted, as does an expired
@@ -67,17 +71,42 @@ struct ExecutionContext {
   }
 };
 
-/// Inputs for cloning a subtree into one worker's copy of a parallel
-/// pipeline (see PhysicalOperator::MorselClone).
-struct ParallelCloneContext {
+/// One worker's seat in a parallel pipeline: the morsel source its
+/// scan leaf claims row groups from, shared by every worker, and its
+/// worker index.
+struct MorselWorker {
   std::shared_ptr<TableMorselSource> source;
   int worker = 0;
+};
+
+/// What one execution of one operator mutates: scan cursors, child
+/// chunks, hash tables, sort runs, counters. The running statement
+/// builds the tree with PhysicalOperator::MakeState and destroys it when
+/// it finishes; a child's state lives in its parent's `children`.
+struct OperatorState {
+  virtual ~OperatorState() = default;
+  std::vector<std::unique_ptr<OperatorState>> children;
+};
+
+using StatePtr = std::unique_ptr<OperatorState>;
+
+/// The state of an operator that emits its one result chunk once
+/// (aggregates without GROUP BY, DML counts).
+struct EmitOnceState : OperatorState {
+  bool done = false;
 };
 
 /// Base class of the "Vector Volcano" pull-based execution model (paper
 /// section 6): the consumer repeatedly pulls chunks from the root; an
 /// empty chunk signals completion. Operators recursively pull from their
 /// children.
+///
+/// A plan is immutable once planned: an operator keeps only what the
+/// planner decided (types, expressions, keys, estimates, the table),
+/// and everything a run changes lives in its OperatorState. Any number
+/// of executions, and every worker of a parallel pipeline, therefore
+/// run one plan at the same time, and an idle plan holds no run's
+/// memory.
 class PhysicalOperator {
  public:
   explicit PhysicalOperator(std::vector<TypeId> types)
@@ -90,20 +119,16 @@ class PhysicalOperator {
   /// Output column types of this operator.
   const std::vector<TypeId>& types() const { return types_; }
 
-  /// Produces the next chunk into `out` (initialized with types()).
-  /// An output cardinality of 0 signals exhaustion.
-  virtual Status GetChunk(ExecutionContext* context, DataChunk* out) = 0;
+  /// Builds the execution state of this subtree. With `worker` set the
+  /// leaf table scan claims row groups from the worker's shared morsel
+  /// source instead of scanning the whole table.
+  StatePtr MakeState(const MorselWorker* worker = nullptr) const;
 
-  /// Rewinds this operator tree so GetChunk streams the full result
-  /// again. Prepared statements rely on this to re-execute a plan
-  /// without re-parsing or re-planning (paper section 3: amortizing
-  /// per-query overhead across repeated small queries).
-  Status Reset() {
-    for (auto& child : children_) {
-      MALLARD_RETURN_NOT_OK(child->Reset());
-    }
-    return ResetOperator();
-  }
+  /// Produces the next chunk into `out` (initialized with types()),
+  /// advancing `state` (made by MakeState). An output cardinality of 0
+  /// signals exhaustion.
+  virtual Status GetChunk(ExecutionContext* context, OperatorState* state,
+                          DataChunk* out) const = 0;
 
   virtual std::string name() const = 0;
 
@@ -113,22 +138,7 @@ class PhysicalOperator {
   /// their child; everything else defaults to "not parallelizable".
   virtual const DataTable* ParallelSourceTable() const { return nullptr; }
 
-  /// Clones this subtree for one worker of a parallel pipeline: the leaf
-  /// table scan becomes a PhysicalMorselScan pulling from ctx.source,
-  /// and every operator above it gets private chunk/expression state so
-  /// workers never share mutable data. Returns null when the subtree (or
-  /// any operator in it) has no parallel implementation — the sink then
-  /// falls back to the serial pull loop.
-  virtual std::unique_ptr<PhysicalOperator> MorselClone(
-      const ParallelCloneContext& ctx) const {
-    (void)ctx;
-    return nullptr;
-  }
-
-  std::vector<std::unique_ptr<PhysicalOperator>>& children() {
-    return children_;
-  }
-  PhysicalOperator* child(idx_t i) { return children_[i].get(); }
+  const PhysicalOperator* child(idx_t i) const { return children_[i].get(); }
   void AddChild(std::unique_ptr<PhysicalOperator> child) {
     children_.push_back(std::move(child));
   }
@@ -142,8 +152,17 @@ class PhysicalOperator {
   void set_estimated_rows(idx_t rows) { estimated_rows_ = rows; }
 
  protected:
-  /// Per-operator rewind hook; stateless operators keep the no-op.
-  virtual Status ResetOperator() { return Status::OK(); }
+  /// This operator's own state; MakeState adds the children's. Stateless
+  /// operators keep the empty default.
+  virtual StatePtr CreateState(const MorselWorker*) const {
+    return std::make_unique<OperatorState>();
+  }
+
+  /// Pulls the next chunk of child `i` through its state in `state`.
+  Status ChildChunk(idx_t i, ExecutionContext* context, OperatorState* state,
+                    DataChunk* out) const {
+    return children_[i]->GetChunk(context, state->children[i].get(), out);
+  }
 
   std::vector<TypeId> types_;
   std::vector<std::unique_ptr<PhysicalOperator>> children_;

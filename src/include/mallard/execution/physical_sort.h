@@ -2,7 +2,6 @@
 #define MALLARD_EXECUTION_PHYSICAL_SORT_H_
 
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -16,20 +15,15 @@ class PhysicalOrderBy final : public PhysicalOperator {
  public:
   PhysicalOrderBy(std::vector<SortSpec> specs,
                   std::unique_ptr<PhysicalOperator> child);
-  Status GetChunk(ExecutionContext* context, DataChunk* out) override;
+  Status GetChunk(ExecutionContext* context, OperatorState* state,
+                  DataChunk* out) const override;
   std::string name() const override;
 
  protected:
-  Status ResetOperator() override {
-    sort_.reset();
-    sorted_ = false;
-    return Status::OK();
-  }
+  StatePtr CreateState(const MorselWorker* worker) const override;
 
  private:
   std::vector<SortSpec> specs_;
-  std::unique_ptr<ExternalSort> sort_;
-  bool sorted_ = false;
 };
 
 /// ORDER BY + LIMIT with a bounded heap: memory O(limit), not O(input).
@@ -37,26 +31,17 @@ class PhysicalTopN final : public PhysicalOperator {
  public:
   PhysicalTopN(std::vector<SortSpec> specs, idx_t limit, idx_t offset,
                std::unique_ptr<PhysicalOperator> child);
-  Status GetChunk(ExecutionContext* context, DataChunk* out) override;
+  Status GetChunk(ExecutionContext* context, OperatorState* state,
+                  DataChunk* out) const override;
   std::string name() const override;
 
  protected:
-  Status ResetOperator() override {
-    heap_.clear();
-    sorted_rows_.clear();
-    computed_ = false;
-    position_ = 0;
-    return Status::OK();
-  }
+  StatePtr CreateState(const MorselWorker* worker) const override;
 
  private:
   std::vector<SortSpec> specs_;
   idx_t limit_;
   idx_t offset_;
-  std::vector<std::pair<std::string, std::vector<uint8_t>>> heap_;
-  std::vector<std::vector<uint8_t>> sorted_rows_;
-  bool computed_ = false;
-  idx_t position_ = 0;
 };
 
 }  // namespace mallard

@@ -266,6 +266,8 @@ class BoundCase final : public BoundExpression {
 
 /// `child [NOT] IN (items)`. Each item is a constant of the child's type
 /// or a parameter typed to it; Values() reads the set an execution uses.
+/// A miss against a list holding a NULL is NULL, not FALSE (SQL's
+/// three-valued IN), so NOT IN over such a list keeps no row.
 class BoundInList final : public BoundExpression {
  public:
   BoundInList(ExprPtr child, std::vector<ExprPtr> items, bool negated)
@@ -276,8 +278,8 @@ class BoundInList final : public BoundExpression {
   const BoundExpression& child() const { return *child_; }
   const std::vector<ExprPtr>& items() const { return items_; }
   bool negated() const { return negated_; }
-  /// The items' values under the current parameter bindings.
-  Result<std::vector<Value>> Values() const;
+  /// The items' values under the execution's parameter bindings.
+  Result<std::vector<Value>> Values(const ParameterValues* params) const;
   ExprPtr Copy() const override;
   std::string ToString() const override;
 
@@ -311,35 +313,26 @@ class BoundLike final : public BoundExpression {
   bool negated_;
 };
 
-/// Shared slot for prepared-statement parameter values. One instance is
-/// owned by the PreparedStatement and shared (via shared_ptr) with every
-/// BoundParameter node in the plan, so re-binding values between
-/// executions requires no plan rewrite (paper section 3: the client API
-/// is in-process, so parameter transfer is a pointer hand-over).
+/// What the planner learns about a statement's parameters. One instance
+/// is shared by every BoundParameter node of a plan while it is bound;
+/// the values themselves never live here but travel with each execution
+/// (ParameterValues), so one plan runs with different values at once.
 struct BoundParameterData {
-  std::vector<Value> values;         // current bindings (1 slot per param)
-  std::vector<bool> is_set;          // Bind() called for this slot?
-  std::vector<TypeId> types;         // type inferred at bind (plan) time
-  std::vector<bool> referenced;      // slot appears in the statement?
+  std::vector<TypeId> types;     // type inferred at bind (plan) time
+  std::vector<bool> referenced;  // slot appears in the statement?
 
-  idx_t Count() const { return values.size(); }
+  idx_t Count() const { return types.size(); }
   void EnsureSize(idx_t count) {
-    if (values.size() < count) {
-      values.resize(count);
-      is_set.resize(count, false);
+    if (types.size() < count) {
       types.resize(count, TypeId::kInvalid);
       referenced.resize(count, false);
     }
-  }
-  void ClearBindings() {
-    std::fill(is_set.begin(), is_set.end(), false);
-    std::fill(values.begin(), values.end(), Value());
   }
 };
 
 /// A prepared-statement parameter ($N / ?). The node records the
 /// parameter index and the type inferred from its binding context; the
-/// value is read from the shared BoundParameterData at execution time.
+/// value is read from the execution's ParameterValues.
 class BoundParameter final : public BoundExpression {
  public:
   BoundParameter(idx_t index, std::shared_ptr<BoundParameterData> data,
@@ -363,9 +356,9 @@ class BoundParameter final : public BoundExpression {
     }
   }
 
-  /// Returns the currently bound value cast to this node's type; errors
+  /// Returns the value `params` binds, cast to this node's type; errors
   /// if the parameter has not been bound.
-  Result<Value> GetValue() const;
+  Result<Value> GetValue(const ParameterValues* params) const;
 
   ExprPtr Copy() const override {
     return std::make_unique<BoundParameter>(index_, data_, return_type());

@@ -49,8 +49,8 @@ class Connection {
   /// Single plannable statements (SELECT/INSERT/UPDATE/DELETE) go
   /// through the Database's shared plan cache: literals are normalized
   /// into parameter slots, so `WHERE id=7` and `WHERE id=9` — from any
-  /// connection — reuse one physical plan (rewound via
-  /// PhysicalOperator::Reset()) and skip the parse-bind-plan pipeline.
+  /// connection, at the same time — run one immutable physical plan with
+  /// their own literals and skip the parse-bind-plan pipeline.
   /// A catalog version change (DDL) triggers a transparent re-plan.
   /// `PRAGMA plan_cache=off` bypasses it for this connection (and
   /// clears the shared cache); `PRAGMA plan_cache_stats` reports the
@@ -127,11 +127,14 @@ class Connection {
   /// The shared execute stage of the prepare-then-execute pipeline:
   /// admission slot, fair-share ticket, transaction setup (autocommit or
   /// explicit), chunk pull loop with interrupt checks, and
-  /// commit/rollback. Query, prepared Execute and CTAS all route here;
-  /// the plan is borrowed, so prepared statements can re-run it.
+  /// commit/rollback. Query, prepared Execute and cached plans all route
+  /// here. The plan is only read: the execution's state is built here
+  /// and dropped before returning, and `parameters` (may be null) are
+  /// the values this execution binds.
   Result<std::unique_ptr<MaterializedQueryResult>> ExecutePhysicalPlan(
-      PhysicalOperator* plan, const std::vector<std::string>& names,
-      const std::vector<TypeId>& types);
+      const PhysicalOperator* plan, const std::vector<std::string>& names,
+      const std::vector<TypeId>& types,
+      const ParameterValues* parameters = nullptr);
   Result<std::unique_ptr<MaterializedQueryResult>> ExecutePlan(
       struct PreparedPlan plan);
 
@@ -141,8 +144,9 @@ class Connection {
   /// that a stream is still live. The stream holds its admission slot
   /// and fair-share ticket until Close.
   Result<std::unique_ptr<StreamingQueryResult>> StreamPlan(
-      std::unique_ptr<PhysicalOperator> owned_plan, PhysicalOperator* plan,
-      std::vector<std::string> names, std::vector<TypeId> types,
+      std::unique_ptr<PhysicalOperator> owned_plan,
+      const PhysicalOperator* plan, std::vector<std::string> names,
+      std::vector<TypeId> types, ParameterValues parameters = {},
       std::shared_ptr<void> lease = nullptr);
 
   /// Executes one PRAGMA from its table entry: a value is applied (a
@@ -174,11 +178,17 @@ class Connection {
   Result<std::unique_ptr<SharedPlanCache::Entry>> PlanNormalized(
       NormalizedQuery* normalized, const std::string& sql);
 
-  /// Executes a checked-out cache entry with `literals` bound to its
-  /// parameter slots (re-planning first if DDL moved the catalog
-  /// version) and releases it.
+  /// Plans `statement` into a cache entry filed under `key`, with
+  /// parameter slots typed as `parameters` says.
+  Result<std::unique_ptr<SharedPlanCache::Entry>> PlanEntry(
+      std::string key, std::shared_ptr<const SQLStatement> statement,
+      const BoundParameterData& parameters);
+
+  /// Executes a shared cache entry with `literals` bound to its
+  /// parameter slots, re-planning it into a fresh entry first if DDL
+  /// moved the catalog version.
   Result<std::unique_ptr<MaterializedQueryResult>> ExecuteCachedEntry(
-      SharedPlanCache::Entry* entry, const std::vector<Value>& literals);
+      SharedPlanCache::EntryPtr entry, const std::vector<Value>& literals);
 
   Database* db_;
   std::unique_ptr<Transaction> transaction_;  // explicit transaction
@@ -210,15 +220,18 @@ class Connection {
 
 /// Streaming result: pulls chunks straight from the physical plan. The
 /// plan is either owned (ad-hoc SendQuery) or borrowed from a
-/// PreparedStatement, which must then outlive this result. While open
-/// it holds an admission slot and counts as an active query for fair
-/// scheduling.
+/// PreparedStatement, which must then outlive this result; the
+/// execution's state and parameter values belong to the stream until
+/// Close. While open it holds an admission slot and counts as an active
+/// query for fair scheduling.
 class StreamingQueryResult final : public QueryResult {
  public:
   StreamingQueryResult(Connection* connection,
                        std::unique_ptr<PhysicalOperator> owned_plan,
-                       PhysicalOperator* plan, std::vector<std::string> names,
-                       std::vector<TypeId> types, bool owns_transaction,
+                       const PhysicalOperator* plan,
+                       std::vector<std::string> names,
+                       std::vector<TypeId> types, ParameterValues parameters,
+                       bool owns_transaction,
                        std::unique_ptr<Transaction> txn,
                        std::shared_ptr<void> lease = nullptr,
                        std::unique_ptr<QueryTicket> ticket = nullptr,
@@ -237,7 +250,9 @@ class StreamingQueryResult final : public QueryResult {
  private:
   Connection* connection_;
   std::unique_ptr<PhysicalOperator> owned_plan_;
-  PhysicalOperator* plan_;
+  const PhysicalOperator* plan_;
+  ParameterValues parameters_;
+  StatePtr state_;                            // dropped on Close()
   bool owns_transaction_;
   std::unique_ptr<Transaction> txn_;
   std::shared_ptr<void> lease_;               // released on Close()

@@ -9,13 +9,14 @@
  * serving fleets get prepared-statement performance across sessions
  * without code changes.
  *
- * Concurrency model: the cache map/LRU are guarded by one mutex; a hit
- * marks the entry in-use and executes it outside the lock (plans hold
- * mutable operator state, so one entry runs at most one execution at a
- * time — a second connection hitting a busy entry plans fresh,
- * uncached, and the stats record the contention). Catalog-version
- * invalidation re-plans in place on the next hit, exactly like
- * PreparedStatement::EnsureCurrentPlan.
+ * Concurrency model: the cache map/LRU are guarded by one mutex. An
+ * entry is immutable once filed and handed out as a shared pointer:
+ * physical plans keep no execution state and the literals travel with
+ * each execution, so any number of connections run one entry at the
+ * same time, outside the lock. Eviction, Clear() and replacement only
+ * unfile an entry; executions still holding it finish normally and the
+ * last of them frees it. A hit whose catalog version is stale re-plans
+ * into a new entry that replaces the old one.
  */
 #ifndef MALLARD_MAIN_PLAN_CACHE_H_
 #define MALLARD_MAIN_PLAN_CACHE_H_
@@ -68,30 +69,27 @@ NormalizedQuery NormalizeQueryText(const std::string& sql);
 struct PlanCacheStats {
   uint64_t hits = 0;           ///< normalized-key hits
   uint64_t misses = 0;         ///< key absent; a fresh plan was cached
-  uint64_t evictions = 0;      ///< LRU evictions at capacity
+  uint64_t evictions = 0;      ///< LRU evictions and failed executions
   uint64_t invalidations = 0;  ///< catalog-version re-plans on hit
-  uint64_t busy_skips = 0;     ///< hit a busy entry; executed uncached
   uint64_t uncacheable = 0;    ///< statements that bypassed the cache
   uint64_t entries = 0;        ///< resident entries right now
 };
 
-/// The per-Database shared plan cache. Thread-safe; entries are checked
-/// out exclusively for execution (see file comment).
+/// The per-Database shared plan cache. Thread-safe; entries are shared
+/// and immutable (see file comment).
 class SharedPlanCache {
  public:
   struct Entry {
     std::string key;
-    /// Kept for catalog-version re-planning, like PreparedStatement.
-    std::unique_ptr<SQLStatement> statement;
-    std::shared_ptr<BoundParameterData> parameters;
+    /// Kept for catalog-version re-planning, like PreparedStatement;
+    /// shared with the entry that replaces this one.
+    std::shared_ptr<const SQLStatement> statement;
+    /// Parameter slot types, pre-typed from the literals.
+    std::shared_ptr<const BoundParameterData> parameters;
     PreparedPlan plan;
     uint64_t catalog_version = 0;
-    bool in_use = false;
-    /// Clear()/eviction raced with a running execution: the entry left
-    /// the map and dies on Release instead.
-    bool orphaned = false;
-    std::list<Entry*>::iterator lru_pos;
   };
+  using EntryPtr = std::shared_ptr<const Entry>;
 
   explicit SharedPlanCache(idx_t capacity = kDefaultCapacity)
       : capacity_(capacity) {}
@@ -100,27 +98,26 @@ class SharedPlanCache {
   SharedPlanCache(const SharedPlanCache&) = delete;
   SharedPlanCache& operator=(const SharedPlanCache&) = delete;
 
-  /// Looks up `key`. On a hit the entry is marked in-use and returned —
-  /// the caller owns it until Release. Returns null on a miss, or when
-  /// the entry is busy in another connection (`*busy` = true; the
-  /// caller should execute uncached rather than wait).
-  Entry* Acquire(const std::string& key, bool* busy);
+  /// Looks up `key` and marks a hit as most recently used. Returns null
+  /// on a miss.
+  EntryPtr Acquire(const std::string& key);
 
-  /// Returns an entry taken via Acquire or Insert. `keep` = false drops
-  /// it (failed executions are not worth keeping — PR 3 semantics);
-  /// true re-files it as most recently used.
-  void Release(Entry* entry, bool keep);
+  /// Files a freshly planned entry under its key, evicting from the LRU
+  /// end beyond capacity, and returns it. If another connection filed
+  /// the same key in the meantime, the resident entry stays and the new
+  /// one is returned unfiled (it dies after its execution).
+  EntryPtr Insert(std::unique_ptr<Entry> entry);
 
-  /// Files a freshly planned entry under entry->key and returns it
-  /// checked out (in-use). Evicts idle LRU entries beyond capacity. If
-  /// another connection cached the same key in the meantime, the new
-  /// entry replaces it only when the resident one is idle; a busy
-  /// resident entry is left alone and the new entry is returned
-  /// unfiled (it dies on Release).
-  Entry* Insert(std::unique_ptr<Entry> entry);
+  /// Files `fresh` (a re-plan of `stale`) in place of `stale` if
+  /// `stale` is still the entry filed under its key.
+  void Replace(const EntryPtr& stale, const EntryPtr& fresh);
 
-  /// Empties the cache (PRAGMA plan_cache=off, tests). Busy entries are
-  /// orphaned and die on Release.
+  /// Unfiles `entry` if it is still the entry filed under its key
+  /// (failed executions are not worth keeping).
+  void Drop(const EntryPtr& entry);
+
+  /// Empties the cache (PRAGMA plan_cache=off, tests). Running
+  /// executions keep their entries until they finish.
   void Clear();
 
   idx_t size() const;
@@ -131,18 +128,21 @@ class SharedPlanCache {
   static constexpr idx_t kDefaultCapacity = 64;
 
  private:
-  /// Caller holds mutex_. Detaches `entry` from map + LRU.
-  std::unique_ptr<Entry> Detach(Entry* entry);
+  struct Slot {
+    EntryPtr entry;
+    std::list<const Entry*>::iterator lru_pos;
+  };
+
+  /// Caller holds mutex_. Unfiles the slot at `it`, moving its entry to
+  /// `*dead` so the plan is freed outside the lock.
+  void Unfile(std::unordered_map<std::string, Slot>::iterator it,
+              std::vector<EntryPtr>* dead);
 
   idx_t capacity_;
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::unique_ptr<Entry>> entries_;
-  /// Front = most recently used. Real LRU: O(1) touch via the entry's
-  /// stored iterator (the PR 3 per-connection cache scanned the whole
-  /// map per eviction).
-  std::list<Entry*> lru_;
-  /// Entries removed from the map while executing; freed on Release.
-  std::vector<std::unique_ptr<Entry>> orphans_;
+  std::unordered_map<std::string, Slot> entries_;
+  /// Front = most recently used; O(1) touch via the slot's iterator.
+  std::list<const Entry*> lru_;
   PlanCacheStats stats_;
 };
 

@@ -79,15 +79,18 @@ class PreparedStatement {
   Status BindNull(idx_t index) { return Bind(index, Value()); }
 
   /// Forgets all bound values (types are kept).
-  void ClearBindings() { parameters_->ClearBindings(); }
+  void ClearBindings();
 
   /// Executes with the current bindings; errors if any parameter is
-  /// unbound. Re-executable: no re-parse or re-plan between calls (the
-  /// plan is rewound in place; only a DDL change triggers a re-plan).
+  /// unbound. Re-executable: no re-parse or re-plan between calls (each
+  /// execution builds its own state; only a DDL change triggers a
+  /// re-plan).
   Result<std::unique_ptr<MaterializedQueryResult>> Execute();
 
   /// Streaming execution (SELECT only): chunks are pulled straight from
-  /// the plan, the application acting as the root operator.
+  /// the plan, the application acting as the root operator. The stream
+  /// runs with the bindings of this call; later Bind calls do not
+  /// affect it.
   Result<std::unique_ptr<StreamingQueryResult>> ExecuteStream();
 
   /// Result schema.
@@ -106,20 +109,17 @@ class PreparedStatement {
   /// Re-plans from the stored AST when DDL has moved the catalog version
   /// (bound values survive; a dropped table surfaces as a binder error).
   Status EnsureCurrentPlan();
-  /// Rewinds the plan, dropping per-execution operator state (join build
-  /// tables, aggregate tables, sort runs). The plan-cache path calls this
-  /// after executing so idle cached plans don't pin their last
-  /// execution's memory; Execute() rewinds again before running anyway.
-  Status ClearExecutionState() { return plan_.plan->Reset(); }
   Status CheckAllBound() const;
   /// Errors while a streaming result borrowed from this statement is
-  /// still open — executing would rewind (or free, on re-plan) the plan
-  /// under the live stream.
+  /// still open — executing could re-plan, which frees the plan the
+  /// live stream is reading.
   Status CheckNoOpenStream() const;
 
   Connection* connection_;
   std::unique_ptr<SQLStatement> statement_;  // kept for re-planning
   std::shared_ptr<BoundParameterData> parameters_;
+  ParameterValues values_;   // the current bindings, one per slot
+  std::vector<bool> bound_;  // Bind() called for this slot?
   PreparedPlan plan_;
   uint64_t catalog_version_;
   std::weak_ptr<void> stream_lease_;  // live while a stream is open

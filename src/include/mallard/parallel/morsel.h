@@ -25,7 +25,8 @@ namespace mallard {
 class ResourceGovernor;
 
 /// Hands out row-group morsels of one table scan to a set of workers.
-/// Shared by every per-worker PhysicalMorselScan clone of the scan.
+/// Shared by the scan-leaf states of every worker of a pipeline (see
+/// MorselWorker).
 class TableMorselSource {
  public:
   /// `row_group_count` is a snapshot taken when the pipeline launches;
@@ -68,28 +69,6 @@ class TableMorselSource {
   std::atomic<idx_t> claimed_[kMaxWorkers] = {};
 };
 
-/// Per-worker leaf of a parallel pipeline: scans whatever morsels the
-/// shared source hands it, with the same projection/filter behavior as
-/// the PhysicalTableScan it was cloned from.
-class PhysicalMorselScan final : public PhysicalOperator {
- public:
-  PhysicalMorselScan(std::shared_ptr<TableMorselSource> source, int worker,
-                     const DataTable* table, std::vector<idx_t> column_ids,
-                     std::vector<TableFilter> filters,
-                     std::vector<TypeId> types);
-  Status GetChunk(ExecutionContext* context, DataChunk* out) override;
-  std::string name() const override;
-
- private:
-  std::shared_ptr<TableMorselSource> source_;
-  int worker_;
-  const DataTable* table_;
-  std::vector<idx_t> column_ids_;
-  std::vector<TableFilter> filters_;
-  TableScanState state_;
-  bool morsel_active_ = false;
-};
-
 namespace parallel {
 
 /// A planned parallel scan of the table under `subtree`: how many
@@ -117,60 +96,56 @@ int ResolveLaunchWidth(const ExecutionContext* context, idx_t item_count);
 ParallelRun PlanParallelScan(ExecutionContext* context,
                              const PhysicalOperator* subtree);
 
-/// Builds one per-worker clone of `subtree` per planned thread, each
-/// pulling from run.source. Returns an empty vector if any operator in
-/// the subtree refuses to clone (caller falls back to serial).
-std::vector<std::unique_ptr<PhysicalOperator>> CloneWorkers(
-    const ParallelRun& run, const PhysicalOperator* subtree);
+/// A pipeline worker's body: `scan` is the worker's own state of the
+/// shared subtree, whose scan leaf claims morsels from the shared source.
+using MorselTask = std::function<Status(int worker, OperatorState* scan)>;
 
 /// A resumable morsel pipeline: Plan() decides parallelism and builds
-/// the per-worker subtree clones once; each RunPass() then fans the
-/// workers out over whatever morsels remain unclaimed (the shared
+/// one state of the shared subtree per worker; each RunPass() then fans
+/// the workers out over whatever morsels remain unclaimed (the shared
 /// source's atomic counter persists across passes). Sinks that must
 /// bound how much they materialize per fan-out — the parallel probe's
 /// result buffers — run several passes, draining between them;
 /// single-shot sinks use RunMorselPipeline below.
 class MorselPipeline {
  public:
-  /// Plans the scan and clones the subtree per worker. Returns false
+  /// Plans the scan and builds the per-worker states. Returns false
   /// (and stays unplanned) when the subtree stays serial.
   bool Plan(ExecutionContext* context, const PhysicalOperator* subtree);
 
-  /// Launches one pass: `worker(w, clone_w)` for every planned worker.
+  /// Launches one pass: `worker(w, state_w)` for every planned worker.
   /// NOTE: the scheduler may clamp a governed pass below the planned
   /// width, in which case worker indices at and above the clamp are
   /// never invoked in that pass — a multi-pass sink whose per-worker
   /// state must make progress regardless should claim work items from
-  /// a shared queue inside `worker` (keyed by clone index via clone()),
+  /// a shared queue inside `worker` (keyed by worker index via state()),
   /// not rely on its own index being launched.
-  Status RunPass(
-      ExecutionContext* context,
-      const std::function<Status(int worker, PhysicalOperator* scan)>& worker);
+  Status RunPass(ExecutionContext* context, const MorselTask& worker);
 
   int threads() const { return run_.threads; }
-  /// Worker w's subtree clone — for passes that drive another worker's
-  /// pending state after a governed clamp (see RunPass note).
-  PhysicalOperator* clone(int w) { return clones_[w].get(); }
+  /// Worker w's state of the subtree — for passes that drive another
+  /// worker's pending state after a governed clamp (see RunPass note).
+  OperatorState* state(int w) { return states_[w].get(); }
 
  private:
   ParallelRun run_;
-  std::vector<std::unique_ptr<PhysicalOperator>> clones_;
+  std::vector<StatePtr> states_;
 };
 
 /// The shared launch protocol of every parallel sink: plan the scan,
-/// clone the subtree per worker, and run `worker(w, clone_w)` on the
-/// scheduler (width pinned when the connection's PRAGMA threads
-/// override is set, governed otherwise). `prepare(workers)` runs once
-/// on the calling thread before fan-out — size per-worker state and
-/// copy expressions there. Sets `*ran` = false (without calling
+/// build one state of the subtree per worker, and run
+/// `worker(w, state_w)` on the scheduler (width pinned when the
+/// connection's PRAGMA threads override is set, governed otherwise).
+/// `prepare(workers)` runs once on the calling thread before fan-out —
+/// size per-worker results there. Sets `*ran` = false (without calling
 /// anything) when the subtree stays serial; the caller then runs its
 /// serial loop. Workers the scheduler clamps away below the planned
 /// width simply never run — their morsels are claimed by the others,
 /// so per-worker results must tolerate untouched slots.
-Status RunMorselPipeline(
-    ExecutionContext* context, const PhysicalOperator* subtree, bool* ran,
-    const std::function<void(idx_t workers)>& prepare,
-    const std::function<Status(int worker, PhysicalOperator* scan)>& worker);
+Status RunMorselPipeline(ExecutionContext* context,
+                         const PhysicalOperator* subtree, bool* ran,
+                         const std::function<void(idx_t workers)>& prepare,
+                         const MorselTask& worker);
 
 /// Runs `task(i)` for i in [0, task_count) across the worker pool, each
 /// task claimed from a shared atomic counter (the non-scan sibling of a

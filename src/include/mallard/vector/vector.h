@@ -39,9 +39,18 @@ struct VectorDictionary {
 /// string heap for VARCHAR payloads. Shared between vectors via
 /// shared_ptr so that chunks can be handed over to client code and
 /// projections can alias columns without copying (paper section 5).
+///
+/// Only VARCHAR buffers start zeroed (a NULL row holds an empty
+/// reference). Fixed-width buffers start uninitialized: every reader
+/// masks NULL rows by validity, a reused buffer holds stale values
+/// anyway, and the writers that persist or ship raw bytes (column
+/// segments, chunk serialization) zero NULL slots. Skipping the memset
+/// keeps the chunks each execution's operator state allocates cheap.
 struct VectorBuffer {
-  explicit VectorBuffer(idx_t bytes)
-      : data(std::make_unique<uint8_t[]>(bytes)) {}
+  explicit VectorBuffer(TypeId type)
+      : data(type == TypeId::kVarchar
+                 ? new uint8_t[TypeSize(type) * kVectorSize]()
+                 : new uint8_t[TypeSize(type) * kVectorSize]) {}
   std::unique_ptr<uint8_t[]> data;
   ArenaAllocator heap;  // VARCHAR payload storage
   /// Keeps a dictionary alive after Flatten(): the flattened StringRefs

@@ -123,24 +123,18 @@ Result<std::unique_ptr<MaterializedQueryResult>> Connection::Query(
     if (join_order_ == JoinOrder::kSyntactic) normalized.key += "\x01syntactic";
     if (normalized.cacheable) {
       SharedPlanCache& cache = db_->plan_cache();
-      bool busy = false;
-      SharedPlanCache::Entry* entry = cache.Acquire(normalized.key, &busy);
-      if (entry) {
-        return ExecuteCachedEntry(entry, normalized.literals);
-      }
-      if (!busy) {
+      SharedPlanCache::EntryPtr entry = cache.Acquire(normalized.key);
+      if (!entry) {
         auto planned = PlanNormalized(&normalized, sql);
-        if (planned.ok()) {
-          entry = cache.Insert(std::move(*planned));
-          return ExecuteCachedEntry(entry, normalized.literals);
-        }
-        // Planning the normalized statement failed. Either the error is
-        // real (a missing table: the uncached path below reproduces it
-        // from the original text) or a literal the binder needs as a
+        // Planning the normalized statement can fail. Either the error
+        // is real (a missing table: the uncached path below reproduces
+        // it from the original text) or a literal the binder needs as a
         // constant became a parameter; both execute uncached.
+        if (planned.ok()) entry = cache.Insert(std::move(*planned));
       }
-      // A busy entry means another connection is executing this exact
-      // plan right now: plan fresh, uncached, instead of waiting.
+      if (entry) {
+        return ExecuteCachedEntry(std::move(entry), normalized.literals);
+      }
     } else {
       db_->plan_cache().RecordUncacheable();
     }
@@ -163,60 +157,55 @@ Result<std::unique_ptr<SharedPlanCache::Entry>> Connection::PlanNormalized(
   if (statements.size() != 1 || !IsPlanCacheable(statements[0]->type)) {
     return Status::InvalidArgument("normalized statement is not cacheable");
   }
-  auto entry = std::make_unique<SharedPlanCache::Entry>();
-  entry->key = normalized->key;
-  entry->parameters = std::make_shared<BoundParameterData>();
-  entry->parameters->EnsureSize(normalized->literals.size());
   // Pre-typing each slot with its literal's parsed type makes the
   // binder coerce exactly as it would have with the literal in place —
   // `id = 7` and `id = 7.5` already landed on different cache keys.
-  for (idx_t i = 0; i < normalized->literals.size(); i++) {
-    entry->parameters->types[i] = normalized->literals[i].type();
+  BoundParameterData parameters;
+  for (const Value& literal : normalized->literals) {
+    parameters.types.push_back(literal.type());
   }
+  parameters.referenced.resize(parameters.types.size(), false);
+  return PlanEntry(normalized->key, std::move(statements[0]), parameters);
+}
+
+Result<std::unique_ptr<SharedPlanCache::Entry>> Connection::PlanEntry(
+    std::string key, std::shared_ptr<const SQLStatement> statement,
+    const BoundParameterData& parameters) {
+  auto entry = std::make_unique<SharedPlanCache::Entry>();
+  entry->key = std::move(key);
+  // Each entry binds against its own copy: the planner records types in
+  // it while the entry it replaces may still be running.
+  auto own = std::make_shared<BoundParameterData>(parameters);
   Planner planner = MakePlanner();
-  planner.SetParameterData(entry->parameters);
+  planner.SetParameterData(own);
   entry->catalog_version = db_->catalog().version();
-  MALLARD_ASSIGN_OR_RETURN(entry->plan,
-                           planner.PlanStatement(*statements[0]));
-  entry->statement = std::move(statements[0]);
+  MALLARD_ASSIGN_OR_RETURN(entry->plan, planner.PlanStatement(*statement));
+  entry->statement = std::move(statement);
+  entry->parameters = std::move(own);
   return entry;
 }
 
 Result<std::unique_ptr<MaterializedQueryResult>>
-Connection::ExecuteCachedEntry(SharedPlanCache::Entry* entry,
+Connection::ExecuteCachedEntry(SharedPlanCache::EntryPtr entry,
                                const std::vector<Value>& literals) {
   SharedPlanCache& cache = db_->plan_cache();
-  uint64_t current_version = db_->catalog().version();
-  if (entry->catalog_version != current_version) {
-    // DDL since planning: re-plan in place from the stored AST, like
-    // PreparedStatement::EnsureCurrentPlan. A dropped table surfaces
-    // here as a binder error and the entry dies.
+  if (entry->catalog_version != db_->catalog().version()) {
+    // DDL since planning: re-plan from the stored AST into a new entry
+    // that replaces this one, like PreparedStatement::EnsureCurrentPlan.
+    // A dropped table surfaces here as a binder error and the entry dies.
     cache.RecordInvalidation();
-    Planner planner = MakePlanner();
-    planner.SetParameterData(entry->parameters);
-    auto plan = planner.PlanStatement(*entry->statement);
-    if (!plan.ok()) {
-      cache.Release(entry, /*keep=*/false);
-      return plan.status();
+    auto fresh = PlanEntry(entry->key, entry->statement, *entry->parameters);
+    if (!fresh.ok()) {
+      cache.Drop(entry);
+      return fresh.status();
     }
-    entry->plan = std::move(*plan);
-    entry->catalog_version = current_version;
-  }
-  for (idx_t i = 0; i < literals.size(); i++) {
-    entry->parameters->values[i] = literals[i];
-    entry->parameters->is_set[i] = true;
-  }
-  Status rewind = entry->plan.plan->Reset();
-  if (!rewind.ok()) {
-    cache.Release(entry, /*keep=*/false);
-    return rewind;
+    SharedPlanCache::EntryPtr replanned = std::move(*fresh);
+    cache.Replace(entry, replanned);
+    entry = std::move(replanned);
   }
   auto result = ExecutePhysicalPlan(entry->plan.plan.get(), entry->plan.names,
-                                    entry->plan.types);
-  // Idle cached plans must not pin their last execution's operator
-  // state (join build tables live in non-spillable buffer segments).
-  Status clear = entry->plan.plan->Reset();
-  cache.Release(entry, result.ok() && clear.ok());
+                                    entry->plan.types, &literals);
+  if (!result.ok()) cache.Drop(entry);
   return result;
 }
 
@@ -288,15 +277,18 @@ class DenseChunkSink {
 }  // namespace
 
 Result<std::unique_ptr<MaterializedQueryResult>>
-Connection::ExecutePhysicalPlan(PhysicalOperator* plan,
+Connection::ExecutePhysicalPlan(const PhysicalOperator* plan,
                                 const std::vector<std::string>& names,
-                                const std::vector<TypeId>& types) {
+                                const std::vector<TypeId>& types,
+                                const ParameterValues* parameters) {
   MALLARD_ASSIGN_OR_RETURN(auto slot, AdmitSlot());
   auto ticket = db_->scheduler().RegisterQuery(session_id_, priority_weight_);
   bool started = false;
   MALLARD_ASSIGN_OR_RETURN(Transaction * txn, ActiveTransaction(&started));
   ExecutionContext context;
   SetupContext(&context, txn, ticket.get());
+  context.parameters = parameters;
+  StatePtr state = plan->MakeState();
   DenseChunkSink sink(types);
   Status status = Status::OK();
   while (true) {
@@ -305,11 +297,14 @@ Connection::ExecutePhysicalPlan(PhysicalOperator* plan,
     status = context.CheckInterrupt();
     if (!status.ok()) break;
     DataChunk* chunk = sink.Next();
-    status = plan->GetChunk(&context, chunk);
+    status = plan->GetChunk(&context, state.get(), chunk);
     if (!status.ok()) break;
     if (chunk->size() == 0) break;
     sink.Collect();
   }
+  // The execution's operator state (hash tables, sort runs, chunks) dies
+  // with the execution, before the transaction finishes.
+  state.reset();
   // One Interrupt() cancels at most one statement: the flag is consumed
   // when the statement it hit (or outlived) completes.
   interrupt_.store(false, std::memory_order_relaxed);
@@ -399,6 +394,7 @@ Result<std::unique_ptr<MaterializedQueryResult>> Connection::ExecuteStatement(
                                  db_->catalog().GetTable(create.name));
         ExecutionContext context;
         SetupContext(&context, txn, ticket.get());
+        StatePtr state = sub.plan->MakeState();
         DataChunk chunk;
         chunk.Initialize(sub.types);
         int64_t inserted = 0;
@@ -406,7 +402,7 @@ Result<std::unique_ptr<MaterializedQueryResult>> Connection::ExecuteStatement(
         while (true) {
           status = context.CheckInterrupt();
           if (!status.ok()) break;
-          status = sub.plan->GetChunk(&context, &chunk);
+          status = sub.plan->GetChunk(&context, state.get(), &chunk);
           if (!status.ok()) break;
           if (chunk.size() == 0) break;
           status = table->Append(txn, chunk);
@@ -832,7 +828,9 @@ Result<std::unique_ptr<MaterializedQueryResult>> Connection::ExecutePragma(
                 {"misses", s.misses},
                 {"evictions", s.evictions},
                 {"invalidations", s.invalidations},
-                {"busy_skips", s.busy_skips},
+                // Entries are shared, never busy: always 0, kept so the
+                // column list stays stable.
+                {"busy_skips", 0},
                 {"uncacheable", s.uncacheable},
                 {"entries", s.entries}};
       }),
@@ -918,15 +916,15 @@ Result<std::unique_ptr<StreamingQueryResult>> Connection::SendQuery(
   }
   Planner planner = MakePlanner();
   MALLARD_ASSIGN_OR_RETURN(auto plan, planner.PlanStatement(*statements[0]));
-  PhysicalOperator* raw = plan.plan.get();
+  const PhysicalOperator* raw = plan.plan.get();
   return StreamPlan(std::move(plan.plan), raw, std::move(plan.names),
                     std::move(plan.types));
 }
 
 Result<std::unique_ptr<StreamingQueryResult>> Connection::StreamPlan(
-    std::unique_ptr<PhysicalOperator> owned_plan, PhysicalOperator* plan,
+    std::unique_ptr<PhysicalOperator> owned_plan, const PhysicalOperator* plan,
     std::vector<std::string> names, std::vector<TypeId> types,
-    std::shared_ptr<void> lease) {
+    ParameterValues parameters, std::shared_ptr<void> lease) {
   // An open stream is an executing query: it holds its admission slot
   // and fair-share ticket until Close, so a client that opens a stream
   // and fetches slowly still counts against concurrency and fairness.
@@ -939,8 +937,8 @@ Result<std::unique_ptr<StreamingQueryResult>> Connection::StreamPlan(
   }
   return std::make_unique<StreamingQueryResult>(
       this, std::move(owned_plan), plan, std::move(names), std::move(types),
-      owns, std::move(txn), std::move(lease), std::move(ticket),
-      std::move(slot));
+      std::move(parameters), owns, std::move(txn), std::move(lease),
+      std::move(ticket), std::move(slot));
 }
 
 Result<std::unique_ptr<PreparedStatement>> Connection::Prepare(
@@ -973,14 +971,17 @@ Result<std::unique_ptr<PreparedStatement>> Connection::Prepare(
 
 StreamingQueryResult::StreamingQueryResult(
     Connection* connection, std::unique_ptr<PhysicalOperator> owned_plan,
-    PhysicalOperator* plan, std::vector<std::string> names,
-    std::vector<TypeId> types, bool owns_transaction,
-    std::unique_ptr<Transaction> txn, std::shared_ptr<void> lease,
-    std::unique_ptr<QueryTicket> ticket, std::shared_ptr<void> admission)
+    const PhysicalOperator* plan, std::vector<std::string> names,
+    std::vector<TypeId> types, ParameterValues parameters,
+    bool owns_transaction, std::unique_ptr<Transaction> txn,
+    std::shared_ptr<void> lease, std::unique_ptr<QueryTicket> ticket,
+    std::shared_ptr<void> admission)
     : QueryResult(std::move(names), std::move(types)),
       connection_(connection),
       owned_plan_(std::move(owned_plan)),
       plan_(plan),
+      parameters_(std::move(parameters)),
+      state_(plan->MakeState()),
       owns_transaction_(owns_transaction),
       txn_(std::move(txn)),
       lease_(std::move(lease)),
@@ -1000,10 +1001,11 @@ Result<std::unique_ptr<DataChunk>> StreamingQueryResult::Fetch() {
                                 ? txn_.get()
                                 : connection_->transaction_.get(),
                             ticket_.get());
+  context.parameters = &parameters_;
   MALLARD_RETURN_NOT_OK(context.CheckInterrupt());
   auto chunk = std::make_unique<DataChunk>();
   chunk->Initialize(types_);
-  MALLARD_RETURN_NOT_OK(plan_->GetChunk(&context, chunk.get()));
+  MALLARD_RETURN_NOT_OK(plan_->GetChunk(&context, state_.get(), chunk.get()));
   if (chunk->size() == 0) {
     MALLARD_RETURN_NOT_OK(Close());
     return std::unique_ptr<DataChunk>();
@@ -1014,7 +1016,8 @@ Result<std::unique_ptr<DataChunk>> StreamingQueryResult::Fetch() {
 Status StreamingQueryResult::Close() {
   if (done_) return Status::OK();
   done_ = true;
-  lease_.reset();  // the borrowed plan may be rewound/re-planned again
+  state_.reset();
+  lease_.reset();  // the borrowed plan may be re-planned again
   ticket_.reset();
   admission_.reset();
   // The stream was this connection's running statement; closing it

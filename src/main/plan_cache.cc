@@ -149,110 +149,67 @@ NormalizedQuery NormalizeQueryText(const std::string& sql) {
 
 // ---------------------------------------------------------------------------
 
-SharedPlanCache::Entry* SharedPlanCache::Acquire(const std::string& key,
-                                                 bool* busy) {
-  *busy = false;
+SharedPlanCache::EntryPtr SharedPlanCache::Acquire(const std::string& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     stats_.misses++;
     return nullptr;
   }
-  Entry* entry = it->second.get();
-  if (entry->in_use) {
-    // Plans hold mutable operator state: one execution at a time. The
-    // loser plans fresh and uncached instead of waiting.
-    stats_.busy_skips++;
-    *busy = true;
-    return nullptr;
-  }
   stats_.hits++;
-  entry->in_use = true;
-  lru_.splice(lru_.begin(), lru_, entry->lru_pos);
-  return entry;
+  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+  return it->second.entry;
 }
 
-std::unique_ptr<SharedPlanCache::Entry> SharedPlanCache::Detach(Entry* entry) {
-  auto it = entries_.find(entry->key);
-  std::unique_ptr<Entry> owned = std::move(it->second);
+void SharedPlanCache::Unfile(
+    std::unordered_map<std::string, Slot>::iterator it,
+    std::vector<EntryPtr>* dead) {
+  lru_.erase(it->second.lru_pos);
+  dead->push_back(std::move(it->second.entry));
   entries_.erase(it);
-  lru_.erase(entry->lru_pos);
-  return owned;
 }
 
-void SharedPlanCache::Release(Entry* entry, bool keep) {
-  std::unique_ptr<Entry> reaped;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    entry->in_use = false;
-    if (entry->orphaned) {
-      for (auto it = orphans_.begin(); it != orphans_.end(); ++it) {
-        if (it->get() == entry) {
-          reaped = std::move(*it);
-          orphans_.erase(it);
-          break;
-        }
-      }
-    } else if (!keep) {
-      reaped = Detach(entry);
-      stats_.evictions++;
-    } else {
-      lru_.splice(lru_.begin(), lru_, entry->lru_pos);
-    }
-    stats_.entries = entries_.size();
-  }
-  // `reaped` destroys the plan outside the lock.
-}
-
-SharedPlanCache::Entry* SharedPlanCache::Insert(std::unique_ptr<Entry> entry) {
-  Entry* raw = entry.get();
-  raw->in_use = true;
-  std::vector<std::unique_ptr<Entry>> evicted;
+SharedPlanCache::EntryPtr SharedPlanCache::Insert(
+    std::unique_ptr<Entry> entry) {
+  EntryPtr shared = std::move(entry);
+  std::vector<EntryPtr> dead;  // freed after the lock is released
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(raw->key);
-  if (it != entries_.end()) {
-    // Two connections planned the same miss concurrently; the resident
-    // entry wins if idle (drop ours after this execution), ours replaces
-    // it otherwise is impossible to file — run it orphaned either way.
-    raw->orphaned = true;
-    orphans_.push_back(std::move(entry));
-    return raw;
-  }
+  // Two connections planned the same miss concurrently: the resident
+  // entry stays filed.
+  if (entries_.count(shared->key)) return shared;
   while (entries_.size() >= capacity_ && !lru_.empty()) {
-    // Evict from the cold end, skipping entries mid-execution.
-    bool evicted_one = false;
-    for (auto lru_it = lru_.rbegin(); lru_it != lru_.rend(); ++lru_it) {
-      if (!(*lru_it)->in_use) {
-        evicted.push_back(Detach(*lru_it));
-        stats_.evictions++;
-        evicted_one = true;
-        break;
-      }
-    }
-    if (!evicted_one) break;  // everything busy: admit over capacity
+    Unfile(entries_.find(lru_.back()->key), &dead);
+    stats_.evictions++;
   }
-  raw->lru_pos = lru_.insert(lru_.begin(), raw);
-  entries_.emplace(raw->key, std::move(entry));
-  stats_.entries = entries_.size();
-  return raw;
+  lru_.push_front(shared.get());
+  entries_.emplace(shared->key, Slot{shared, lru_.begin()});
+  return shared;
+}
+
+void SharedPlanCache::Replace(const EntryPtr& stale, const EntryPtr& fresh) {
+  EntryPtr old;
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(stale->key);
+  if (it == entries_.end() || it->second.entry != stale) return;
+  old = std::move(it->second.entry);
+  it->second.entry = fresh;
+  *it->second.lru_pos = fresh.get();
+}
+
+void SharedPlanCache::Drop(const EntryPtr& entry) {
+  std::vector<EntryPtr> dead;
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(entry->key);
+  if (it == entries_.end() || it->second.entry != entry) return;
+  Unfile(it, &dead);
+  stats_.evictions++;
 }
 
 void SharedPlanCache::Clear() {
-  std::vector<std::unique_ptr<Entry>> reaped;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& pair : entries_) {
-      if (pair.second->in_use) {
-        pair.second->orphaned = true;
-        orphans_.push_back(std::move(pair.second));
-      } else {
-        reaped.push_back(std::move(pair.second));
-      }
-    }
-    entries_.clear();
-    lru_.clear();
-    stats_.entries = 0;
-  }
+  std::unordered_map<std::string, Slot> dead;
+  std::lock_guard<std::mutex> lock(mutex_);
+  dead.swap(entries_);
+  lru_.clear();
 }
 
 idx_t SharedPlanCache::size() const {

@@ -1,5 +1,7 @@
 #include "mallard/main/prepared_statement.h"
 
+#include <algorithm>
+
 #include "mallard/main/connection.h"
 #include "mallard/main/database.h"
 
@@ -12,6 +14,8 @@ PreparedStatement::PreparedStatement(
     : connection_(connection),
       statement_(std::move(statement)),
       parameters_(std::move(parameters)),
+      values_(parameters_->Count()),
+      bound_(parameters_->Count(), false),
       plan_(std::move(plan)),
       catalog_version_(catalog_version) {}
 
@@ -43,14 +47,19 @@ Status PreparedStatement::Bind(idx_t index, Value value) {
     }
     value = std::move(*cast);
   }
-  parameters_->values[slot] = std::move(value);
-  parameters_->is_set[slot] = true;
+  values_[slot] = std::move(value);
+  bound_[slot] = true;
   return Status::OK();
 }
 
+void PreparedStatement::ClearBindings() {
+  std::fill(values_.begin(), values_.end(), Value());
+  std::fill(bound_.begin(), bound_.end(), false);
+}
+
 Status PreparedStatement::CheckAllBound() const {
-  for (idx_t i = 0; i < parameters_->Count(); i++) {
-    if (!parameters_->is_set[i]) {
+  for (idx_t i = 0; i < bound_.size(); i++) {
+    if (!bound_[i]) {
       return Status::InvalidArgument(
           "cannot execute prepared statement: parameter $" +
           std::to_string(i + 1) + " has not been bound");
@@ -71,9 +80,9 @@ Status PreparedStatement::CheckNoOpenStream() const {
 Status PreparedStatement::EnsureCurrentPlan() {
   uint64_t current = connection_->database().catalog().version();
   if (current == catalog_version_) return Status::OK();
-  // DDL happened since planning: re-plan from the stored AST. Parameter
-  // values and previously inferred types survive in the shared slot; a
-  // dropped table surfaces here as a catalog/binder error.
+  // DDL happened since planning: re-plan from the stored AST. Bound
+  // values and previously inferred types survive; a dropped table
+  // surfaces here as a catalog/binder error.
   Planner planner = connection_->MakePlanner();
   planner.SetParameterData(parameters_);
   MALLARD_ASSIGN_OR_RETURN(plan_, planner.PlanStatement(*statement_));
@@ -85,10 +94,8 @@ Result<std::unique_ptr<MaterializedQueryResult>> PreparedStatement::Execute() {
   MALLARD_RETURN_NOT_OK(CheckNoOpenStream());
   MALLARD_RETURN_NOT_OK(CheckAllBound());
   MALLARD_RETURN_NOT_OK(EnsureCurrentPlan());
-  // Rewind the cached plan in place: no re-parse, no re-plan.
-  MALLARD_RETURN_NOT_OK(plan_.plan->Reset());
   return connection_->ExecutePhysicalPlan(plan_.plan.get(), plan_.names,
-                                          plan_.types);
+                                          plan_.types, &values_);
 }
 
 Result<std::unique_ptr<StreamingQueryResult>>
@@ -100,14 +107,14 @@ PreparedStatement::ExecuteStream() {
   MALLARD_RETURN_NOT_OK(CheckNoOpenStream());
   MALLARD_RETURN_NOT_OK(CheckAllBound());
   MALLARD_RETURN_NOT_OK(EnsureCurrentPlan());
-  MALLARD_RETURN_NOT_OK(plan_.plan->Reset());
   // The statement keeps plan ownership so it stays re-executable; the
-  // stream borrows it (and holds a lease so overlapping executions are
-  // rejected) and must not outlive this object.
+  // stream borrows it and must not outlive this object. The lease makes
+  // executions reject while the stream is open, because EnsureCurrentPlan
+  // could replace the plan the stream reads.
   auto lease = std::make_shared<char>();
   stream_lease_ = lease;
   return connection_->StreamPlan(nullptr, plan_.plan.get(), plan_.names,
-                                 plan_.types, std::move(lease));
+                                 plan_.types, values_, std::move(lease));
 }
 
 }  // namespace mallard

@@ -42,44 +42,6 @@ bool TableMorselSource::Next(int worker, idx_t* row_group) {
   return true;
 }
 
-PhysicalMorselScan::PhysicalMorselScan(
-    std::shared_ptr<TableMorselSource> source, int worker,
-    const DataTable* table, std::vector<idx_t> column_ids,
-    std::vector<TableFilter> filters, std::vector<TypeId> types)
-    : PhysicalOperator(std::move(types)),
-      source_(std::move(source)),
-      worker_(worker),
-      table_(table),
-      column_ids_(std::move(column_ids)),
-      filters_(std::move(filters)) {}
-
-Status PhysicalMorselScan::GetChunk(ExecutionContext* context,
-                                    DataChunk* out) {
-  out->Reset();
-  while (true) {
-    MALLARD_RETURN_NOT_OK(context->CheckInterrupt());
-    if (!morsel_active_) {
-      idx_t row_group;
-      if (!source_->Next(worker_, &row_group)) return Status::OK();
-      state_ = TableScanState{};
-      state_.column_ids = column_ids_;
-      state_.filters = filters_;
-      state_.row_group_index = row_group;
-      state_.max_row_group = row_group + 1;
-      state_.salvage = context->salvage_mode;
-      morsel_active_ = true;
-    }
-    if (table_->Scan(*context->txn, &state_, out)) return Status::OK();
-    if (!state_.error.ok()) return std::move(state_.error);
-    morsel_active_ = false;  // morsel exhausted; claim the next one
-  }
-}
-
-std::string PhysicalMorselScan::name() const {
-  return "MORSEL_SCAN(" + table_->name() + ", worker " +
-         std::to_string(worker_) + ")";
-}
-
 namespace parallel {
 
 int ResolveLaunchWidth(const ExecutionContext* context, idx_t item_count) {
@@ -111,43 +73,29 @@ ParallelRun PlanParallelScan(ExecutionContext* context,
   return run;
 }
 
-std::vector<std::unique_ptr<PhysicalOperator>> CloneWorkers(
-    const ParallelRun& run, const PhysicalOperator* subtree) {
-  std::vector<std::unique_ptr<PhysicalOperator>> clones;
-  for (int w = 0; w < run.threads; w++) {
-    ParallelCloneContext ctx{run.source, w};
-    auto clone = subtree->MorselClone(ctx);
-    if (!clone) return {};
-    clones.push_back(std::move(clone));
-  }
-  return clones;
-}
-
 bool MorselPipeline::Plan(ExecutionContext* context,
                           const PhysicalOperator* subtree) {
   run_ = PlanParallelScan(context, subtree);
   if (run_.threads <= 1) return false;
-  clones_ = CloneWorkers(run_, subtree);
-  if (clones_.empty()) {
-    run_ = ParallelRun{};
-    return false;
+  for (int w = 0; w < run_.threads; w++) {
+    MorselWorker seat{run_.source, w};
+    states_.push_back(subtree->MakeState(&seat));
   }
   return true;
 }
 
-Status MorselPipeline::RunPass(
-    ExecutionContext* context,
-    const std::function<Status(int worker, PhysicalOperator* scan)>& worker) {
-  auto task = [&](int w) -> Status { return worker(w, clones_[w].get()); };
-  return context->scheduler->Run(static_cast<int>(clones_.size()), task,
+Status MorselPipeline::RunPass(ExecutionContext* context,
+                               const MorselTask& worker) {
+  auto task = [&](int w) -> Status { return worker(w, states_[w].get()); };
+  return context->scheduler->Run(static_cast<int>(states_.size()), task,
                                  /*governed=*/context->thread_limit == 0,
                                  context->ticket);
 }
 
-Status RunMorselPipeline(
-    ExecutionContext* context, const PhysicalOperator* subtree, bool* ran,
-    const std::function<void(idx_t workers)>& prepare,
-    const std::function<Status(int worker, PhysicalOperator* scan)>& worker) {
+Status RunMorselPipeline(ExecutionContext* context,
+                         const PhysicalOperator* subtree, bool* ran,
+                         const std::function<void(idx_t workers)>& prepare,
+                         const MorselTask& worker) {
   *ran = false;
   MorselPipeline pipeline;
   if (!pipeline.Plan(context, subtree)) return Status::OK();

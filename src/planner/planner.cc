@@ -374,7 +374,7 @@ struct Planner::Impl {
     if (expr->expr_class() == ExprClass::kConstant) return expr;
     if (ExprHasColumnRef(*expr)) return expr;
     if (ExprHasParameter(*expr)) return expr;
-    auto value = ExpressionExecutor::ExecuteScalar(*expr, {});
+    auto value = ExpressionExecutor::ExecuteScalar(*expr, {}, nullptr);
     if (!value.ok()) return expr;  // fold lazily; runtime will error
     Value v = *value;
     if (v.type() != expr->return_type() && v.type() == TypeId::kInvalid) {

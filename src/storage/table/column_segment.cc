@@ -292,6 +292,7 @@ void ColumnSegment::Append(const Vector& source, idx_t source_offset,
     bool valid = source.validity().RowIsValid(s);
     SetValid(t, valid);
     if (!valid) {
+      std::memset(data_.get() + t * width_, 0, width_);  // unspecified bytes
       null_count_++;
     } else {
       MergeStatsValue(source.GetValue(s));

@@ -1,5 +1,8 @@
 #include "mallard/vector/chunk_serde.h"
 
+#include <cstring>
+#include <vector>
+
 namespace mallard {
 
 void SerializeChunk(const DataChunk& chunk, BinaryWriter* writer) {
@@ -27,8 +30,19 @@ void SerializeChunk(const DataChunk& chunk, BinaryWriter* writer) {
           writer->WriteU32(0);
         }
       }
-    } else {
+    } else if (col.validity().AllValid()) {
       writer->WriteBytes(col.raw_data(), chunk.size() * TypeSize(col.type()));
+    } else {
+      // NULL slots hold unspecified bytes: write zeros in their place.
+      idx_t width = TypeSize(col.type());
+      std::vector<uint8_t> bytes(col.raw_data(),
+                                 col.raw_data() + chunk.size() * width);
+      for (idx_t i = 0; i < chunk.size(); i++) {
+        if (!col.validity().RowIsValid(i)) {
+          std::memset(bytes.data() + i * width, 0, width);
+        }
+      }
+      writer->WriteBytes(bytes.data(), bytes.size());
     }
   }
 }

@@ -18,7 +18,7 @@ const std::vector<uint64_t>& VectorDictionary::EntryHashes() const {
 
 Vector::Vector(TypeId type)
     : type_(type),
-      buffer_(std::make_shared<VectorBuffer>(TypeSize(type) * kVectorSize)) {
+      buffer_(std::make_shared<VectorBuffer>(type)) {
   data_ = buffer_->data.get();
 }
 
@@ -30,7 +30,7 @@ void Vector::Flatten() {
   if (buffer_.use_count() > 1) {
     // Another vector still reads codes through this buffer; decode into
     // a fresh one instead of rewriting shared bytes.
-    auto fresh = std::make_shared<VectorBuffer>(TypeSize(type_) * kVectorSize);
+    auto fresh = std::make_shared<VectorBuffer>(type_);
     const uint32_t* codes = reinterpret_cast<const uint32_t*>(data_);
     StringRef* dst = reinterpret_cast<StringRef*>(fresh->data.get());
     for (idx_t i = 0; i < rows; i++) {
@@ -202,7 +202,7 @@ void Vector::Reset() {
   if (buffer_.use_count() > 1) {
     // The buffer is still referenced downstream (e.g. a chunk handed to
     // the client zero-copy). Detach instead of overwriting it.
-    buffer_ = std::make_shared<VectorBuffer>(TypeSize(type_) * kVectorSize);
+    buffer_ = std::make_shared<VectorBuffer>(type_);
     data_ = buffer_->data.get();
   } else if (type_ == TypeId::kVarchar) {
     buffer_->heap.Reset();

@@ -259,6 +259,57 @@ TEST_F(PreparedTest, NullParameterMatchesTheNullLiteral) {
       Column(con_->Query("SELECT a FROM t WHERE s NOT LIKE NULL")).empty());
 }
 
+TEST_F(PreparedTest, InAgainstANullListIsThreeValuedOnEveryPath) {
+  // A miss against a list holding a NULL is NULL, not FALSE, so NOT IN
+  // over such a list keeps no row. Each shape runs as a literal with the
+  // plan cache off, as a cache hit, and with a NULL bound as parameter.
+  ASSERT_TRUE(con_->Query("CREATE TABLE n (a INTEGER)").ok());
+  ASSERT_TRUE(con_->Query("INSERT INTO n VALUES (1), (2), (3)").ok());
+  Connection off(db_.get());
+  ASSERT_TRUE(off.Query("PRAGMA plan_cache=off").ok());
+  auto hits = [&]() -> int64_t {
+    auto r = con_->Query("PRAGMA plan_cache_stats");
+    EXPECT_TRUE(r.ok());
+    return r.ok() ? (*r)->GetValue(0, 0).GetBigInt() : -1;  // "hits"
+  };
+  auto count = [](Result<std::unique_ptr<MaterializedQueryResult>> r) {
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? (*r)->GetValue(0, 0).GetBigInt() : -1;
+  };
+  struct Shape {
+    const char* literal;
+    const char* with_parameter;
+    int64_t count;
+  };
+  const Shape shapes[] = {
+      {"a NOT IN (1, NULL)", "a NOT IN (1, ?)", 0},
+      {"NOT (a IN (5, NULL))", "NOT (a IN (5, ?))", 0},
+      {"a IN (1, NULL)", "a IN (1, ?)", 1},
+      {"a NOT IN (1, 2)", "a NOT IN (1, 2)", 1},
+  };
+  for (const Shape& shape : shapes) {
+    const std::string where = shape.literal;
+    const std::string sql = "SELECT count(a) FROM n WHERE " + where;
+    EXPECT_EQ(count(off.Query(sql)), shape.count) << where << " uncached";
+    EXPECT_EQ(count(con_->Query(sql)), shape.count) << where << " cold";
+    int64_t before = hits();
+    EXPECT_EQ(count(con_->Query(sql)), shape.count) << where << " hit";
+    EXPECT_EQ(hits(), before + 1) << where;
+    auto prepared = con_->Prepare(std::string("SELECT count(a) FROM n WHERE ") +
+                                  shape.with_parameter);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    if ((*prepared)->ParameterCount() == 1) {
+      ASSERT_TRUE((*prepared)->BindNull(1).ok());
+    }
+    EXPECT_EQ(count((*prepared)->Execute()), shape.count) << where;
+  }
+  // The scalar path (constant folding) agrees.
+  auto folded = off.Query("SELECT 3 NOT IN (1, NULL), 1 IN (1, NULL)");
+  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+  EXPECT_TRUE((*folded)->GetValue(0, 0).is_null());
+  EXPECT_TRUE((*folded)->GetValue(1, 0).GetBoolean());
+}
+
 TEST_F(PreparedTest, PrepareInvalidSqlFailsAndRecovers) {
   EXPECT_FALSE(con_->Prepare("SELEKT 1").ok());
   EXPECT_FALSE(con_->Prepare("SELECT FROM t").ok());

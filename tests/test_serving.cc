@@ -524,6 +524,8 @@ TEST_F(ServingTest, FourThreadsHammerOneEntry) {
   Fill("t", 1000);
   // Warm the entry.
   ASSERT_EQ(Scalar(con_.get(), "SELECT count(*) FROM t WHERE k = 3"), 1);
+  const uint64_t hits0 = Counter("plan_cache_stats", "hits");
+  const uint64_t misses0 = Counter("plan_cache_stats", "misses");
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int w = 0; w < 4; w++) {
@@ -541,11 +543,59 @@ TEST_F(ServingTest, FourThreadsHammerOneEntry) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  // Contended executions fall back to fresh uncached plans rather than
-  // serializing on the entry; the stats show both paths were exercised.
-  uint64_t hits = Counter("plan_cache_stats", "hits");
-  uint64_t busy = Counter("plan_cache_stats", "busy_skips");
-  EXPECT_GE(hits + busy, 1u);
+  // One immutable entry serves every connection at once: all 200
+  // executions are hits, none plans again and none waits.
+  EXPECT_EQ(Counter("plan_cache_stats", "hits"), hits0 + 200);
+  EXPECT_EQ(Counter("plan_cache_stats", "misses"), misses0);
+  EXPECT_EQ(Counter("plan_cache_stats", "busy_skips"), 0u);
+}
+
+TEST_F(ServingTest, InterleavedLiteralsShareOneJoinPlanWhileTheCacheClears) {
+  Fill("t", 3000);
+  Fill("u", 400);
+  auto sql = [](int64_t literal) {
+    return "SELECT u.k, count(*), sum(t.v) FROM t JOIN u ON t.k = u.k "
+           "WHERE t.v < " +
+           std::to_string(literal) + " GROUP BY u.k";
+  };
+  // Every literal's answer from a connection that never caches.
+  constexpr int kLiterals = 12;
+  std::vector<std::multiset<std::string>> expected;
+  {
+    Connection cold(db_.get());
+    ASSERT_TRUE(cold.Query("PRAGMA plan_cache=off").ok());
+    for (int l = 0; l < kLiterals; l++) {
+      expected.push_back(Rows(&cold, sql(250 * l + 100)));
+    }
+  }
+  std::atomic<int> running{2};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; w++) {
+    threads.emplace_back([&, w] {
+      Connection con(db_.get());
+      for (int i = 0; i < 30; i++) {
+        int l = (i * 5 + w * 7) % kLiterals;
+        if (Rows(&con, sql(250 * l + 100)) != expected[l]) {
+          failures.fetch_add(1);
+        }
+      }
+      running.fetch_sub(1);
+    });
+  }
+  // A third connection empties the shared cache while the runs hold
+  // entries: they finish on the entries they hold.
+  threads.emplace_back([&] {
+    Connection toggler(db_.get());
+    while (running.load() > 0) {
+      EXPECT_TRUE(toggler.Query("PRAGMA plan_cache=off").ok());
+      EXPECT_TRUE(toggler.Query("PRAGMA plan_cache=on").ok());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(Counter("plan_cache_stats", "busy_skips"), 0u);
 }
 
 // --- PRAGMA surface --------------------------------------------------------

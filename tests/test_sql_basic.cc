@@ -255,6 +255,30 @@ TEST_F(SqlBasicTest, InList) {
   EXPECT_EQ(r->GetValue(0, 0).GetBigInt(), 2);
 }
 
+TEST_F(SqlBasicTest, ModuloByMinusOneNeverTraps) {
+  // x % -1 is 0 for every x; computing INT64_MIN % -1 would trap
+  // (SIGFPE) and kill the host process.
+  Q("CREATE TABLE big (x BIGINT, y BIGINT, i INTEGER, j INTEGER)");
+  Q("INSERT INTO big VALUES (-9223372036854775807, -1, -2147483647, -1), "
+    "(10, 3, 10, 3)");
+  auto r = Q("SELECT (x - 1) % y, (i - 1) % j FROM big ORDER BY y");
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->GetValue(0, 0).GetBigInt(), 0);
+  EXPECT_EQ(r->GetValue(1, 0).GetInteger(), 0);
+  EXPECT_EQ(r->GetValue(0, 1).GetBigInt(), 0);  // 9 % 3
+  r = Q("SELECT count(*) FROM big WHERE (x - 1) % y = 0");
+  EXPECT_EQ(r->GetValue(0, 0).GetBigInt(), 2);
+  // Constant folding takes the scalar path; with the plan cache on the
+  // literals become parameters and the vectorized path runs instead.
+  for (const char* cache : {"off", "on"}) {
+    Q(std::string("PRAGMA plan_cache=") + cache);
+    r = Q("SELECT (-9223372036854775807 - 1) % -1, 7 % -1");
+    ASSERT_NE(r, nullptr) << cache;
+    EXPECT_EQ(r->GetValue(0, 0).GetBigInt(), 0) << cache;
+    EXPECT_EQ(r->GetValue(1, 0).GetInteger(), 0) << cache;
+  }
+}
+
 TEST_F(SqlBasicTest, BetweenAndDates) {
   Q("CREATE TABLE t (d DATE)");
   Q("INSERT INTO t VALUES (DATE '2024-01-15'), (DATE '2024-06-15'), "

@@ -363,12 +363,9 @@ TEST_F(TpchJoinOrderTest, Q6ComparesItsQuantityWithoutACast) {
   Connection con(db_);
   ASSERT_TRUE(con.Query(tpch::Query(6)).ok());
   NormalizedQuery normalized = NormalizeQueryText(tpch::Query(6));
-  bool busy = false;
-  SharedPlanCache::Entry* entry =
-      db_->plan_cache().Acquire(normalized.key, &busy);
+  SharedPlanCache::EntryPtr entry = db_->plan_cache().Acquire(normalized.key);
   ASSERT_NE(entry, nullptr);
   std::string cached = entry->plan.plan->ToString();
-  db_->plan_cache().Release(entry, /*keep=*/true);
   EXPECT_EQ(cached.find("CAST"), std::string::npos) << cached;
   EXPECT_NE(cached.find("(l_quantity < $"), std::string::npos) << cached;
 }
