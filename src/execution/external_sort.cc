@@ -2,24 +2,27 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 
 #include "mallard/governor/resource_governor.h"
 
 namespace mallard {
 
 namespace {
-constexpr uint64_t kSegmentRawTarget = 1 << 20;  // 1MB
+/// The key of an entry starting at `entry`.
+std::string_view EntryKey(const uint8_t* entry) {
+  uint32_t key_len;
+  std::memcpy(&key_len, entry, 4);
+  return std::string_view(reinterpret_cast<const char*>(entry + 4), key_len);
 }
+}  // namespace
 
 ExternalSort::ExternalSort(std::vector<TypeId> types,
                            std::vector<SortSpec> specs, BufferManager* buffers,
                            ResourceGovernor* governor)
-    : types_(types),
-      specs_(std::move(specs)),
+    : specs_(std::move(specs)),
       buffers_(buffers),
       governor_(governor),
-      codec_(types) {}
+      codec_(std::move(types)) {}
 
 uint64_t ExternalSort::RunBudget() const {
   uint64_t budget = governor_ ? governor_->EffectiveMemoryBudget()
@@ -29,106 +32,52 @@ uint64_t ExternalSort::RunBudget() const {
 }
 
 Status ExternalSort::Sink(const DataChunk& chunk) {
-  std::string key;
   for (idx_t r = 0; r < chunk.size(); r++) {
-    EncodeSortKey(chunk, r, specs_, &key);
-    keys_.push_back(key);
-    row_offsets_.push_back(rows_.size());
-    codec_.EncodeRow(chunk, r, &rows_);
-    accumulated_ += key.size() + 16;
+    EncodeSortKey(chunk, r, specs_, &key_);
+    uint64_t start = entries_.size();
+    uint32_t key_len = static_cast<uint32_t>(key_.size());
+    entries_.resize(start + 4 + key_len);
+    std::memcpy(entries_.data() + start, &key_len, 4);
+    std::memcpy(entries_.data() + start + 4, key_.data(), key_len);
+    codec_.EncodeRow(chunk, r, &entries_);
+    refs_.push_back(EntryRef{start, entries_.size() - start});
   }
-  accumulated_ = rows_.size() + keys_.size() * 32;
   stats_.rows += chunk.size();
-  if (accumulated_ > RunBudget()) {
+  if (entries_.size() + refs_.size() * sizeof(EntryRef) > RunBudget()) {
     MALLARD_RETURN_NOT_OK(FinishRun());
   }
   return Status::OK();
 }
 
 Status ExternalSort::FinishRun() {
-  if (keys_.empty()) return Status::OK();
-  // Argsort by encoded key (memcmp order == tuple order).
-  std::vector<uint32_t> perm(keys_.size());
-  std::iota(perm.begin(), perm.end(), 0);
-  std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-    return keys_[a] < keys_[b];
-  });
-  CompressionLevel level = governor_ ? governor_->ChooseCompressionLevel()
-                                     : CompressionLevel::kNone;
-  const Codec* codec = CodecForLevel(level);
-
-  Run run;
-  std::vector<uint8_t> raw;
-  raw.reserve(kSegmentRawTarget + 4096);
-  auto seal_segment = [&]() -> Status {
-    if (raw.empty()) return Status::OK();
-    std::vector<uint8_t> compressed;
-    const std::vector<uint8_t>* payload = &raw;
-    CompressionLevel used = level;
-    if (codec) {
-      codec->Compress(raw.data(), raw.size(), &compressed);
-      if (compressed.size() < raw.size()) {
-        payload = &compressed;
-      } else {
-        used = CompressionLevel::kNone;
-      }
-    }
-    Segment segment;
-    segment.raw_size = raw.size();
-    segment.stored_size = payload->size();
-    segment.level = used;
-    MALLARD_ASSIGN_OR_RETURN(BufferHandle handle,
-                             buffers_->Allocate(payload->size()));
-    std::memcpy(handle.data(), payload->data(), payload->size());
-    segment.buffer = handle.buffer();
-    handle.Release();  // unpin: evictable/spillable from here on
-    stats_.raw_bytes += segment.raw_size;
-    stats_.stored_bytes += segment.stored_size;
-    run.segments.push_back(std::move(segment));
-    raw.clear();
-    return Status::OK();
-  };
-
-  for (uint32_t idx : perm) {
-    const std::string& key = keys_[idx];
-    size_t row_start = row_offsets_[idx];
-    size_t row_end =
-        idx + 1 < row_offsets_.size() ? row_offsets_[idx + 1] : rows_.size();
-    // Row offsets are per insertion order; recompute end via decoding
-    // boundaries recorded at sink time.
-    uint32_t key_len = static_cast<uint32_t>(key.size());
-    size_t pos = raw.size();
-    raw.resize(pos + 4 + key.size() + (row_end - row_start));
-    std::memcpy(raw.data() + pos, &key_len, 4);
-    std::memcpy(raw.data() + pos + 4, key.data(), key.size());
-    std::memcpy(raw.data() + pos + 4 + key.size(), rows_.data() + row_start,
-                row_end - row_start);
-    if (raw.size() >= kSegmentRawTarget) {
-      MALLARD_RETURN_NOT_OK(seal_segment());
-    }
+  if (refs_.empty()) return Status::OK();
+  // Stable by key (memcmp order == tuple order): equal keys keep their
+  // arrival order.
+  std::stable_sort(refs_.begin(), refs_.end(),
+                   [&](const EntryRef& a, const EntryRef& b) {
+                     return EntryKey(entries_.data() + a.offset) <
+                            EntryKey(entries_.data() + b.offset);
+                   });
+  auto run = std::make_unique<SpillRowStore>(buffers_);
+  for (const EntryRef& ref : refs_) {
+    MALLARD_RETURN_NOT_OK(run->Append(entries_.data() + ref.offset,
+                                      static_cast<uint32_t>(ref.size)));
   }
-  MALLARD_RETURN_NOT_OK(seal_segment());
+  run->FinishAppend();
   runs_.push_back(std::move(run));
   stats_.runs++;
-  keys_.clear();
-  rows_.clear();
-  row_offsets_.clear();
-  accumulated_ = 0;
+  entries_.clear();
+  refs_.clear();
   return Status::OK();
 }
 
 Status ExternalSort::Finalize() {
   MALLARD_RETURN_NOT_OK(FinishRun());
-  cursors_.clear();
-  for (const Run& run : runs_) {
-    cursors_.push_back(
-        std::make_unique<RunCursor>(&run, buffers_, &codec_));
+  cursors_.resize(runs_.size());
+  for (idx_t i = 0; i < runs_.size(); i++) {
+    MALLARD_ASSIGN_OR_RETURN(bool has, Advance(i));
+    if (has) heap_.push(HeapEntry{cursors_[i].key, i});
   }
-  for (idx_t i = 0; i < cursors_.size(); i++) {
-    MALLARD_ASSIGN_OR_RETURN(bool has, cursors_[i]->Advance());
-    if (has) heap_.push(HeapEntry{cursors_[i]->key(), i});
-  }
-  finalized_ = true;
   return Status::OK();
 }
 
@@ -138,75 +87,24 @@ Status ExternalSort::GetChunk(DataChunk* out) {
   while (produced < kVectorSize && !heap_.empty()) {
     HeapEntry top = heap_.top();
     heap_.pop();
-    cursors_[top.cursor]->DecodeCurrentRow(out, produced);
+    codec_.DecodeRow(cursors_[top.run].row, out, produced);
     produced++;
-    MALLARD_ASSIGN_OR_RETURN(bool has, cursors_[top.cursor]->Advance());
-    if (has) heap_.push(HeapEntry{cursors_[top.cursor]->key(), top.cursor});
+    MALLARD_ASSIGN_OR_RETURN(bool has, Advance(top.run));
+    if (has) heap_.push(HeapEntry{cursors_[top.run].key, top.run});
   }
   out->SetCardinality(produced);
   return Status::OK();
 }
 
-Status ExternalSort::RunCursor::LoadSegment() {
-  const Segment& segment = run_->segments[segment_index_];
-  MALLARD_ASSIGN_OR_RETURN(BufferHandle handle,
-                           buffers_->Pin(segment.buffer));
-  const Codec* codec = CodecForLevel(segment.level);
-  if (codec) {
-    MALLARD_RETURN_NOT_OK(
-        codec->Decompress(handle.data(), segment.stored_size, &current_));
-  } else {
-    current_.assign(handle.data(), handle.data() + segment.stored_size);
-  }
-  offset_ = 0;
-  loaded_ = true;
-  return Status::OK();
-}
-
-Result<bool> ExternalSort::RunCursor::Advance() {
-  while (true) {
-    if (!loaded_) {
-      if (segment_index_ >= run_->segments.size()) return false;
-      MALLARD_RETURN_NOT_OK(LoadSegment());
-    }
-    if (offset_ >= current_.size()) {
-      loaded_ = false;
-      segment_index_++;
-      continue;
-    }
-    uint32_t key_len;
-    std::memcpy(&key_len, current_.data() + offset_, 4);
-    key_ = std::string_view(
-        reinterpret_cast<const char*>(current_.data() + offset_ + 4), key_len);
-    row_ptr_ = current_.data() + offset_ + 4 + key_len;
-    // Row length is discovered while decoding; advance lazily: decode a
-    // throwaway header scan by measuring with a scratch decode is
-    // wasteful, so the offset is advanced in DecodeCurrentRow... but
-    // Advance may be called without decoding (never happens in merge).
-    // We measure here with a lightweight skip.
-    size_t row_size = 0;
-    {
-      const uint8_t* p = row_ptr_;
-      for (TypeId type : codec_->types()) {
-        bool valid = p[row_size++] != 0;
-        if (!valid) continue;
-        if (type == TypeId::kVarchar) {
-          uint32_t len;
-          std::memcpy(&len, p + row_size, 4);
-          row_size += 4 + len;
-        } else {
-          row_size += TypeSize(type);
-        }
-      }
-    }
-    offset_ += 4 + key_len + row_size;
-    return true;
-  }
-}
-
-void ExternalSort::RunCursor::DecodeCurrentRow(DataChunk* out,
-                                               idx_t out_row) const {
-  codec_->DecodeRow(row_ptr_, out, out_row);
+Result<bool> ExternalSort::Advance(idx_t run) {
+  RunCursor& cursor = cursors_[run];
+  const uint8_t* entry = nullptr;
+  uint32_t len = 0;
+  MALLARD_RETURN_NOT_OK(runs_[run]->Next(&cursor.cursor, &entry, &len));
+  if (!entry) return false;
+  cursor.key = EntryKey(entry);
+  cursor.row = entry + 4 + cursor.key.size();
+  return true;
 }
 
 }  // namespace mallard

@@ -85,10 +85,10 @@ class GraceStashScan final : public PhysicalOperator {
 
 /// The materialized right side and the (left row, right row) cursor.
 struct CrossProductState : OperatorState {
-  std::unique_ptr<ChunkCollection> right_data;
+  std::unique_ptr<SpillRowStore> right_data;
   DataChunk left_chunk;
   DataChunk right_chunk;
-  ChunkCollection::ScanState right_scan;
+  SpillRowStore::Cursor right_scan;
   idx_t left_position = 0;
   idx_t right_position = 0;
   bool left_done = false;
@@ -368,18 +368,17 @@ Status PhysicalHashJoin::RunProbePass(ExecutionContext* context,
       if (claim >= pending.size()) return Status::OK();
       int cw = pending[claim];
       ProbeCursor& cursor = *state->probe_cursors[cw];
-      auto result =
-          std::make_unique<ChunkCollection>(types(), context->governor);
+      auto result = std::make_unique<SpillRowStore>(context->buffers);
       DataChunk chunk;
       chunk.Initialize(types());
       while (true) {
         MALLARD_RETURN_NOT_OK(ProbeChunk(context, child(0), pipeline.state(cw),
                                          state->probe_table, &cursor, &chunk));
         if (chunk.size() == 0) break;  // cursor.exhausted is now set
-        MALLARD_RETURN_NOT_OK(result->Append(chunk));
-        if (result->MemoryBytes() >= pass_budget) break;  // next pass
+        MALLARD_RETURN_NOT_OK(result->AppendChunk(chunk));
+        if (result->bytes() >= pass_budget) break;  // next pass
       }
-      result->Finalize();
+      result->FinishAppend();
       state->probe_results[cw] = std::move(result);
     }
   });
@@ -417,13 +416,13 @@ Status PhysicalHashJoin::GetChunk(ExecutionContext* context,
           continue;
         }
         MALLARD_RETURN_NOT_OK(
-            s.probe_results[s.drain_index]->Scan(&s.drain_scan, out));
+            s.probe_results[s.drain_index]->NextChunk(&s.drain_scan, out));
         if (out->size() > 0) {
           track_probe();
           return Status::OK();
         }
         s.drain_index++;
-        s.drain_scan = ChunkCollection::ScanState{};
+        s.drain_scan = SpillRowStore::Cursor{};
       }
       bool all_done = true;
       for (const auto& cursor : s.probe_cursors) {
@@ -432,7 +431,7 @@ Status PhysicalHashJoin::GetChunk(ExecutionContext* context,
       if (all_done) break;
       MALLARD_RETURN_NOT_OK(RunProbePass(context, &s));
       s.drain_index = 0;
-      s.drain_scan = ChunkCollection::ScanState{};
+      s.drain_scan = SpillRowStore::Cursor{};
     }
     out->SetCardinality(0);
     track_probe();
@@ -926,21 +925,20 @@ Status PhysicalCrossProduct::GetChunk(ExecutionContext* context,
                                       DataChunk* out) const {
   auto& s = static_cast<CrossProductState&>(*state);
   if (!s.right_data) {
-    s.right_data = std::make_unique<ChunkCollection>(child(1)->types(),
-                                                     context->governor);
+    s.right_data = std::make_unique<SpillRowStore>(context->buffers);
     DataChunk chunk;
     chunk.Initialize(child(1)->types());
     while (true) {
       MALLARD_RETURN_NOT_OK(ChildChunk(1, context, state, &chunk));
       if (chunk.size() == 0) break;
-      MALLARD_RETURN_NOT_OK(s.right_data->Append(chunk));
+      MALLARD_RETURN_NOT_OK(s.right_data->AppendChunk(chunk));
     }
-    s.right_data->Finalize();
+    s.right_data->FinishAppend();
     MALLARD_RETURN_NOT_OK(ChildChunk(0, context, state, &s.left_chunk));
     s.left_done = s.left_chunk.size() == 0;
     s.left_position = 0;
-    s.right_scan = ChunkCollection::ScanState();
-    MALLARD_RETURN_NOT_OK(s.right_data->Scan(&s.right_scan, &s.right_chunk));
+    MALLARD_RETURN_NOT_OK(
+        s.right_data->NextChunk(&s.right_scan, &s.right_chunk));
     s.right_position = 0;
   }
   out->Reset();
@@ -948,7 +946,8 @@ Status PhysicalCrossProduct::GetChunk(ExecutionContext* context,
   idx_t left_width = s.left_chunk.ColumnCount();
   while (produced < kVectorSize && !s.left_done) {
     if (s.right_position >= s.right_chunk.size()) {
-      MALLARD_RETURN_NOT_OK(s.right_data->Scan(&s.right_scan, &s.right_chunk));
+      MALLARD_RETURN_NOT_OK(
+          s.right_data->NextChunk(&s.right_scan, &s.right_chunk));
       s.right_position = 0;
       if (s.right_chunk.size() == 0) {
         // Right exhausted: advance left, restart right.
@@ -961,9 +960,9 @@ Status PhysicalCrossProduct::GetChunk(ExecutionContext* context,
             break;
           }
         }
-        s.right_scan = ChunkCollection::ScanState();
+        s.right_scan = SpillRowStore::Cursor{};
         MALLARD_RETURN_NOT_OK(
-            s.right_data->Scan(&s.right_scan, &s.right_chunk));
+            s.right_data->NextChunk(&s.right_scan, &s.right_chunk));
         s.right_position = 0;
         if (s.right_chunk.size() == 0) {
           // Empty right side: cross product is empty.

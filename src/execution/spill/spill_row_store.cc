@@ -38,6 +38,14 @@ Status SpillRowStore::Append(const uint8_t* row, uint32_t len) {
   return Status::OK();
 }
 
+Status SpillRowStore::AppendChunk(const DataChunk& chunk) {
+  if (chunk.size() == 0) return Status::OK();
+  chunk_scratch_.Clear();
+  SerializeChunk(chunk, &chunk_scratch_);
+  return Append(chunk_scratch_.data().data(),
+                static_cast<uint32_t>(chunk_scratch_.size()));
+}
+
 void SpillRowStore::FinishAppend() {
   tail_pin_.Release();
   tail_data_ = nullptr;
@@ -70,6 +78,18 @@ Status SpillRowStore::Next(Cursor* cursor, const uint8_t** row,
     cursor->offset += 4 + static_cast<uint64_t>(*len);
     return Status::OK();
   }
+}
+
+Status SpillRowStore::NextChunk(Cursor* cursor, DataChunk* out) {
+  const uint8_t* row = nullptr;
+  uint32_t len = 0;
+  MALLARD_RETURN_NOT_OK(Next(cursor, &row, &len));
+  if (!row) {
+    out->SetCardinality(0);
+    return Status::OK();
+  }
+  BinaryReader reader(row, len);
+  return DeserializeChunk(&reader, out);
 }
 
 }  // namespace mallard

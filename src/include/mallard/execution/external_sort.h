@@ -6,21 +6,20 @@
 #include <string>
 #include <vector>
 
-#include "mallard/compression/codec.h"
 #include "mallard/execution/row_codec.h"
-#include "mallard/storage/buffer_manager.h"
+#include "mallard/execution/spill/spill_row_store.h"
 
 namespace mallard {
 
 class ResourceGovernor;
 
 /// External merge sort over chunks. Rows are encoded as
-/// (order-preserving key, payload) entries; runs are cut when the
-/// in-memory accumulation exceeds the governor's budget, sorted, sliced
-/// into ~1MB segments, optionally compressed, and handed to the buffer
-/// manager (which spills them under memory pressure). The merge phase
-/// keeps only one pinned segment per run in memory — the out-of-core
-/// behaviour the paper's merge join relies on (section 4).
+/// [key_len | order-preserving key | payload row] entries; runs are cut
+/// when the in-memory accumulation exceeds a quarter of the governor's
+/// budget, sorted, and written into a SpillRowStore (which spills, and
+/// compresses, under memory pressure). The merge phase reads each run in
+/// place from one pinned segment per run — the out-of-core behaviour the
+/// paper's merge join relies on (section 4).
 class ExternalSort {
  public:
   ExternalSort(std::vector<TypeId> types, std::vector<SortSpec> specs,
@@ -35,76 +34,52 @@ class ExternalSort {
 
   struct Stats {
     idx_t runs = 0;
-    uint64_t raw_bytes = 0;
-    uint64_t stored_bytes = 0;  // after compression
     idx_t rows = 0;
   };
   const Stats& stats() const { return stats_; }
 
  private:
-  struct Segment {
-    std::shared_ptr<ManagedBuffer> buffer;
-    uint64_t stored_size = 0;
-    uint64_t raw_size = 0;
-    CompressionLevel level = CompressionLevel::kNone;
+  /// One run during the merge: its read cursor and the current entry,
+  /// both pointing into the cursor's pinned segment.
+  struct RunCursor {
+    SpillRowStore::Cursor cursor;
+    std::string_view key;
+    const uint8_t* row = nullptr;
   };
-  struct Run {
-    std::vector<Segment> segments;
-  };
-
-  /// Cursor streaming one run during the merge.
-  class RunCursor {
-   public:
-    RunCursor(const Run* run, BufferManager* buffers, const RowCodec* codec)
-        : run_(run), buffers_(buffers), codec_(codec) {}
-    /// Loads the next entry; false at end of run.
-    Result<bool> Advance();
-    std::string_view key() const { return key_; }
-    /// Decodes the current row into `out` at `out_row`.
-    void DecodeCurrentRow(DataChunk* out, idx_t out_row) const;
-
-   private:
-    Status LoadSegment();
-    const Run* run_;
-    BufferManager* buffers_;
-    const RowCodec* codec_;
-    idx_t segment_index_ = 0;
-    std::vector<uint8_t> current_;
-    size_t offset_ = 0;
-    bool loaded_ = false;
-    std::string_view key_;
-    const uint8_t* row_ptr_ = nullptr;
+  /// An accumulated entry of the current run: its bytes in `entries_`.
+  struct EntryRef {
+    uint64_t offset;
+    uint64_t size;
   };
 
   Status FinishRun();
   uint64_t RunBudget() const;
+  /// Loads run `run`'s next entry into its cursor; false at end of run.
+  Result<bool> Advance(idx_t run);
 
-  std::vector<TypeId> types_;
   std::vector<SortSpec> specs_;
   BufferManager* buffers_;
   ResourceGovernor* governor_;
   RowCodec codec_;
 
   // Current (unsorted) run accumulation.
-  std::vector<std::string> keys_;
-  std::vector<uint8_t> rows_;
-  std::vector<size_t> row_offsets_;
-  uint64_t accumulated_ = 0;
+  std::string key_;
+  std::vector<uint8_t> entries_;
+  std::vector<EntryRef> refs_;
 
-  std::vector<Run> runs_;
-  std::vector<std::unique_ptr<RunCursor>> cursors_;
-  // Merge heap: (key view, cursor index); min-heap by key.
+  std::vector<std::unique_ptr<SpillRowStore>> runs_;
+  std::vector<RunCursor> cursors_;
+  // Merge heap: (key view, run index); min-heap by key.
   struct HeapEntry {
     std::string_view key;
-    idx_t cursor;
+    idx_t run;
   };
   struct HeapCompare {
     bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      return a.key > b.key || (a.key == b.key && a.cursor > b.cursor);
+      return a.key > b.key || (a.key == b.key && a.run > b.run);
     }
   };
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapCompare> heap_;
-  bool finalized_ = false;
 
   Stats stats_;
 };

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "mallard/execution/chunk_collection.h"
 #include "mallard/execution/external_sort.h"
 #include "mallard/execution/join_hashtable.h"
 #include "mallard/execution/physical_operator.h"
@@ -40,7 +39,7 @@ struct JoinCondition {
 /// Parallel probe: after the single Finalize the hash table is immutable
 /// and its probe entry points are const and scratch-free, so the probe
 /// side runs morsel-parallel when it is a scan-shaped pipeline — each
-/// worker owns a private ProbeCursor and a private ChunkCollection of
+/// worker owns a private ProbeCursor and a private SpillRowStore of
 /// result chunks, drained in worker-index order afterwards. Covers
 /// inner/left/semi/anti; the governor's budget is re-read at every
 /// morsel boundary exactly like the build side. Memory is bounded: the
@@ -133,9 +132,9 @@ class PhysicalHashJoin final : public PhysicalOperator {
     bool parallel_probe = false;
     parallel::MorselPipeline probe_pipeline;
     std::vector<std::unique_ptr<ProbeCursor>> probe_cursors;
-    std::vector<std::unique_ptr<ChunkCollection>> probe_results;
+    std::vector<std::unique_ptr<SpillRowStore>> probe_results;
     idx_t drain_index = 0;
-    ChunkCollection::ScanState drain_scan;
+    SpillRowStore::Cursor drain_scan;
     /// Phase timing (benches): build = sink + Finalize of the hash
     /// table; probe = everything after (for a parallel probe, the whole
     /// materialization lands in the first GetChunk and is counted here).
@@ -178,7 +177,7 @@ class PhysicalHashJoin final : public PhysicalOperator {
   /// streaming probe runs instead.
   Status PlanParallelProbe(ExecutionContext* context, State* state) const;
   /// One bounded pass: every unfinished cursor probes morsels into a
-  /// fresh private ChunkCollection until the source is exhausted for it
+  /// fresh private SpillRowStore until the source is exhausted for it
   /// or the pass's per-cursor byte budget is reached (mid-morsel
   /// cursors resume next pass). Pass runners claim pending cursors from
   /// a shared queue, so every unfinished cursor advances even when the
@@ -250,8 +249,9 @@ class PhysicalMergeJoin final : public PhysicalOperator {
   std::vector<TypeId> right_types_;
 };
 
-/// Cross product with the right side materialized in a (governor-
-/// compressed) chunk collection. Non-equi joins lower to this + filter.
+/// Cross product with the right side materialized as chunks in a
+/// SpillRowStore, so a right side larger than memory spills instead of
+/// growing the heap. Non-equi joins lower to this + filter.
 class PhysicalCrossProduct final : public PhysicalOperator {
  public:
   PhysicalCrossProduct(std::unique_ptr<PhysicalOperator> left,

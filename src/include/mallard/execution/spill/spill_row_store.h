@@ -8,12 +8,16 @@
 #include "mallard/common/constants.h"
 #include "mallard/common/result.h"
 #include "mallard/storage/buffer_manager.h"
+#include "mallard/vector/chunk_serde.h"
 
 namespace mallard {
 
 /// Append-only store of length-prefixed byte rows inside *spillable*
-/// buffer-manager segments — the spill unit of the out-of-core operators
-/// (grace hash join probe stashes, external aggregation runs).
+/// buffer-manager segments — the store for intermediates that may
+/// outgrow memory: grace hash join probe stashes, external aggregation
+/// runs, external sort runs, the parallel probe's result buffers and the
+/// cross product's right side. It never compresses: the buffer manager
+/// compresses a segment when it evicts it, at the governor's level.
 ///
 /// Spilling falls out of the pin/unpin contract rather than bespoke file
 /// I/O: only the tail segment is pinned while appending; completed
@@ -43,6 +47,10 @@ class SpillRowStore {
   /// Appends one row ([u32 length][bytes]).
   Status Append(const uint8_t* row, uint32_t len);
 
+  /// Appends `chunk` as one row in SerializeChunk format (an empty chunk
+  /// appends nothing).
+  Status AppendChunk(const DataChunk& chunk);
+
   /// Releases the tail pin so every segment is evictable. Idempotent;
   /// appends after it re-pin the tail (possibly reloading it).
   void FinishAppend();
@@ -63,6 +71,10 @@ class SpillRowStore {
   /// pointer stays valid until the next Next() call.
   Status Next(Cursor* cursor, const uint8_t** row, uint32_t* len);
 
+  /// Reads the next AppendChunk row into `out`, deserialized straight from
+  /// the pinned segment; cardinality 0 at end of store.
+  Status NextChunk(Cursor* cursor, DataChunk* out);
+
  private:
   struct Segment {
     std::shared_ptr<ManagedBuffer> buffer;
@@ -77,6 +89,7 @@ class SpillRowStore {
   uint8_t* tail_data_ = nullptr;
   idx_t rows_ = 0;
   uint64_t bytes_ = 0;
+  BinaryWriter chunk_scratch_;
 };
 
 }  // namespace mallard

@@ -107,9 +107,9 @@ class ResourceGovernor {
   /// clamped to the cap.
   uint64_t EffectiveMemoryBudget() const;
 
-  /// Compression level for in-memory intermediates / spill buffers.
-  /// Reactive: none below 50% machine-memory pressure, light below 75%,
-  /// heavy above — the staircase of Figure 1.
+  /// Compression level for spill writes (the buffer manager's spill
+  /// policy). Reactive: none below 50% machine-memory pressure, light
+  /// below 75%, heavy above — the staircase of Figure 1.
   CompressionLevel ChooseCompressionLevel() const;
 
   /// Manual override used when reactive mode is off.

@@ -114,6 +114,16 @@ struct BufferManagerStats {
   uint64_t alloc_tests_run = 0;
 };
 
+/// What the governor wants from eviction right now.
+struct SpillPolicy {
+  /// Codec a spill write compresses with.
+  CompressionLevel compression = CompressionLevel::kNone;
+  /// Resident bytes eviction works down to; the memory limit still caps
+  /// it. Under reactive pressure this is below the limit, so unpinned
+  /// intermediates leave memory before the host needs it back.
+  uint64_t budget = UINT64_MAX;
+};
+
 /// Buffer manager: enforces the database memory cap (paper section 4 —
 /// the embedded DBMS must not starve the host application) by spilling
 /// unpinned buffers to a temporary file, and integrates allocation-time
@@ -141,14 +151,17 @@ class BufferManager {
   BufferManagerStats GetStats() const;
   void ResetPeak();
 
-  /// Installs the policy that picks a compression level for spill
-  /// writes (typically the governor's pressure staircase: none under
-  /// 50% application memory pressure, RLE under 75%, LZ above). Spill
-  /// slots stay full-size — the saving is I/O bytes, not file footprint
-  /// — and LoadBuffer transparently decompresses.
-  void SetSpillCompression(std::function<CompressionLevel()> chooser) {
+  /// Installs the governor's spill policy, read at every eviction: the
+  /// budget eviction works down to and the codec for spill writes
+  /// (typically the pressure staircase: none under 50% application
+  /// memory pressure, RLE under 75%, LZ above). This is the only place
+  /// intermediates are compressed. Spill slots stay full-size — the
+  /// saving is I/O bytes, not file footprint — and LoadBuffer
+  /// transparently decompresses. The policy must not call back into
+  /// this buffer manager except through memory_used().
+  void SetSpillPolicy(std::function<SpillPolicy()> policy) {
     std::lock_guard<std::mutex> lock(mutex_);
-    spill_compression_ = std::move(chooser);
+    spill_policy_ = std::move(policy);
   }
 
   /// Enables the fast walking-bits screen on every new allocation.
@@ -170,10 +183,10 @@ class BufferManager {
   void Unpin(ManagedBuffer* buffer);
   void OnDestroy(ManagedBuffer* buffer);
   void MarkDirty(ManagedBuffer* buffer);
-  /// Evicts unpinned buffers until `needed` bytes fit under the limit.
-  /// Must hold mutex_.
+  /// Evicts unpinned buffers until `needed` more bytes fit under the
+  /// smaller of the limit and the spill policy's budget. Must hold mutex_.
   Status EvictUntil(uint64_t needed);
-  Status SpillBuffer(ManagedBuffer* buffer);
+  Status SpillBuffer(ManagedBuffer* buffer, CompressionLevel level);
   Status LoadBuffer(ManagedBuffer* buffer);
   Result<std::unique_ptr<uint8_t[]>> AllocateTested(uint64_t size);
   Status EnsureSpillFile();
@@ -189,7 +202,7 @@ class BufferManager {
   std::map<uint64_t, std::vector<uint64_t>> free_spill_slots_;
   std::list<ManagedBuffer*> evictable_;  // LRU order, front = oldest
   uint64_t lru_counter_ = 0;
-  std::function<CompressionLevel()> spill_compression_;
+  std::function<SpillPolicy()> spill_policy_;
 
   bool test_on_alloc_ = false;
   double bad_region_probability_ = 0.0;

@@ -70,11 +70,14 @@ Status Database::Initialize(const std::string& path) {
   gc.reactive = config_.reactive;
   governor_ = std::make_unique<ResourceGovernor>(gc);
   governor_->SetBufferManager(buffers_.get());
-  // Spilled buffers compress through the governor's pressure staircase
-  // (none under light pressure, RLE, then LZ) — evicted intermediates
-  // shrink exactly when memory is scarce.
-  buffers_->SetSpillCompression(
-      [gov = governor_.get()] { return gov->ChooseCompressionLevel(); });
+  // Eviction follows the governor: it works down to the effective
+  // (possibly reactive) budget, and spilled buffers compress through the
+  // pressure staircase (none under light pressure, RLE, then LZ) —
+  // resident intermediates shrink exactly when memory is scarce.
+  buffers_->SetSpillPolicy([gov = governor_.get()] {
+    return SpillPolicy{gov->ChooseCompressionLevel(),
+                       gov->EffectiveMemoryBudget()};
+  });
   // Thread-less until the first parallel Run spawns workers.
   scheduler_ = std::make_unique<TaskScheduler>(governor_.get());
   admission_ = std::make_unique<AdmissionController>(governor_.get());

@@ -100,11 +100,12 @@ void BufferManager::MarkDirty(ManagedBuffer* buffer) {
 }
 
 Status BufferManager::EvictUntil(uint64_t needed) {
-  uint64_t limit = memory_limit_.load();
+  SpillPolicy policy = spill_policy_ ? spill_policy_() : SpillPolicy{};
+  uint64_t limit = std::min(memory_limit_.load(), policy.budget);
   while (memory_used_.load() + needed > limit && !evictable_.empty()) {
     ManagedBuffer* victim = evictable_.front();
     evictable_.pop_front();
-    Status status = SpillBuffer(victim);
+    Status status = SpillBuffer(victim, policy.compression);
     if (!status.ok()) {
       // The victim is still resident and unpinned: put it back so it
       // stays reachable for later eviction (and for OnDestroy).
@@ -130,7 +131,8 @@ Status BufferManager::EnsureSpillFile() {
   return Status::OK();
 }
 
-Status BufferManager::SpillBuffer(ManagedBuffer* buffer) {
+Status BufferManager::SpillBuffer(ManagedBuffer* buffer,
+                                  CompressionLevel level) {
   MALLARD_RETURN_NOT_OK(EnsureSpillFile());
   // A clean buffer whose spill slot is still valid needs no write: the
   // on-disk copy from the previous eviction is already correct.
@@ -151,8 +153,6 @@ Status BufferManager::SpillBuffer(ManagedBuffer* buffer) {
     // Compress the payload when the governor's pressure staircase says
     // so. The spill slot stays full-size (slots are reused by buffer
     // size); the saving is the bytes that never hit the disk.
-    CompressionLevel level = spill_compression_ ? spill_compression_()
-                                                : CompressionLevel::kNone;
     const uint8_t* payload = buffer->data_.get();
     uint64_t payload_len = buffer->size_;
     std::vector<uint8_t> compressed;
@@ -324,15 +324,9 @@ Result<std::unique_ptr<uint8_t[]>> BufferManager::AllocateTested(
 void BufferManager::SetMemoryLimit(uint64_t limit) {
   std::lock_guard<std::mutex> lock(mutex_);
   memory_limit_.store(limit);
-  // Proactively shrink below the new limit.
-  while (memory_used_.load() > limit && !evictable_.empty()) {
-    ManagedBuffer* victim = evictable_.front();
-    evictable_.pop_front();
-    if (!SpillBuffer(victim).ok()) {
-      evictable_.push_front(victim);
-      break;
-    }
-  }
+  // Proactively shrink below the new limit; a failed spill leaves the
+  // rest resident for the next allocation to retry.
+  (void)EvictUntil(0);
 }
 
 void BufferManager::SetSimulatedBadRegionProbability(double p,

@@ -399,7 +399,8 @@ TEST(EncodingPersistenceTest, EncodedSegmentsSurviveCheckpointReopen) {
 TEST(SpillCompressionTest, CompressedSpillRoundtripAndSavedBytes) {
   ResilienceStats resilience;
   BufferManager buffers(64 * 1024, "", &resilience);
-  buffers.SetSpillCompression([] { return CompressionLevel::kLight; });
+  buffers.SetSpillPolicy(
+      [] { return SpillPolicy{CompressionLevel::kLight}; });
   auto a = buffers.Allocate(48 * 1024);
   ASSERT_TRUE(a.ok());
   // Highly repetitive contents: RLE must shrink the spill write.
@@ -426,7 +427,8 @@ TEST(SpillCompressionTest, CompressedSpillRoundtripAndSavedBytes) {
 TEST(SpillCompressionTest, IncompressibleSpillStaysRaw) {
   ResilienceStats resilience;
   BufferManager buffers(64 * 1024, "", &resilience);
-  buffers.SetSpillCompression([] { return CompressionLevel::kLight; });
+  buffers.SetSpillPolicy(
+      [] { return SpillPolicy{CompressionLevel::kLight}; });
   auto a = buffers.Allocate(48 * 1024);
   ASSERT_TRUE(a.ok());
   // Pseudo-random contents defeat RLE; the spill must keep the raw

@@ -1,8 +1,10 @@
 // Out-of-core execution tests: buffer-manager eviction/reload, spill
 // row stores, grace hash join and external aggregation equivalence
 // under tight memory budgets (including skewed keys and parallel
-// sinks), spill-I/O fault injection, and the memory-limit knobs
-// (PRAGMA readback, buffer_stats, MALLARD_MEMORY_LIMIT).
+// sinks), cross products and sorts that spill (compressed only at
+// eviction), eviction to a reactive budget, spill-I/O fault injection,
+// and the memory-limit knobs (PRAGMA readback, buffer_stats,
+// MALLARD_MEMORY_LIMIT).
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "mallard/execution/spill/spill_row_store.h"
+#include "mallard/governor/resource_governor.h"
 #include "mallard/main/appender.h"
 #include "mallard/main/connection.h"
 #include "mallard/main/database.h"
@@ -163,6 +166,12 @@ class SpillQueryTest : public ::testing::Test {
     DBConfig config;
     config.memory_limit = memory_limit;
     config.threads = threads;
+    Open(config);
+  }
+
+  void Open(const DBConfig& config) {
+    con_.reset();
+    db_.reset();
     auto db = Database::Open(":memory:", config);
     ASSERT_TRUE(db.ok());
     db_ = std::move(*db);
@@ -219,6 +228,50 @@ class SpillQueryTest : public ::testing::Test {
     ASSERT_TRUE((*app)->Close().ok());
   }
 
+  // Cross-product inputs: a (x) has 3 rows; b (k, pad) has `rows` rows
+  // of ~70 serialized bytes — k a permutation of 0..rows-1, pad 60 'x's
+  // (run-length compressible).
+  void PopulateCross(idx_t rows) {
+    ASSERT_TRUE(con_->Query("CREATE TABLE a (x INTEGER)").ok());
+    ASSERT_TRUE(con_->Query("INSERT INTO a VALUES (1), (2), (3)").ok());
+    ASSERT_TRUE(con_->Query("CREATE TABLE b (k INTEGER, pad VARCHAR)").ok());
+    std::string pad(60, 'x');
+    auto app = Appender::Create(db_.get(), "b");
+    ASSERT_TRUE(app.ok());
+    for (idx_t r = 0; r < rows; r++) {
+      (*app)->Append(static_cast<int32_t>(r * 7919 % rows)).Append(pad);
+      ASSERT_TRUE((*app)->EndRow().ok());
+    }
+    ASSERT_TRUE((*app)->Close().ok());
+  }
+
+  // Every row of `sql`'s result as text, in result order.
+  std::vector<std::string> Rows(const std::string& sql) {
+    auto r = con_->Query(sql);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return {};
+    return RowTexts(**r);
+  }
+
+  // The cross product of a and b, b on the right (written order).
+  std::vector<std::string> CrossRows() {
+    EXPECT_TRUE(con_->Query("PRAGMA join_order=syntactic").ok());
+    return Rows(
+        "SELECT count(*), sum(a.x * b.k), sum(length(b.pad)) FROM a, b");
+  }
+
+  // One column of PRAGMA buffer_stats, by name.
+  int64_t BufferStat(const std::string& name) {
+    auto r = con_->Query("PRAGMA buffer_stats");
+    EXPECT_TRUE(r.ok());
+    if (!r.ok()) return -1;
+    for (idx_t col = 0; col < (*r)->ColumnCount(); col++) {
+      if ((*r)->names()[col] == name) return (*r)->GetValue(col, 0).GetBigInt();
+    }
+    ADD_FAILURE() << "no buffer_stats column " << name;
+    return -1;
+  }
+
   // Order-independent digest of a whole result: per-column sums folded
   // with the row count (results under different budgets emit rows in
   // different orders).
@@ -247,9 +300,8 @@ class SpillQueryTest : public ::testing::Test {
     return {r.RowCount(), sum};
   }
 
-  // Every row of a result as text, sorted: results under different
-  // budgets emit rows in different orders.
-  static std::vector<std::string> SortedRows(const MaterializedQueryResult& r) {
+  // Every row of a result as text, in result order.
+  static std::vector<std::string> RowTexts(const MaterializedQueryResult& r) {
     std::vector<std::string> rows;
     for (const auto& chunk : r.Chunks()) {
       for (idx_t row = 0; row < chunk->size(); row++) {
@@ -260,6 +312,13 @@ class SpillQueryTest : public ::testing::Test {
         rows.push_back(std::move(text));
       }
     }
+    return rows;
+  }
+
+  // Every row of a result as text, sorted: results under different
+  // budgets emit rows in different orders.
+  static std::vector<std::string> SortedRows(const MaterializedQueryResult& r) {
+    std::vector<std::string> rows = RowTexts(r);
     std::sort(rows.begin(), rows.end());
     return rows;
   }
@@ -278,13 +337,10 @@ class SpillQueryTest : public ::testing::Test {
     return SortedRows(**r);
   }
 
-  int64_t SpilledBytes() {
-    auto r = con_->Query("PRAGMA buffer_stats");
-    EXPECT_TRUE(r.ok());
-    if (!r.ok()) return -1;
-    return (*r)->GetValue(4, 0).GetBigInt();  // spilled_bytes
-  }
+  int64_t SpilledBytes() { return BufferStat("spilled_bytes"); }
 
+  // Declared before db_ so it outlives the database watching it.
+  SyntheticAppMonitor host_;
   std::unique_ptr<Database> db_;
   std::unique_ptr<Connection> con_;
 };
@@ -478,6 +534,78 @@ TEST_F(SpillQueryTest, SpillReadTransientFaultHealsViaRetry) {
             static_cast<int64_t>(kRows * 2));
   EXPECT_GE(stats.io_retries.load(), retries + 1);
   EXPECT_GE(stats.retry_successes.load(), successes + 1);
+}
+
+// ---------------------------------------------------------------------------
+// One spillable intermediate store, compressed only at eviction
+// ---------------------------------------------------------------------------
+
+// 130k rows of b serialize to ~9 MiB: over 4x a 2 MiB limit.
+constexpr idx_t kCrossRows = 130000;
+// Allowed overshoot of the buffer manager's peak over its budget: one
+// spill segment, which an appending store's tail or a scan cursor keeps
+// pinned while everything else is evictable.
+constexpr uint64_t kPeakSlack = SpillRowStore::kDefaultSegmentBytes;
+
+TEST_F(SpillQueryTest, CrossProductRightSideSpillsWithinTheLimit) {
+  const uint64_t kLimit = 2ull << 20;
+  Open(1ull << 30);
+  PopulateCross(kCrossRows);
+  std::vector<std::string> expected = CrossRows();
+  ASSERT_EQ(expected.size(), 1u);
+  EXPECT_EQ(BufferStat("spill_count"), 0);
+
+  Open(kLimit);
+  PopulateCross(kCrossRows);
+  EXPECT_EQ(CrossRows(), expected);
+  EXPECT_GT(BufferStat("spill_count"), 0);
+  EXPECT_LE(BufferStat("peak_memory"),
+            static_cast<int64_t>(kLimit + kPeakSlack));
+}
+
+TEST_F(SpillQueryTest, SpillingSortCompressesOnlyAtEviction) {
+  // PRAGMA compression picks the codec of spill writes; the sort's runs
+  // reach the buffer manager raw, so its writes are the ones that shrink.
+  Open(2ull << 20);
+  PopulateCross(kCrossRows);
+  const std::string sort = "SELECT k, pad FROM b ORDER BY k";
+  ASSERT_TRUE(con_->Query("PRAGMA compression=none").ok());
+  std::vector<std::string> expected = Rows(sort);
+  ASSERT_EQ(expected.size(), kCrossRows);
+  EXPECT_GT(BufferStat("spill_count"), 0);
+  EXPECT_EQ(BufferStat("spill_compressed_count"), 0);
+
+  ASSERT_TRUE(con_->Query("PRAGMA compression=light").ok());
+  EXPECT_EQ(Rows(sort), expected);
+  EXPECT_GT(BufferStat("spill_compressed_count"), 0);
+  EXPECT_GT(BufferStat("spill_saved_bytes"), 0);
+}
+
+TEST_F(SpillQueryTest, ReactivePressureEvictsIntermediatesToTheBudget) {
+  Open(1ull << 30);
+  PopulateCross(kCrossRows);
+  std::vector<std::string> expected = CrossRows();
+
+  // The host uses 85% of a 64 MiB machine: the effective budget drops to
+  // ~1.6 MiB while the memory limit stays at 32 MiB, so only the budget
+  // can make the buffer manager evict.
+  DBConfig config;
+  config.total_memory = 64ull << 20;
+  config.memory_limit = 32ull << 20;
+  config.threads = 1;
+  config.reactive = true;
+  Open(config);
+  host_.SetMemory(config.total_memory / 100 * 85);
+  db_->governor().SetMonitor(&host_);
+  const uint64_t budget = db_->governor().EffectiveMemoryBudget();
+  ASSERT_LT(budget, 2ull << 20);
+  PopulateCross(kCrossRows);
+  EXPECT_EQ(CrossRows(), expected);
+  EXPECT_GT(BufferStat("spill_count"), 0);
+  EXPECT_LE(BufferStat("peak_memory"),
+            static_cast<int64_t>(budget + kPeakSlack));
+  EXPECT_LE(BufferStat("memory_used"),
+            static_cast<int64_t>(budget + kPeakSlack));
 }
 
 // ---------------------------------------------------------------------------
