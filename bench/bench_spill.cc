@@ -29,8 +29,9 @@ double Ms(Clock::time_point start) {
       .count();
 }
 
-// Build side: wide rows (64-byte pad) so the hash table dwarfs a tight
-// budget. Probe side: two matches per build key.
+// Build side: a key plus a 64-byte pad that the join's SQL does not read
+// (projection pruning keeps it out of the hash table). Probe side: two
+// matches per build key.
 void FillJoinTables(Database* db, idx_t build_rows) {
   Connection con(db);
   (void)con.Query("CREATE TABLE build (k BIGINT, pad VARCHAR)");
@@ -136,12 +137,12 @@ SpillRun TimeQuery(Connection* con, const std::string& sql) {
 
 int main(int argc, char** argv) {
   mallard_bench::BenchReporter reporter("bench_spill", argc, argv);
-  const idx_t kBuildRows = 120'000;   // ~12 MB of build rows + directory
+  const idx_t kBuildRows = 120'000;
   const idx_t kAggRows = 400'000;
   const idx_t kAggGroups = 250'000;   // ~most rows open a group
   // First budget is comfortable (no spilling — the in-memory baseline);
-  // the rest sit well below the working set, so every run past the first
-  // must spill to complete.
+  // the rest sit below the aggregate's and the sort's working sets, and
+  // 4 MB below the join's, so those runs must spill to complete.
   const uint64_t kBudgets[] = {1ull << 30, 16ull << 20, 4ull << 20};
 
   const std::string join_sql =

@@ -114,7 +114,25 @@ Status PhysicalTableScan::GetChunk(ExecutionContext* context,
 }
 
 std::string PhysicalTableScan::name() const {
-  return "SEQ_SCAN(" + table_->name() + ")";
+  const auto& columns = table_->columns();
+  std::string result = "SEQ_SCAN(" + table_->name() + ") [";
+  for (idx_t i = 0; i < column_ids_.size(); i++) {
+    result += (i > 0 ? ", " : "") + columns[column_ids_[i]].name;
+  }
+  result += "]";
+  std::string sep = " filters: ";
+  for (const auto& f : filters_) {
+    result += sep + columns[f.column_index].name + " " +
+              CompareOpSymbol(f.op) + " " + f.constant.ToString();
+    sep = ", ";
+  }
+  for (const auto& f : late_filters_) {
+    result += sep + columns[f.column_index].name + " " +
+              CompareOpSymbol(f.op) + " $" +
+              std::to_string(f.parameter_index + 1);
+    sep = ", ";
+  }
+  return result;
 }
 
 // ---------------------------------------------------------------------------

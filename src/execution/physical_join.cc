@@ -83,7 +83,9 @@ class GraceStashScan final : public PhysicalOperator {
   const RowCodec* codec_;
 };
 
-/// The materialized right side and the (left row, right row) cursor.
+/// The materialized right side and the block cursor: the current left
+/// chunk, the right chunk paired with it, and the next (left row, right
+/// row) pair of that block.
 struct CrossProductState : OperatorState {
   std::unique_ptr<SpillRowStore> right_data;
   DataChunk left_chunk;
@@ -91,7 +93,7 @@ struct CrossProductState : OperatorState {
   SpillRowStore::Cursor right_scan;
   idx_t left_position = 0;
   idx_t right_position = 0;
-  bool left_done = false;
+  bool done = false;
 };
 
 }  // namespace
@@ -920,6 +922,8 @@ StatePtr PhysicalCrossProduct::CreateState(const MorselWorker*) const {
   return state;
 }
 
+// A block-nested loop: each left chunk pairs with every right chunk in
+// turn, so the right side is read once per left chunk.
 Status PhysicalCrossProduct::GetChunk(ExecutionContext* context,
                                       OperatorState* state,
                                       DataChunk* out) const {
@@ -934,54 +938,46 @@ Status PhysicalCrossProduct::GetChunk(ExecutionContext* context,
       MALLARD_RETURN_NOT_OK(s.right_data->AppendChunk(chunk));
     }
     s.right_data->FinishAppend();
-    MALLARD_RETURN_NOT_OK(ChildChunk(0, context, state, &s.left_chunk));
-    s.left_done = s.left_chunk.size() == 0;
-    s.left_position = 0;
-    MALLARD_RETURN_NOT_OK(
-        s.right_data->NextChunk(&s.right_scan, &s.right_chunk));
-    s.right_position = 0;
   }
   out->Reset();
-  idx_t produced = 0;
-  idx_t left_width = s.left_chunk.ColumnCount();
-  while (produced < kVectorSize && !s.left_done) {
-    if (s.right_position >= s.right_chunk.size()) {
+  // Advance to the next block with rows left: the next right chunk, or
+  // the next left chunk paired with the first right chunk.
+  while (!s.done && s.left_position >= s.left_chunk.size()) {
+    if (s.left_chunk.size() > 0) {
       MALLARD_RETURN_NOT_OK(
           s.right_data->NextChunk(&s.right_scan, &s.right_chunk));
-      s.right_position = 0;
-      if (s.right_chunk.size() == 0) {
-        // Right exhausted: advance left, restart right.
-        s.left_position++;
-        if (s.left_position >= s.left_chunk.size()) {
-          MALLARD_RETURN_NOT_OK(ChildChunk(0, context, state, &s.left_chunk));
-          s.left_position = 0;
-          if (s.left_chunk.size() == 0) {
-            s.left_done = true;
-            break;
-          }
-        }
-        s.right_scan = SpillRowStore::Cursor{};
-        MALLARD_RETURN_NOT_OK(
-            s.right_data->NextChunk(&s.right_scan, &s.right_chunk));
-        s.right_position = 0;
-        if (s.right_chunk.size() == 0) {
-          // Empty right side: cross product is empty.
-          s.left_done = true;
-          break;
-        }
-      }
-      continue;
     }
-    for (idx_t c = 0; c < left_width; c++) {
-      out->column(c).CopyFrom(s.left_chunk.column(c), 1, s.left_position,
-                              produced);
+    if (s.right_chunk.size() == 0) {
+      MALLARD_RETURN_NOT_OK(ChildChunk(0, context, state, &s.left_chunk));
+      s.done = s.left_chunk.size() == 0 || s.right_data->rows() == 0;
+      if (s.done) return Status::OK();
+      s.right_scan = SpillRowStore::Cursor{};
+      MALLARD_RETURN_NOT_OK(
+          s.right_data->NextChunk(&s.right_scan, &s.right_chunk));
     }
-    for (idx_t c = 0; c < s.right_chunk.ColumnCount(); c++) {
-      out->column(left_width + c)
-          .CopyFrom(s.right_chunk.column(c), 1, s.right_position, produced);
-    }
+    s.left_position = 0;
+    s.right_position = 0;
+  }
+  uint32_t left_sel[kVectorSize];
+  uint32_t right_sel[kVectorSize];
+  idx_t produced = 0;
+  while (!s.done && produced < kVectorSize &&
+         s.left_position < s.left_chunk.size()) {
+    left_sel[produced] = static_cast<uint32_t>(s.left_position);
+    right_sel[produced] = static_cast<uint32_t>(s.right_position);
     produced++;
-    s.right_position++;
+    if (++s.right_position == s.right_chunk.size()) {
+      s.right_position = 0;
+      s.left_position++;
+    }
+  }
+  idx_t left_width = s.left_chunk.ColumnCount();
+  for (idx_t c = 0; c < left_width; c++) {
+    out->column(c).CopySelection(s.left_chunk.column(c), left_sel, produced);
+  }
+  for (idx_t c = 0; c < s.right_chunk.ColumnCount(); c++) {
+    out->column(left_width + c)
+        .CopySelection(s.right_chunk.column(c), right_sel, produced);
   }
   out->SetCardinality(produced);
   return Status::OK();

@@ -33,6 +33,7 @@ Status SpillRowStore::Append(const uint8_t* row, uint32_t len) {
   std::memcpy(tail_data_ + tail.used, &len, 4);
   std::memcpy(tail_data_ + tail.used + 4, row, len);
   tail.used += needed;
+  tail_pin_.MarkFilled(tail.used);
   rows_++;
   bytes_ += needed;
   return Status::OK();

@@ -337,8 +337,7 @@ inline int8_t BoolState(const Vector& v, idx_t i) {
 }  // namespace
 
 std::string BoundComparison::ToString() const {
-  static const char* kOps[] = {"=", "<>", "<", "<=", ">", ">="};
-  return "(" + left_->ToString() + " " + kOps[static_cast<int>(op_)] + " " +
+  return "(" + left_->ToString() + " " + CompareOpSymbol(op_) + " " +
          right_->ToString() + ")";
 }
 

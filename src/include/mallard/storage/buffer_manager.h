@@ -1,6 +1,7 @@
 #ifndef MALLARD_STORAGE_BUFFER_MANAGER_H_
 #define MALLARD_STORAGE_BUFFER_MANAGER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <list>
@@ -40,13 +41,17 @@ class ManagedBuffer {
   friend class BufferManager;
   friend class BufferHandle;
 
+  /// The bytes an eviction writes: the filled prefix, else everything.
+  uint64_t payload_size() const { return std::min(filled_, size_); }
+
   BufferManager* manager_;
   uint64_t size_;
   bool spillable_;
   std::unique_ptr<uint8_t[]> data_;
   int pin_count_ = 0;
   uint64_t spill_offset_ = ~uint64_t(0);
-  /// Bytes of the current on-disk copy (== size_ when uncompressed).
+  /// Bytes of the current on-disk copy (== payload_size() when
+  /// uncompressed).
   uint64_t spill_bytes_ = 0;
   /// CRC32C of the on-disk copy, stamped at spill time and verified on
   /// every reload: a bit flip in the temp file (DRAM on the write path,
@@ -55,6 +60,9 @@ class ManagedBuffer {
   /// Codec the current on-disk copy was written with.
   CompressionLevel spill_level_ = CompressionLevel::kNone;
   uint64_t lru_tick_ = 0;
+  /// How many leading bytes hold data (BufferHandle::MarkFilled); an
+  /// eviction writes, and a reload restores, only those.
+  uint64_t filled_ = ~uint64_t(0);
   // True while the resident contents differ from the spill-file copy
   // (fresh allocations are dirty; a reload makes the copies equal). A
   // clean eviction whose spill slot is still valid skips the write.
@@ -90,6 +98,10 @@ class BufferHandle {
   /// future eviction rewrites the spill-file copy instead of reusing it.
   /// Call after writing through data() on a re-pinned buffer.
   void MarkDirty();
+
+  /// Records that only the first `bytes` of the buffer hold data, so
+  /// that spilling it writes no blank tail. Call while pinned.
+  void MarkFilled(uint64_t bytes) { buffer_->filled_ = bytes; }
 
  private:
   BufferManager* manager_ = nullptr;

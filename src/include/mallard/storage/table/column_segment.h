@@ -23,6 +23,9 @@ enum class CompareOp : uint8_t {
   kGreaterEqual,
 };
 
+/// The SQL symbol of `op` ("=", "<>", "<", ...).
+const char* CompareOpSymbol(CompareOp op);
+
 /// Physical representation of one column segment's data.
 enum class SegmentEncoding : uint8_t {
   kPlain = 0,       // typed array + string heap (the append-time form)

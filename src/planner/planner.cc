@@ -242,13 +242,18 @@ struct Planner::Impl {
     // Pruned visible columns.
     std::vector<std::string> names;
     std::vector<TypeId> types;
-    std::vector<idx_t> source_column_ids;  // into base table / csv schema
+    std::vector<idx_t> source_column_ids;  // into the unpruned schema
+    idx_t width = 0;  // columns before pruning
     idx_t global_offset = 0;
     idx_t relation_id = 0;
     // Source (exactly one set):
     DataTable* table = nullptr;
     std::string csv_path;
     std::vector<TypeId> csv_file_types;
+    // A FROM subquery or view (whose parsed text the leaf owns), planned
+    // once pruning knows which of its outputs the statement reads.
+    const SelectStatement* subquery = nullptr;
+    std::unique_ptr<SQLStatement> view_statement;
     std::unique_ptr<PhysicalOperator> subquery_plan;
     std::vector<TableFilter> scan_filters;  // zone-map filters (base only)
     std::vector<LateBoundTableFilter> late_filters;  // parameterized ones
@@ -747,14 +752,10 @@ struct Planner::Impl {
     return mapping;
   }
 
-  // Collects referenced columns per alias from the whole statement.
+  // Collects the columns `expr` references, per leaf. The `*` of
+  // COUNT(*) references none.
   void CollectRefs(const ParsedExpression& expr,
-                   std::vector<std::set<std::string>>* per_leaf,
-                   bool* star_seen) {
-    if (expr.type == PExprType::kStar) {
-      *star_seen = true;
-      return;
-    }
+                   std::vector<std::set<std::string>>* per_leaf) {
     if (expr.type == PExprType::kColumnRef) {
       for (idx_t l = 0; l < leaves.size(); l++) {
         if (!expr.table_name.empty() &&
@@ -766,7 +767,7 @@ struct Planner::Impl {
       return;
     }
     for (const auto& child : expr.children) {
-      CollectRefs(*child, per_leaf, star_seen);
+      CollectRefs(*child, per_leaf);
     }
   }
 
@@ -788,7 +789,8 @@ struct Planner::Impl {
                                             leaf->types));
     }
     if (leaf->subquery_plan) {
-      // Prune subquery output with a projection if needed.
+      // An aggregate or DISTINCT subquery returns every output: keep the
+      // ones the statement reads.
       if (leaf->source_column_ids.size() ==
           leaf->subquery_plan->types().size()) {
         return std::move(leaf->subquery_plan);

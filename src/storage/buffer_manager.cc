@@ -153,12 +153,13 @@ Status BufferManager::SpillBuffer(ManagedBuffer* buffer,
     // Compress the payload when the governor's pressure staircase says
     // so. The spill slot stays full-size (slots are reused by buffer
     // size); the saving is the bytes that never hit the disk.
+    const uint64_t raw_len = buffer->payload_size();
     const uint8_t* payload = buffer->data_.get();
-    uint64_t payload_len = buffer->size_;
+    uint64_t payload_len = raw_len;
     std::vector<uint8_t> compressed;
     if (const Codec* codec = CodecForLevel(level)) {
-      codec->Compress(buffer->data_.get(), buffer->size_, &compressed);
-      if (compressed.size() < buffer->size_) {
+      codec->Compress(buffer->data_.get(), raw_len, &compressed);
+      if (compressed.size() < raw_len) {
         payload = compressed.data();
         payload_len = compressed.size();
       } else {
@@ -193,7 +194,7 @@ Status BufferManager::SpillBuffer(ManagedBuffer* buffer,
     stats_.spilled_bytes += payload_len;
     if (level != CompressionLevel::kNone) {
       stats_.spill_compressed_count++;
-      stats_.spill_saved_bytes += buffer->size_ - payload_len;
+      stats_.spill_saved_bytes += raw_len - payload_len;
     }
   }
   buffer->data_.reset();
@@ -235,7 +236,7 @@ Status BufferManager::LoadBuffer(ManagedBuffer* buffer) {
       std::vector<uint8_t> raw;
       MALLARD_RETURN_NOT_OK(
           codec->Decompress(scratch.data(), scratch.size(), &raw));
-      if (raw.size() != buffer->size_) {
+      if (raw.size() != buffer->payload_size()) {
         return Status::Corruption("spilled buffer decompressed to wrong size");
       }
       std::memcpy(buffer->data_.get(), raw.data(), raw.size());

@@ -10,6 +10,11 @@
 
 namespace mallard {
 
+const char* CompareOpSymbol(CompareOp op) {
+  static const char* kSymbols[] = {"=", "<>", "<", "<=", ">", ">="};
+  return kSymbols[static_cast<int>(op)];
+}
+
 const char* SegmentEncodingToString(SegmentEncoding encoding) {
   switch (encoding) {
     case SegmentEncoding::kPlain:

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mallard/main/appender.h"
 #include "mallard/main/connection.h"
 #include "mallard/main/database.h"
@@ -93,6 +96,128 @@ TEST_F(ScanPruningTest, ProjectionPushdownScansOnlyNeededColumns) {
   EXPECT_NE(plan.find("SEQ_SCAN"), std::string::npos);
   // The filter/aggregate expressions reference only `a`.
   EXPECT_EQ(plan.find("s"), plan.find("sum"));  // no bare `s` column ref
+}
+
+// The column list EXPLAIN prints for each scan of `table`, in plan order:
+// "SEQ_SCAN(t) [a, s] ..." gives "a, s".
+std::vector<std::string> ScanColumns(const std::string& plan,
+                                     const std::string& table) {
+  std::vector<std::string> scans;
+  const std::string prefix = "SEQ_SCAN(" + table + ") [";
+  for (size_t at = plan.find(prefix); at != std::string::npos;
+       at = plan.find(prefix, at + 1)) {
+    size_t start = at + prefix.size();
+    scans.push_back(plan.substr(start, plan.find(']', start) - start));
+  }
+  return scans;
+}
+
+class ProjectionPruningTest : public ScanPruningTest {
+ protected:
+  void SetUp() override {
+    ScanPruningTest::SetUp();
+    Q("CREATE TABLE u (k BIGINT, w VARCHAR, z DOUBLE)");
+    Q("INSERT INTO u VALUES (1, 'one', 1.5), (2, 'two', 2.5), "
+      "(8193, 'far', 3.5)");
+  }
+
+  std::unique_ptr<MaterializedQueryResult> Q(const std::string& sql) {
+    auto r = con_->Query(sql);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    return r.ok() ? std::move(*r) : nullptr;
+  }
+
+  std::string Explain(const std::string& sql) {
+    auto r = Q("EXPLAIN " + sql);
+    return r ? r->GetValue(0, 0).GetString() : "";
+  }
+
+  // The first value of `sql`'s result as text; empty when it fails.
+  std::string First(const std::string& sql) {
+    auto r = Q(sql);
+    return r && r->RowCount() > 0 ? r->GetValue(0, 0).ToString() : "";
+  }
+
+  using Columns = std::vector<std::string>;
+};
+
+TEST_F(ProjectionPruningTest, CountStarScansTheNarrowestColumn) {
+  std::string plan = Explain("SELECT count(*) FROM t");
+  EXPECT_EQ(ScanColumns(plan, "t"), Columns{"a"}) << plan;
+}
+
+TEST_F(ProjectionPruningTest, CountStarOverAJoinScansKeysAndReferences) {
+  std::string plan =
+      Explain("SELECT count(*), sum(u.z) FROM t JOIN u ON t.a = u.k");
+  EXPECT_EQ(ScanColumns(plan, "t"), Columns{"a"}) << plan;
+  EXPECT_EQ(ScanColumns(plan, "u"), Columns{"k, z"}) << plan;
+  auto r = Q("SELECT count(*), sum(u.z) FROM t JOIN u ON t.a = u.k");
+  ASSERT_TRUE(r);
+  EXPECT_EQ(r->GetValue(0, 0).GetBigInt(), 3);
+  EXPECT_EQ(r->GetValue(1, 0).GetDouble(), 7.5);
+}
+
+TEST_F(ProjectionPruningTest, SelectStarScansEveryColumn) {
+  EXPECT_EQ(ScanColumns(Explain("SELECT * FROM t"), "t"), Columns{"a, s"});
+  std::string plan = Explain("SELECT * FROM t, u WHERE t.a = u.k");
+  EXPECT_EQ(ScanColumns(plan, "u"), Columns{"k, w, z"}) << plan;
+}
+
+TEST_F(ProjectionPruningTest, ExplainPrintsPushedFilters) {
+  std::string plan = Explain("SELECT count(*) FROM t WHERE a >= 8192");
+  EXPECT_NE(plan.find("SEQ_SCAN(t) [a] filters: a >= 8192"),
+            std::string::npos)
+      << plan;
+}
+
+TEST_F(ProjectionPruningTest, FromSubqueryIsPrunedFromTheOutside) {
+  std::string plan = Explain("SELECT sum(a) FROM (SELECT * FROM t) x");
+  EXPECT_EQ(ScanColumns(plan, "t"), Columns{"a"}) << plan;
+  plan = Explain("SELECT count(*) FROM (SELECT s, a FROM t) x");
+  EXPECT_EQ(ScanColumns(plan, "t"), Columns{"a"}) << plan;
+  EXPECT_EQ(First("SELECT count(*) FROM (SELECT s, a FROM t) x"),
+            std::to_string(3 * kRowGroupSize));
+  // A column the subquery's ORDER BY names by alias is scanned but not
+  // returned.
+  const std::string sorted =
+      "SELECT a FROM (SELECT a, s AS key FROM t WHERE a < 3 "
+      "ORDER BY key DESC) x";
+  plan = Explain(sorted);
+  EXPECT_EQ(ScanColumns(plan, "t"), Columns{"a, s"}) << plan;
+  auto r = Q(sorted);
+  ASSERT_TRUE(r);
+  ASSERT_EQ(r->ColumnCount(), 1u);
+  ASSERT_EQ(r->RowCount(), 3u);
+  EXPECT_EQ(r->GetValue(0, 0).GetBigInt(), 2);
+  EXPECT_EQ(r->GetValue(0, 2).GetBigInt(), 0);
+  // Nested subqueries pass the outer references down through `*`.
+  plan = Explain(
+      "SELECT y FROM (SELECT * FROM (SELECT a AS y, s FROM t) i) o");
+  EXPECT_EQ(ScanColumns(plan, "t"), Columns{"a"}) << plan;
+}
+
+TEST_F(ProjectionPruningTest, AggregateSubqueryKeepsEveryAggregate) {
+  std::string plan = Explain(
+      "SELECT g FROM (SELECT s AS g, count(*), sum(a) FROM t GROUP BY s) x");
+  EXPECT_EQ(ScanColumns(plan, "t"), Columns{"a, s"}) << plan;
+  // DISTINCT keeps every output, or its rows would change.
+  plan = Explain("SELECT count(*) FROM (SELECT DISTINCT k, w FROM u) x");
+  EXPECT_EQ(ScanColumns(plan, "u"), Columns{"k, w"}) << plan;
+  EXPECT_EQ(First("SELECT count(*) FROM (SELECT DISTINCT k, w FROM u) x"),
+            "3");
+}
+
+TEST_F(ProjectionPruningTest, ViewsArePrunedFromTheOutside) {
+  Q("CREATE VIEW all_t AS SELECT * FROM t");
+  Q("CREATE VIEW renamed (key, label) AS SELECT a, s FROM t");
+  std::string plan = Explain("SELECT count(*) FROM all_t");
+  EXPECT_EQ(ScanColumns(plan, "t"), Columns{"a"}) << plan;
+  plan = Explain("SELECT max(label) FROM renamed");
+  EXPECT_EQ(ScanColumns(plan, "t"), Columns{"s"}) << plan;
+  EXPECT_EQ(First("SELECT label FROM renamed WHERE key = 7"), "v7");
+  plan = Explain(
+      "SELECT count(*), sum(u.z) FROM all_t JOIN u ON all_t.a = u.k");
+  EXPECT_EQ(ScanColumns(plan, "t"), Columns{"a"}) << plan;
 }
 
 TEST_F(ScanPruningTest, StringZoneMaps) {

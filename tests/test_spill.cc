@@ -563,6 +563,76 @@ TEST_F(SpillQueryTest, CrossProductRightSideSpillsWithinTheLimit) {
             static_cast<int64_t>(kLimit + kPeakSlack));
 }
 
+TEST_F(SpillQueryTest, CrossProductReadsItsRightSideOncePerLeftChunk) {
+  // The left input is two scan chunks of 2048 rows whose filter keeps 4
+  // rows each. A block-nested loop reloads each spilled right segment at
+  // most once per left chunk; a row-at-a-time loop would reload it once
+  // per left row (8 times).
+  auto populate = [this] {
+    PopulateCross(kCrossRows);
+    ASSERT_TRUE(con_->Query("CREATE TABLE l (x INTEGER)").ok());
+    auto app = Appender::Create(db_.get(), "l");
+    ASSERT_TRUE(app.ok());
+    for (int32_t x = 0; x < 4096; x++) {
+      (*app)->Append(x);
+      ASSERT_TRUE((*app)->EndRow().ok());
+    }
+    ASSERT_TRUE((*app)->Close().ok());
+    ASSERT_TRUE(con_->Query("PRAGMA join_order=syntactic").ok());
+  };
+  const std::string cross =
+      "SELECT count(*), sum(l.x * b.k), sum(length(b.pad)) FROM l, b "
+      "WHERE l.x % 512 = 0";
+  const int64_t kLeftChunks = 2;
+  Open(1ull << 30);
+  populate();
+  std::vector<std::string> expected = Rows(cross);
+  ASSERT_EQ(expected.size(), 1u);
+  EXPECT_EQ(BufferStat("spill_count"), 0);
+
+  Open(2ull << 20);
+  populate();
+  EXPECT_EQ(Rows(cross), expected);
+  // The right side is written once and never modified, so spill_count
+  // counts the right segments that were spilled.
+  int64_t spilled_segments = BufferStat("spill_count");
+  EXPECT_GT(spilled_segments, 0);
+  EXPECT_GT(BufferStat("unspill_count"), 0);
+  EXPECT_LE(BufferStat("unspill_count"), kLeftChunks * spilled_segments);
+}
+
+TEST_F(SpillQueryTest, CountStarMatchesCountOfAColumnAcrossConfigs) {
+  // COUNT(*) scans only the columns the rest of the statement needs;
+  // counting a non-NULL column must return the same rows, in memory and
+  // spilling, serial and parallel.
+  const std::vector<std::pair<std::string, std::string>> shapes = {
+      {"SELECT count(*), sum(t1.v) FROM t1 JOIN t2 ON t1.k = t2.k",
+       "SELECT count(t2.k), sum(t1.v) FROM t1 JOIN t2 ON t1.k = t2.k"},
+      {"SELECT g, count(*), sum(v) FROM t GROUP BY g",
+       "SELECT g, count(g), sum(v) FROM t GROUP BY g"},
+  };
+  std::vector<std::vector<std::string>> expected;
+  for (uint64_t limit : {1ull << 30, 2ull << 20}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("memory_limit " + std::to_string(limit) + ", threads " +
+                   std::to_string(threads));
+      Open(limit, threads);
+      PopulateJoin(60000);
+      PopulateAgg(100000, 50000);
+      for (size_t i = 0; i < shapes.size(); i++) {
+        auto star = con_->Query(shapes[i].first);
+        auto column = con_->Query(shapes[i].second);
+        ASSERT_TRUE(star.ok() && column.ok());
+        std::vector<std::string> rows = SortedRows(**star);
+        EXPECT_EQ(rows, SortedRows(**column)) << shapes[i].first;
+        if (expected.size() <= i) expected.push_back(rows);
+        EXPECT_EQ(rows, expected[i]) << shapes[i].first;
+      }
+      if (limit < (1ull << 30)) EXPECT_GT(SpilledBytes(), 0);
+    }
+  }
+}
+
 TEST_F(SpillQueryTest, SpillingSortCompressesOnlyAtEviction) {
   // PRAGMA compression picks the codec of spill writes; the sort's runs
   // reach the buffer manager raw, so its writes are the ones that shrink.
