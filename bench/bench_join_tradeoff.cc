@@ -10,6 +10,7 @@
 
 #include "bench_util.h"
 #include "mallard/common/random.h"
+#include "mallard/execution/physical_aggregate.h"
 #include "mallard/execution/physical_join.h"
 #include "mallard/execution/operators.h"
 #include "mallard/governor/resource_governor.h"
@@ -60,11 +61,13 @@ struct JoinRun {
 // Runs probe JOIN build with a forced algorithm; returns wall time, peak
 // memory and (for the hash join) the build/probe phase breakdown.
 // `threads` > 0 attaches the scheduler with that thread budget (the
-// morsel-driven parallel build *and* probe paths); 0 keeps the classic
-// serial pull loop so the algorithm sweep below stays comparable across
-// PRs.
+// morsel-driven parallel build, and the parallel probe under a sink);
+// 0 keeps the classic serial pull loop so the algorithm sweep below
+// stays comparable across PRs. `under_count` puts the join under
+// count(*): its probe then runs inside the aggregate's morsel pipeline,
+// while a join at the root streams its rows to the caller serially.
 JoinRun RunJoin(Database* db, JoinAlgorithm algo, idx_t* out_rows,
-                int threads = 0) {
+                int threads = 0, bool under_count = false) {
   auto probe_table = db->catalog().GetTable("probe");
   auto build_table = db->catalog().GetTable("build");
   auto make_scan = [](DataTable* t) {
@@ -86,6 +89,13 @@ JoinRun RunJoin(Database* db, JoinAlgorithm algo, idx_t* out_rows,
         JoinType::kInner, std::move(conditions), make_scan(*probe_table),
         make_scan(*build_table));
   }
+  std::unique_ptr<PhysicalOperator> root = std::move(join);
+  if (under_count) {
+    std::vector<BoundAggregate> count;
+    count.push_back({AggType::kCountStar, nullptr, TypeId::kBigInt});
+    root = std::make_unique<PhysicalUngroupedAggregate>(std::move(count),
+                                                        std::move(root));
+  }
   auto txn = db->transactions().Begin();
   ExecutionContext context;
   context.txn = txn.get();
@@ -97,14 +107,14 @@ JoinRun RunJoin(Database* db, JoinAlgorithm algo, idx_t* out_rows,
   }
   db->buffers().ResetPeak();
   DataChunk out;
-  out.Initialize(join->types());
-  StatePtr state = join->MakeState();
+  out.Initialize(root->types());
+  StatePtr state = root->MakeState();
   auto start = Clock::now();
   idx_t rows = 0;
   while (true) {
-    if (!join->GetChunk(&context, state.get(), &out).ok()) break;
+    if (!root->GetChunk(&context, state.get(), &out).ok()) break;
     if (out.size() == 0) break;
-    rows += out.size();
+    rows += under_count ? out.GetValue(0, 0).GetBigInt() : out.size();
   }
   double ms = Ms(start);
   (void)db->transactions().Commit(txn.get());
@@ -113,7 +123,8 @@ JoinRun RunJoin(Database* db, JoinAlgorithm algo, idx_t* out_rows,
   run.ms = ms;
   run.peak_mb = db->buffers().GetStats().peak_memory / 1e6;
   if (algo == JoinAlgorithm::kHash) {
-    const auto& hash_state = static_cast<PhysicalHashJoin::State&>(*state);
+    const auto& hash_state = static_cast<PhysicalHashJoin::State&>(
+        under_count ? *state->children[0] : *state);
     run.build_ms = hash_state.build_ms;
     run.probe_ms = hash_state.probe_ms;
   }
@@ -176,31 +187,41 @@ int main(int argc, char** argv) {
   // ---- morsel-driven parallel scaling ----------------------------------
   // Hash join with the largest build side at 1/2/4 worker threads: the
   // build scans row-group morsels into per-worker partitions merged into
-  // one table, and the probe fans out over the finalized (immutable)
-  // table into per-worker result buffers (docs/CONCURRENCY.md). The
-  // build_ms/probe_ms breakdown shows which phase scales. The sweep's
-  // last iteration already filled "build" with exactly this row count
-  // and seed; reuse it.
+  // one table (docs/CONCURRENCY.md). At the root the probe streams to the
+  // caller serially; under count(*) it runs in the aggregate's workers
+  // over the finalized (immutable) table, whose probe time lands in the
+  // worker states, so that point reports build_ms only. The sweep's last
+  // iteration already filled "build" with exactly this row count and
+  // seed; reuse it.
   idx_t scaling_build = static_cast<idx_t>(1600000 * scale);
   std::printf("\n=== parallel scaling — hash join, build=%llu ===\n\n",
               static_cast<unsigned long long>(scaling_build));
   idx_t rows_serial = 0;
+  idx_t probe_rows = static_cast<idx_t>(200000 * scale);
   for (int threads : {1, 2, 4}) {
     idx_t rows = 0;
     JoinRun run = RunJoin(db->get(), JoinAlgorithm::kHash, &rows, threads);
-    if (threads == 1) {
-      rows_serial = rows;
-    } else if (rows != rows_serial) {
+    idx_t counted = 0;
+    JoinRun count = RunJoin(db->get(), JoinAlgorithm::kHash, &counted,
+                            threads, /*under_count=*/true);
+    if (threads == 1) rows_serial = rows;
+    if (rows != rows_serial || counted != rows_serial) {
       std::printf("RESULT MISMATCH at threads=%d!\n", threads);
       return 1;
     }
     std::printf("threads=%d %14.1f ms %10.1f MB  (build %.1f ms, probe "
-                "%.1f ms)\n",
-                threads, run.ms, run.peak_mb, run.build_ms, run.probe_ms);
-    idx_t probe_rows = static_cast<idx_t>(200000 * scale);
+                "%.1f ms)   under count(*): %.1f ms %.1f MB\n",
+                threads, run.ms, run.peak_mb, run.build_ms, run.probe_ms,
+                count.ms, count.peak_mb);
     reporter.Add("hash_join/build=1600000/threads=" + std::to_string(threads),
                  1, run.ms * 1e6, probe_rows / (run.ms / 1e3),
-                 {{"build_ms", run.build_ms}, {"probe_ms", run.probe_ms}});
+                 {{"build_ms", run.build_ms},
+                  {"probe_ms", run.probe_ms},
+                  {"peak_mb", run.peak_mb}});
+    reporter.Add(
+        "hash_join_count/build=1600000/threads=" + std::to_string(threads), 1,
+        count.ms * 1e6, probe_rows / (count.ms / 1e3),
+        {{"build_ms", count.build_ms}, {"peak_mb", count.peak_mb}});
   }
   return 0;
 }

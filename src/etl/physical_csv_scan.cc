@@ -11,7 +11,8 @@ struct CsvScanState : OperatorState {
 };
 }  // namespace
 
-StatePtr PhysicalCsvScan::CreateState(const MorselWorker*) const {
+StatePtr PhysicalCsvScan::CreateState(const MorselWorker*,
+                                      const OperatorState*) const {
   return std::make_unique<CsvScanState>();
 }
 

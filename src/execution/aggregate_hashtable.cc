@@ -18,7 +18,6 @@ AggregateHashTable::AggregateHashTable(
   idx_t capacity = NextPowerOfTwo(std::max<idx_t>(2, initial_capacity));
   entries_.assign(capacity, Entry{0, kInvalidIndex});
   mask_ = capacity - 1;
-  hash_scratch_.resize(kVectorSize);
 }
 
 void AggregateHashTable::Resize(idx_t new_capacity) {
@@ -184,6 +183,8 @@ idx_t AggregateHashTable::FindOrCreateOne(const DataChunk& groups, idx_t row,
 void AggregateHashTable::FindOrCreateGroups(const DataChunk& groups,
                                             idx_t count, idx_t* group_ids) {
   EnsureCapacity(count);
+  // Sized on first use: a radix partition hashes in its wrapper.
+  hash_scratch_.resize(kVectorSize);
   HashKeyColumns(groups, count, hash_scratch_.data());
   for (idx_t r = 0; r < count; r++) {
     group_ids[r] = FindOrCreateOne(groups, r, hash_scratch_[r]);

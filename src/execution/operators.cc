@@ -74,7 +74,8 @@ std::vector<TableFilter> PhysicalTableScan::EffectiveFilters(
   return filters;
 }
 
-StatePtr PhysicalTableScan::CreateState(const MorselWorker* worker) const {
+StatePtr PhysicalTableScan::CreateState(const MorselWorker* worker,
+                                        const OperatorState*) const {
   auto state = std::make_unique<TableScanOperatorState>();
   if (worker) state->morsels = *worker;
   return state;
@@ -145,7 +146,8 @@ PhysicalFilter::PhysicalFilter(ExprPtr predicate,
   AddChild(std::move(child));
 }
 
-StatePtr PhysicalFilter::CreateState(const MorselWorker*) const {
+StatePtr PhysicalFilter::CreateState(const MorselWorker*,
+                                     const OperatorState*) const {
   return std::make_unique<ChildChunkState>(types_);
 }
 
@@ -195,7 +197,8 @@ PhysicalProjection::PhysicalProjection(std::vector<ExprPtr> expressions,
   AddChild(std::move(child));
 }
 
-StatePtr PhysicalProjection::CreateState(const MorselWorker*) const {
+StatePtr PhysicalProjection::CreateState(const MorselWorker*,
+                                         const OperatorState*) const {
   return std::make_unique<ChildChunkState>(children_[0]->types());
 }
 
@@ -233,7 +236,8 @@ PhysicalLimit::PhysicalLimit(idx_t limit, idx_t offset,
   AddChild(std::move(child));
 }
 
-StatePtr PhysicalLimit::CreateState(const MorselWorker*) const {
+StatePtr PhysicalLimit::CreateState(const MorselWorker*,
+                                    const OperatorState*) const {
   return std::make_unique<LimitState>(types_);
 }
 
@@ -277,7 +281,8 @@ PhysicalValues::PhysicalValues(std::vector<std::vector<Value>> rows,
                                std::vector<TypeId> types)
     : PhysicalOperator(std::move(types)), rows_(std::move(rows)) {}
 
-StatePtr PhysicalValues::CreateState(const MorselWorker*) const {
+StatePtr PhysicalValues::CreateState(const MorselWorker*,
+                                     const OperatorState*) const {
   return std::make_unique<RowPositionState>();
 }
 
@@ -309,7 +314,8 @@ PhysicalExpressionScan::PhysicalExpressionScan(
     std::vector<std::vector<ExprPtr>> rows, std::vector<TypeId> types)
     : PhysicalOperator(std::move(types)), rows_(std::move(rows)) {}
 
-StatePtr PhysicalExpressionScan::CreateState(const MorselWorker*) const {
+StatePtr PhysicalExpressionScan::CreateState(const MorselWorker*,
+                                             const OperatorState*) const {
   return std::make_unique<RowPositionState>();
 }
 

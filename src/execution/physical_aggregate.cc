@@ -32,7 +32,8 @@ PhysicalUngroupedAggregate::PhysicalUngroupedAggregate(
   AddChild(std::move(child));
 }
 
-StatePtr PhysicalUngroupedAggregate::CreateState(const MorselWorker*) const {
+StatePtr PhysicalUngroupedAggregate::CreateState(const MorselWorker*,
+                                                 const OperatorState*) const {
   return std::make_unique<EmitOnceState>();
 }
 
@@ -68,10 +69,11 @@ Status PhysicalUngroupedAggregate::AggregateSource(
 }
 
 Status PhysicalUngroupedAggregate::ParallelAggregate(
-    ExecutionContext* context, Accumulator* total, bool* done) const {
+    ExecutionContext* context, OperatorState* serial_state, Accumulator* total,
+    bool* done) const {
   std::vector<Accumulator> partials;
   MALLARD_RETURN_NOT_OK(parallel::RunMorselPipeline(
-      context, child(0), done,
+      context, child(0), serial_state, done,
       [&](idx_t workers) {
         for (idx_t w = 0; w < workers; w++) {
           partials.emplace_back(layout_.row_size());
@@ -97,10 +99,11 @@ Status PhysicalUngroupedAggregate::GetChunk(ExecutionContext* context,
   if (done) return Status::OK();
   Accumulator total(layout_.row_size());
   bool parallel_done = false;
-  MALLARD_RETURN_NOT_OK(ParallelAggregate(context, &total, &parallel_done));
+  OperatorState* child_state = state->children[0].get();
+  MALLARD_RETURN_NOT_OK(
+      ParallelAggregate(context, child_state, &total, &parallel_done));
   if (!parallel_done) {
-    MALLARD_RETURN_NOT_OK(
-        AggregateSource(context, state->children[0].get(), &total));
+    MALLARD_RETURN_NOT_OK(AggregateSource(context, child_state, &total));
   }
   for (idx_t a = 0; a < aggregates_.size(); a++) {
     out->SetValue(a, 0, layout_.Finalize(a, total.row.data()));
@@ -138,7 +141,8 @@ std::vector<TypeId> PhysicalHashAggregate::GroupTypes() const {
   return types;
 }
 
-StatePtr PhysicalHashAggregate::CreateState(const MorselWorker*) const {
+StatePtr PhysicalHashAggregate::CreateState(const MorselWorker*,
+                                            const OperatorState*) const {
   return std::make_unique<State>();
 }
 
@@ -192,7 +196,7 @@ Status PhysicalHashAggregate::ParallelSink(ExecutionContext* context,
   std::vector<std::unique_ptr<RadixPartitionedAggregateTable>> partials;
   idx_t worker_count = 1;
   MALLARD_RETURN_NOT_OK(parallel::RunMorselPipeline(
-      context, child(0), done,
+      context, child(0), state->children[0].get(), done,
       [&](idx_t workers) {
         worker_count = workers;
         partials.resize(workers);

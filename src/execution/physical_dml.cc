@@ -19,7 +19,8 @@ PhysicalInsert::PhysicalInsert(DataTable* table,
   AddChild(std::move(child));
 }
 
-StatePtr PhysicalInsert::CreateState(const MorselWorker*) const {
+StatePtr PhysicalInsert::CreateState(const MorselWorker*,
+                                     const OperatorState*) const {
   return std::make_unique<EmitOnceState>();
 }
 
@@ -59,7 +60,8 @@ PhysicalDelete::PhysicalDelete(DataTable* table,
   AddChild(std::move(child));
 }
 
-StatePtr PhysicalDelete::CreateState(const MorselWorker*) const {
+StatePtr PhysicalDelete::CreateState(const MorselWorker*,
+                                     const OperatorState*) const {
   return std::make_unique<EmitOnceState>();
 }
 
@@ -105,7 +107,8 @@ PhysicalUpdate::PhysicalUpdate(DataTable* table,
   AddChild(std::move(child));
 }
 
-StatePtr PhysicalUpdate::CreateState(const MorselWorker*) const {
+StatePtr PhysicalUpdate::CreateState(const MorselWorker*,
+                                     const OperatorState*) const {
   return std::make_unique<EmitOnceState>();
 }
 

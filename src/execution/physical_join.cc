@@ -1,13 +1,10 @@
 #include "mallard/execution/physical_join.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstring>
 
 #include "mallard/expression/expression_executor.h"
-#include "mallard/governor/resource_governor.h"
 #include "mallard/parallel/morsel.h"
-#include "mallard/parallel/task_scheduler.h"
 #include "mallard/vector/vector_hash.h"
 
 namespace mallard {
@@ -69,8 +66,8 @@ class GraceStashScan final : public PhysicalOperator {
   std::string name() const override { return "GRACE_STASH_SCAN"; }
 
  protected:
-  StatePtr CreateState(
-      const MorselWorker*) const override {
+  StatePtr CreateState(const MorselWorker*,
+                       const OperatorState*) const override {
     return std::make_unique<CursorState>();
   }
 
@@ -115,19 +112,25 @@ PhysicalHashJoin::PhysicalHashJoin(JoinType join_type,
   AddChild(std::move(right));
 }
 
-StatePtr PhysicalHashJoin::CreateState(const MorselWorker*) const {
+StatePtr PhysicalHashJoin::CreateState(const MorselWorker*,
+                                       const OperatorState* serial) const {
   auto state = std::make_unique<State>();
-  InitCursor(&state->probe);
+  ProbeCursor& cursor = state->probe;
+  cursor.chunk.Initialize(children_[0]->types());
+  cursor.keys.Initialize(KeyTypes(conditions_, /*left_side=*/true));
+  cursor.hashes.resize(kVectorSize);
+  cursor.heads.resize(kVectorSize);
+  cursor.sel.resize(kVectorSize);
+  cursor.refs.resize(kVectorSize);
+  if (serial) {
+    // A pipeline worker: PipelineSource finished the serial state's
+    // table before fan-out. The worker only reads it through the const,
+    // scratch-free probe calls (docs/CONCURRENCY.md) and has no state of
+    // the build side.
+    state->probe_table = static_cast<const State&>(*serial).probe_table;
+    state->built = true;
+  }
   return state;
-}
-
-void PhysicalHashJoin::InitCursor(ProbeCursor* cursor) const {
-  cursor->chunk.Initialize(children_[0]->types());
-  cursor->keys.Initialize(KeyTypes(conditions_, /*left_side=*/true));
-  cursor->hashes.resize(kVectorSize);
-  cursor->heads.resize(kVectorSize);
-  cursor->sel.resize(kVectorSize);
-  cursor->refs.resize(kVectorSize);
 }
 
 Status PhysicalHashJoin::EvaluateKeys(const ExecutionContext& context,
@@ -169,7 +172,7 @@ Status PhysicalHashJoin::ParallelBuild(ExecutionContext* context,
   std::vector<std::unique_ptr<JoinHashTable>> partitions;
   idx_t worker_count = 1;
   MALLARD_RETURN_NOT_OK(parallel::RunMorselPipeline(
-      context, child(1), done,
+      context, child(1), state->children[1].get(), done,
       [&](idx_t workers) {
         worker_count = workers;
         partitions.resize(workers);
@@ -323,67 +326,15 @@ Status PhysicalHashJoin::ProbeChunk(ExecutionContext* context,
   return Status::OK();
 }
 
-Status PhysicalHashJoin::PlanParallelProbe(ExecutionContext* context,
-                                           State* state) const {
-  // Per-worker cursors (chunks, scratch) are sized up front on the
-  // calling thread; each worker then only touches its own cursor, its
-  // own state of the probe subtree and its own result collection. The
-  // hash table itself is finalized and immutable:
-  // FirstMatch/NextMatch/DecodePayload are const and scratch-free, so
-  // concurrent probing is read-only-safe (docs/CONCURRENCY.md).
-  state->parallel_probe = state->probe_pipeline.Plan(context, child(0));
-  if (!state->parallel_probe) return Status::OK();
-  for (int w = 0; w < state->probe_pipeline.threads(); w++) {
-    state->probe_cursors.push_back(std::make_unique<ProbeCursor>());
-    InitCursor(state->probe_cursors.back().get());
+Result<const DataTable*> PhysicalHashJoin::PipelineSource(
+    ExecutionContext* context, OperatorState* state) const {
+  auto& s = static_cast<State&>(*state);
+  if (!s.built) {
+    MALLARD_RETURN_NOT_OK(Build(context, &s));
   }
-  return Status::OK();
-}
-
-Status PhysicalHashJoin::RunProbePass(ExecutionContext* context,
-                                      State* state) const {
-  // Bound what one pass may materialize: a share of the governor's
-  // current memory budget per cursor (floored so tiny budgets still
-  // make progress one chunk at a time). The result buffers are the only
-  // probe-side state that grows with the *output*, so this cap is what
-  // keeps a high-fanout join from buffering an unbounded result — the
-  // caller drains the buffers and runs another pass instead.
-  parallel::MorselPipeline& pipeline = state->probe_pipeline;
-  const uint64_t pass_budget = std::max<uint64_t>(
-      1ull << 22, context->governor->EffectiveMemoryBudget() /
-                      (4 * static_cast<uint64_t>(pipeline.threads())));
-  state->probe_results.clear();
-  state->probe_results.resize(state->probe_cursors.size());
-  // Unfinished cursors are claimed from a shared queue rather than
-  // bound to the runner's own index: a governed pass the scheduler
-  // clamps to fewer runners than cursors (reactive budget collapse)
-  // still drives every pending cursor — otherwise a cursor paused on
-  // the pass budget could starve forever and GetChunk would spin.
-  std::vector<int> pending;
-  for (int i = 0; i < static_cast<int>(state->probe_cursors.size()); i++) {
-    if (!state->probe_cursors[i]->exhausted) pending.push_back(i);
-  }
-  std::atomic<size_t> next{0};
-  return pipeline.RunPass(context, [&](int, OperatorState*) -> Status {
-    while (true) {
-      size_t claim = next.fetch_add(1);
-      if (claim >= pending.size()) return Status::OK();
-      int cw = pending[claim];
-      ProbeCursor& cursor = *state->probe_cursors[cw];
-      auto result = std::make_unique<SpillRowStore>(context->buffers);
-      DataChunk chunk;
-      chunk.Initialize(types());
-      while (true) {
-        MALLARD_RETURN_NOT_OK(ProbeChunk(context, child(0), pipeline.state(cw),
-                                         state->probe_table, &cursor, &chunk));
-        if (chunk.size() == 0) break;  // cursor.exhausted is now set
-        MALLARD_RETURN_NOT_OK(result->AppendChunk(chunk));
-        if (result->bytes() >= pass_budget) break;  // next pass
-      }
-      result->FinishAppend();
-      state->probe_results[cw] = std::move(result);
-    }
-  });
+  // Grace mode routes the whole probe side before it probes anything.
+  if (s.table->GraceMode()) return nullptr;
+  return child(0)->PipelineSource(context, state->children[0].get());
 }
 
 Status PhysicalHashJoin::GetChunk(ExecutionContext* context,
@@ -393,55 +344,16 @@ Status PhysicalHashJoin::GetChunk(ExecutionContext* context,
     MALLARD_RETURN_NOT_OK(Build(context, &s));
   }
   auto probe_start = std::chrono::steady_clock::now();
-  auto track_probe = [&]() {
-    s.probe_ms += std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - probe_start)
-                      .count();
-  };
-  if (s.table->GraceMode()) {
-    Status status = GraceProbe(context, &s, out);
-    track_probe();
-    return status;
-  }
-  if (!s.probe_planned) {
-    MALLARD_RETURN_NOT_OK(PlanParallelProbe(context, &s));
-    s.probe_planned = true;
-  }
-  if (s.parallel_probe) {
-    out->Reset();
-    while (true) {
-      // Drain this pass's per-worker buffers in worker-index order, so
-      // the output stream does not depend on worker completion timing.
-      while (s.drain_index < s.probe_results.size()) {
-        if (!s.probe_results[s.drain_index]) {
-          s.drain_index++;
-          continue;
-        }
-        MALLARD_RETURN_NOT_OK(
-            s.probe_results[s.drain_index]->NextChunk(&s.drain_scan, out));
-        if (out->size() > 0) {
-          track_probe();
-          return Status::OK();
-        }
-        s.drain_index++;
-        s.drain_scan = SpillRowStore::Cursor{};
-      }
-      bool all_done = true;
-      for (const auto& cursor : s.probe_cursors) {
-        all_done = all_done && cursor->exhausted;
-      }
-      if (all_done) break;
-      MALLARD_RETURN_NOT_OK(RunProbePass(context, &s));
-      s.drain_index = 0;
-      s.drain_scan = SpillRowStore::Cursor{};
-    }
-    out->SetCardinality(0);
-    track_probe();
-    return Status::OK();
-  }
-  Status status = ProbeChunk(context, child(0), state->children[0].get(),
-                             s.probe_table, &s.probe, out);
-  track_probe();
+  // Worker states own no table: PipelineSource never fans out a join in
+  // grace mode.
+  Status status =
+      s.table && s.table->GraceMode()
+          ? GraceProbe(context, &s, out)
+          : ProbeChunk(context, child(0), state->children[0].get(),
+                       s.probe_table, &s.probe, out);
+  s.probe_ms += std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - probe_start)
+                    .count();
   return status;
 }
 
@@ -679,7 +591,8 @@ struct PhysicalMergeJoin::MergeState : OperatorState {
   bool emitting_matches = false;
 };
 
-StatePtr PhysicalMergeJoin::CreateState(const MorselWorker*) const {
+StatePtr PhysicalMergeJoin::CreateState(const MorselWorker*,
+                                        const OperatorState*) const {
   return std::make_unique<MergeState>();
 }
 
@@ -915,7 +828,8 @@ PhysicalCrossProduct::PhysicalCrossProduct(
   AddChild(std::move(right));
 }
 
-StatePtr PhysicalCrossProduct::CreateState(const MorselWorker*) const {
+StatePtr PhysicalCrossProduct::CreateState(const MorselWorker*,
+                                           const OperatorState*) const {
   auto state = std::make_unique<CrossProductState>();
   state->left_chunk.Initialize(children_[0]->types());
   state->right_chunk.Initialize(children_[1]->types());

@@ -25,7 +25,8 @@ PhysicalOrderBy::PhysicalOrderBy(std::vector<SortSpec> specs,
   AddChild(std::move(child));
 }
 
-StatePtr PhysicalOrderBy::CreateState(const MorselWorker*) const {
+StatePtr PhysicalOrderBy::CreateState(const MorselWorker*,
+                                      const OperatorState*) const {
   return std::make_unique<OrderByState>();
 }
 
@@ -67,7 +68,8 @@ PhysicalTopN::PhysicalTopN(std::vector<SortSpec> specs, idx_t limit,
   AddChild(std::move(child));
 }
 
-StatePtr PhysicalTopN::CreateState(const MorselWorker*) const {
+StatePtr PhysicalTopN::CreateState(const MorselWorker*,
+                                   const OperatorState*) const {
   return std::make_unique<TopNState>();
 }
 

@@ -873,15 +873,12 @@ Result<Value> ExpressionExecutor::ExecuteScalar(
       const auto& e = static_cast<const BoundFunction&>(expr);
       std::vector<Vector> arg_vectors;
       std::vector<Vector*> arg_ptrs;
+      arg_vectors.reserve(e.args().size());
       for (const auto& arg : e.args()) {
         MALLARD_ASSIGN_OR_RETURN(Value v, ExecuteScalar(*arg, row, params));
         arg_vectors.emplace_back(arg->return_type());
-      }
-      for (idx_t i = 0; i < e.args().size(); i++) {
-        MALLARD_ASSIGN_OR_RETURN(Value v,
-                                 ExecuteScalar(*e.args()[i], row, params));
-        arg_vectors[i].SetValue(0, v);
-        arg_ptrs.push_back(&arg_vectors[i]);
+        arg_vectors.back().SetValue(0, v);
+        arg_ptrs.push_back(&arg_vectors.back());
       }
       Vector result(expr.return_type());
       MALLARD_RETURN_NOT_OK(e.impl()(arg_ptrs, 1, &result));

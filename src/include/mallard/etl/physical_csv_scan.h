@@ -30,7 +30,8 @@ class PhysicalCsvScan final : public PhysicalOperator {
   std::string name() const override { return "CSV_SCAN(" + path_ + ")"; }
 
  protected:
-  StatePtr CreateState(const MorselWorker* worker) const override;
+  StatePtr CreateState(const MorselWorker* worker,
+                       const OperatorState* serial) const override;
 
  private:
   std::string path_;

@@ -35,10 +35,14 @@ class PhysicalTableScan final : public PhysicalOperator {
   Status GetChunk(ExecutionContext* context, OperatorState* state,
                   DataChunk* out) const override;
   std::string name() const override;
-  const DataTable* ParallelSourceTable() const override { return table_; }
+  Result<const DataTable*> PipelineSource(ExecutionContext*,
+                                          OperatorState*) const override {
+    return table_;
+  }
 
  protected:
-  StatePtr CreateState(const MorselWorker* worker) const override;
+  StatePtr CreateState(const MorselWorker* worker,
+                       const OperatorState* serial) const override;
 
  private:
   /// Plan-time filters plus zone-map filters materialized from the
@@ -60,12 +64,14 @@ class PhysicalFilter final : public PhysicalOperator {
   Status GetChunk(ExecutionContext* context, OperatorState* state,
                   DataChunk* out) const override;
   std::string name() const override;
-  const DataTable* ParallelSourceTable() const override {
-    return children_[0]->ParallelSourceTable();
+  Result<const DataTable*> PipelineSource(
+      ExecutionContext* context, OperatorState* state) const override {
+    return child(0)->PipelineSource(context, state->children[0].get());
   }
 
  protected:
-  StatePtr CreateState(const MorselWorker* worker) const override;
+  StatePtr CreateState(const MorselWorker* worker,
+                       const OperatorState* serial) const override;
 
  private:
   ExprPtr predicate_;
@@ -79,12 +85,14 @@ class PhysicalProjection final : public PhysicalOperator {
   Status GetChunk(ExecutionContext* context, OperatorState* state,
                   DataChunk* out) const override;
   std::string name() const override;
-  const DataTable* ParallelSourceTable() const override {
-    return children_[0]->ParallelSourceTable();
+  Result<const DataTable*> PipelineSource(
+      ExecutionContext* context, OperatorState* state) const override {
+    return child(0)->PipelineSource(context, state->children[0].get());
   }
 
  protected:
-  StatePtr CreateState(const MorselWorker* worker) const override;
+  StatePtr CreateState(const MorselWorker* worker,
+                       const OperatorState* serial) const override;
 
  private:
   std::vector<ExprPtr> expressions_;
@@ -100,7 +108,8 @@ class PhysicalLimit final : public PhysicalOperator {
   std::string name() const override;
 
  protected:
-  StatePtr CreateState(const MorselWorker* worker) const override;
+  StatePtr CreateState(const MorselWorker* worker,
+                       const OperatorState* serial) const override;
 
  private:
   idx_t limit_;
@@ -117,7 +126,8 @@ class PhysicalValues final : public PhysicalOperator {
   std::string name() const override;
 
  protected:
-  StatePtr CreateState(const MorselWorker* worker) const override;
+  StatePtr CreateState(const MorselWorker* worker,
+                       const OperatorState* serial) const override;
 
  private:
   std::vector<std::vector<Value>> rows_;
@@ -135,7 +145,8 @@ class PhysicalExpressionScan final : public PhysicalOperator {
   std::string name() const override;
 
  protected:
-  StatePtr CreateState(const MorselWorker* worker) const override;
+  StatePtr CreateState(const MorselWorker* worker,
+                       const OperatorState* serial) const override;
 
  private:
   std::vector<std::vector<ExprPtr>> rows_;

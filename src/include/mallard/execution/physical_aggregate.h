@@ -23,7 +23,8 @@ class PhysicalUngroupedAggregate final : public PhysicalOperator {
   std::string name() const override;
 
  protected:
-  StatePtr CreateState(const MorselWorker* worker) const override;
+  StatePtr CreateState(const MorselWorker* worker,
+                       const OperatorState* serial) const override;
 
  private:
   /// One state row of layout_ and the arena its VARCHAR extremes live in.
@@ -35,7 +36,8 @@ class PhysicalUngroupedAggregate final : public PhysicalOperator {
 
   /// Thread-local partial state rows combined with AggStateLayout::Combine;
   /// sets `*done` when the parallel path ran.
-  Status ParallelAggregate(ExecutionContext* context, Accumulator* total,
+  Status ParallelAggregate(ExecutionContext* context,
+                           OperatorState* serial_state, Accumulator* total,
                            bool* done) const;
   /// The accumulation loop shared by the serial path and every parallel
   /// worker: pull chunks from the child through `source_state` (the
@@ -96,7 +98,8 @@ class PhysicalHashAggregate final : public PhysicalOperator {
   };
 
  protected:
-  StatePtr CreateState(const MorselWorker* worker) const override;
+  StatePtr CreateState(const MorselWorker* worker,
+                       const OperatorState* serial) const override;
 
  private:
   Status Sink(ExecutionContext* context, State* state) const;

@@ -20,7 +20,8 @@ class PhysicalInsert final : public PhysicalOperator {
   std::string name() const override;
 
  protected:
-  StatePtr CreateState(const MorselWorker* worker) const override;
+  StatePtr CreateState(const MorselWorker* worker,
+                       const OperatorState* serial) const override;
 
  private:
   DataTable* table_;
@@ -35,7 +36,8 @@ class PhysicalDelete final : public PhysicalOperator {
   std::string name() const override;
 
  protected:
-  StatePtr CreateState(const MorselWorker* worker) const override;
+  StatePtr CreateState(const MorselWorker* worker,
+                       const OperatorState* serial) const override;
 
  private:
   DataTable* table_;
@@ -52,7 +54,8 @@ class PhysicalUpdate final : public PhysicalOperator {
   std::string name() const override;
 
  protected:
-  StatePtr CreateState(const MorselWorker* worker) const override;
+  StatePtr CreateState(const MorselWorker* worker,
+                       const OperatorState* serial) const override;
 
  private:
   DataTable* table_;

@@ -12,7 +12,6 @@
 #include "mallard/execution/row_codec.h"
 #include "mallard/execution/spill/spill_row_store.h"
 #include "mallard/expression/bound_expression.h"
-#include "mallard/parallel/morsel.h"
 #include "mallard/storage/buffer_manager.h"
 
 namespace mallard {
@@ -37,19 +36,15 @@ struct JoinCondition {
 /// cost is visible to the governor's accounting.
 ///
 /// Parallel probe: after the single Finalize the hash table is immutable
-/// and its probe entry points are const and scratch-free, so the probe
-/// side runs morsel-parallel when it is a scan-shaped pipeline — each
-/// worker owns a private ProbeCursor and a private SpillRowStore of
-/// result chunks, drained in worker-index order afterwards. Covers
-/// inner/left/semi/anti; the governor's budget is re-read at every
-/// morsel boundary exactly like the build side. Memory is bounded: the
-/// pipeline runs in *passes* — each pass materializes at most a
-/// governor-derived byte budget per worker, GetChunk drains those
-/// buffers, and the next pass resumes from the shared morsel counter
-/// (and mid-morsel cursors), so a high-fanout join never buffers more
-/// than one pass of output. When the probe subtree has no parallel
-/// shape (or the budget is 1) the classic streaming serial probe runs
-/// unchanged.
+/// and its probe entry points are const and scratch-free, so a finalized
+/// join is one more streaming step of its probe side's pipeline.
+/// PipelineSource builds the table on the calling thread and hands the
+/// probe side's morsel table to the sink above; each pipeline worker's
+/// join state is born built, probes the serial state's table with its
+/// own ProbeCursor, and streams its matches straight into the operators
+/// above it (filters, further joins, the sink), with nothing
+/// materialized. A join whose output goes to the host, or whose probe
+/// side has no parallel shape, probes serially.
 ///
 /// Grace (out-of-core) mode: when the build side exceeds the governor's
 /// budget the JoinHashTable finalizes into grace mode — its 16 radix
@@ -66,10 +61,9 @@ struct JoinCondition {
 /// exactly one stash and is replayed exactly once.
 class PhysicalHashJoin final : public PhysicalOperator {
  private:
-  /// Per-worker (or serial) probe-side state: the current probe chunk,
-  /// its evaluated keys/hashes/chain heads, and the mid-chain resume
-  /// position. Each parallel probe worker owns one; the serial path
-  /// (and the grace stash replay) uses the state's own instance.
+  /// Probe-side state of one State: the current probe chunk, its
+  /// evaluated keys/hashes/chain heads, and the mid-chain resume
+  /// position. The grace stash replay reuses the serial state's one.
   struct ProbeCursor {
     DataChunk chunk;
     DataChunk keys;
@@ -106,16 +100,18 @@ class PhysicalHashJoin final : public PhysicalOperator {
                   DataChunk* out) const override;
   std::string name() const override;
 
-  /// One execution of the join: the hash table, the probe cursors and
-  /// pass buffers, and the grace jobs.
+  /// One execution of the join (or one pipeline worker's share of it):
+  /// the hash table, the probe cursor and the grace jobs.
   struct State : OperatorState {
+    /// Owned by the serial state only; a worker state probes the serial
+    /// state's table through `probe_table`.
     std::unique_ptr<JoinHashTable> table;
     bool built = false;
     // Table the probe paths read from: `table` normally; in grace mode
     // the per-partition (or recursion-child) table of the active job.
-    JoinHashTable* probe_table = nullptr;
+    const JoinHashTable* probe_table = nullptr;
     // Grace probe state: the stash replay of the active job runs through
-    // `grace_source` (with its own state) into the serial cursor.
+    // `grace_source` (with its own state) into the probe cursor.
     bool grace_routed = false;
     bool grace_active = false;
     std::unique_ptr<RowCodec> probe_codec;
@@ -123,27 +119,22 @@ class PhysicalHashJoin final : public PhysicalOperator {
     GraceJob grace_current;
     std::unique_ptr<PhysicalOperator> grace_source;
     StatePtr grace_source_state;
-    // Serial probe state.
     ProbeCursor probe;
-    // Parallel probe state: the resumable pipeline, per-worker cursors,
-    // this pass's per-worker result buffers (null for workers that did
-    // not run this pass) and the drain cursor over them.
-    bool probe_planned = false;
-    bool parallel_probe = false;
-    parallel::MorselPipeline probe_pipeline;
-    std::vector<std::unique_ptr<ProbeCursor>> probe_cursors;
-    std::vector<std::unique_ptr<SpillRowStore>> probe_results;
-    idx_t drain_index = 0;
-    SpillRowStore::Cursor drain_scan;
     /// Phase timing (benches): build = sink + Finalize of the hash
-    /// table; probe = everything after (for a parallel probe, the whole
-    /// materialization lands in the first GetChunk and is counted here).
+    /// table; probe = time in this state's GetChunk after the build (a
+    /// pipeline worker's probe time lands in its own state).
     double build_ms = 0;
     double probe_ms = 0;
   };
 
+  /// Builds the table on the calling thread; a grace-mode join stays
+  /// serial (null), otherwise the probe side's pipeline continues.
+  Result<const DataTable*> PipelineSource(
+      ExecutionContext* context, OperatorState* state) const override;
+
  protected:
-  StatePtr CreateState(const MorselWorker* worker) const override;
+  StatePtr CreateState(const MorselWorker* worker,
+                       const OperatorState* serial) const override;
 
  private:
   Status Build(ExecutionContext* context, State* state) const;
@@ -161,30 +152,14 @@ class PhysicalHashJoin final : public PhysicalOperator {
   /// parallel semantics from diverging.
   Status SinkBuildSide(ExecutionContext* context, OperatorState* source_state,
                        JoinHashTable* table) const;
-  /// Sizes a cursor's chunks and scratch.
-  void InitCursor(ProbeCursor* cursor) const;
   /// Produces the next output chunk (up to kVectorSize rows) by pulling
   /// probe chunks from `source` (through `source_state`) via `cursor`
   /// against `table` — the probe loop body shared by the serial path,
-  /// every parallel worker and the grace stash replay. An empty output
+  /// every pipeline worker and the grace stash replay. An empty output
   /// chunk signals source exhaustion.
   Status ProbeChunk(ExecutionContext* context, const PhysicalOperator* source,
                     OperatorState* source_state, const JoinHashTable* table,
                     ProbeCursor* cursor, DataChunk* out) const;
-  /// Plans the morsel-parallel probe over the (finalized, immutable)
-  /// hash table: one state of the probe subtree per worker and the
-  /// per-worker cursors. Sets parallel_probe; when false the serial
-  /// streaming probe runs instead.
-  Status PlanParallelProbe(ExecutionContext* context, State* state) const;
-  /// One bounded pass: every unfinished cursor probes morsels into a
-  /// fresh private SpillRowStore until the source is exhausted for it
-  /// or the pass's per-cursor byte budget is reached (mid-morsel
-  /// cursors resume next pass). Pass runners claim pending cursors from
-  /// a shared queue, so every unfinished cursor advances even when the
-  /// governor clamps a pass to fewer runners than cursors — the pass
-  /// always makes progress. GetChunk drains the buffers in cursor order
-  /// between passes.
-  Status RunProbePass(ExecutionContext* context, State* state) const;
   /// Evaluates one side's condition expressions over `input`.
   Status EvaluateKeys(const ExecutionContext& context, bool left_side,
                       const DataChunk& input, DataChunk* keys) const;
@@ -234,7 +209,8 @@ class PhysicalMergeJoin final : public PhysicalOperator {
   std::string name() const override;
 
  protected:
-  StatePtr CreateState(const MorselWorker* worker) const override;
+  StatePtr CreateState(const MorselWorker* worker,
+                       const OperatorState* serial) const override;
 
  private:
   struct MergeState;
@@ -261,7 +237,8 @@ class PhysicalCrossProduct final : public PhysicalOperator {
   std::string name() const override;
 
  protected:
-  StatePtr CreateState(const MorselWorker* worker) const override;
+  StatePtr CreateState(const MorselWorker* worker,
+                       const OperatorState* serial) const override;
 };
 
 }  // namespace mallard

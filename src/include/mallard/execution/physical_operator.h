@@ -119,10 +119,15 @@ class PhysicalOperator {
   /// Output column types of this operator.
   const std::vector<TypeId>& types() const { return types_; }
 
-  /// Builds the execution state of this subtree. With `worker` set the
-  /// leaf table scan claims row groups from the worker's shared morsel
-  /// source instead of scanning the whole table.
-  StatePtr MakeState(const MorselWorker* worker = nullptr) const;
+  /// Builds the execution state of this subtree. With `worker` set it
+  /// is one worker's state of a parallel pipeline: the leaf table scan
+  /// claims row groups from the worker's shared morsel source instead of
+  /// scanning the whole table, and `serial` is the matching node of the
+  /// serial state the pipeline was readied on (PipelineSource), whose
+  /// finished hash tables the worker probes; it has no state of a hash
+  /// join's build side.
+  StatePtr MakeState(const MorselWorker* worker = nullptr,
+                     const OperatorState* serial = nullptr) const;
 
   /// Produces the next chunk into `out` (initialized with types()),
   /// advancing `state` (made by MakeState). An output cardinality of 0
@@ -132,11 +137,17 @@ class PhysicalOperator {
 
   virtual std::string name() const = 0;
 
-  /// The table a morsel-driven parallel pipeline over this subtree would
-  /// scan, or null when the subtree has no parallel implementation.
-  /// Streaming per-chunk operators (filter, projection) delegate to
-  /// their child; everything else defaults to "not parallelizable".
-  virtual const DataTable* ParallelSourceTable() const { return nullptr; }
+  /// Readies `state`, this subtree's serial state, for a morsel-driven
+  /// fan-out and returns the table the pipeline's workers scan, or null
+  /// when the subtree has no parallel implementation. Runs on the
+  /// calling thread before any worker starts, so a hash join builds its
+  /// table here and its workers only probe. Streaming per-chunk
+  /// operators (filter, projection, a built hash join) delegate to their
+  /// probe-side child; everything else defaults to "not parallelizable".
+  virtual Result<const DataTable*> PipelineSource(ExecutionContext*,
+                                                  OperatorState*) const {
+    return nullptr;
+  }
 
   const PhysicalOperator* child(idx_t i) const { return children_[i].get(); }
   void AddChild(std::unique_ptr<PhysicalOperator> child) {
@@ -154,7 +165,8 @@ class PhysicalOperator {
  protected:
   /// This operator's own state; MakeState adds the children's. Stateless
   /// operators keep the empty default.
-  virtual StatePtr CreateState(const MorselWorker*) const {
+  virtual StatePtr CreateState(const MorselWorker*,
+                               const OperatorState*) const {
     return std::make_unique<OperatorState>();
   }
 

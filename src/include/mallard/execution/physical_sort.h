@@ -20,7 +20,8 @@ class PhysicalOrderBy final : public PhysicalOperator {
   std::string name() const override;
 
  protected:
-  StatePtr CreateState(const MorselWorker* worker) const override;
+  StatePtr CreateState(const MorselWorker* worker,
+                       const OperatorState* serial) const override;
 
  private:
   std::vector<SortSpec> specs_;
@@ -36,7 +37,8 @@ class PhysicalTopN final : public PhysicalOperator {
   std::string name() const override;
 
  protected:
-  StatePtr CreateState(const MorselWorker* worker) const override;
+  StatePtr CreateState(const MorselWorker* worker,
+                       const OperatorState* serial) const override;
 
  private:
   std::vector<SortSpec> specs_;

@@ -15,8 +15,7 @@ namespace mallard {
 /// Append-only store of length-prefixed byte rows inside *spillable*
 /// buffer-manager segments — the store for intermediates that may
 /// outgrow memory: grace hash join probe stashes, external aggregation
-/// runs, external sort runs, the parallel probe's result buffers and the
-/// cross product's right side. It never compresses: the buffer manager
+/// runs, external sort runs and the cross product's right side. It never compresses: the buffer manager
 /// compresses a segment when it evicts it, at the governor's level.
 ///
 /// Spilling falls out of the pin/unpin contract rather than bespoke file

@@ -3,10 +3,8 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "mallard/main/connection.h"
 #include "mallard/main/database.h"
@@ -23,64 +21,48 @@ namespace net {
 /// in-process chunk hand-over avoids entirely.
 enum class Protocol : uint8_t { kText = 0, kBinaryColumnar = 1 };
 
-/// A multi-client query server: each client hangs off its own socket
-/// pair and is served by its own thread holding a persistent Connection
-/// (so per-client session state — priority, thread pins, transactions —
-/// and the shared plan cache behave exactly as for N embedded threads).
-/// Concurrent clients exercise the shared scheduler: their statements
-/// are admitted, ticketed and scheduled fairly like any other
-/// connections on the Database.
+/// A query server for one client at the end of a socket pair, served by
+/// one thread holding a persistent Connection (so session state —
+/// priority, thread pins, transactions — and the shared plan cache
+/// behave exactly as for an embedded connection). Its statements are
+/// admitted, ticketed and scheduled like any other connection's.
 class QueryServer {
  public:
-  /// Spawns the server with one client slot; `client_fd()` is the
-  /// application's end of it.
+  /// Spawns the server and its serving thread; `client_fd()` is the
+  /// application's end of the socket pair.
   static Result<std::unique_ptr<QueryServer>> Start(Database* db,
                                                     Protocol protocol);
-  /// Orderly shutdown: closes every client socket and joins every
-  /// serving thread (in-flight statements finish first).
+  /// Orderly shutdown: closes the sockets and joins the serving thread
+  /// (an in-flight statement finishes first).
   ~QueryServer();
 
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  /// The first client's socket end.
-  int client_fd() const;
+  /// The client's socket end.
+  int client_fd() const { return client_fd_; }
 
-  /// Adds another concurrently served client (own thread, own
-  /// persistent Connection) and returns the application's socket end.
-  /// Thread-safe.
-  Result<int> AddClient();
-
-  /// Clients currently served. Thread-safe.
-  size_t client_count() const;
-
-  /// Bytes written to all sockets since start (transfer volume metric).
+  /// Bytes written to the socket since start (transfer volume metric).
   uint64_t bytes_sent() const { return bytes_sent_.load(); }
 
  private:
-  struct ClientSession {
-    int server_fd = -1;
-    int client_fd = -1;
-    std::thread thread;
-  };
-
-  QueryServer(Database* db, Protocol protocol)
-      : db_(db), protocol_(protocol) {}
-  /// Creates a socket pair + serving thread; thread-safe.
-  Result<ClientSession*> NewSession();
-  void Run(ClientSession* session);
-  Status ServeOne(Connection* con, ClientSession* session,
-                  const std::string& sql);
-  Status SendAll(ClientSession* session, const void* data, size_t len);
+  QueryServer(Database* db, Protocol protocol, int server_fd, int client_fd)
+      : db_(db),
+        protocol_(protocol),
+        server_fd_(server_fd),
+        client_fd_(client_fd) {}
+  void Run();
+  Status ServeOne(Connection* con, const std::string& sql);
+  Status SendAll(const void* data, size_t len);
 
   Database* db_;
   Protocol protocol_;
-  // Guards sessions_ growth; serving threads only touch their own
-  // session (pointers stay stable under push_back of unique_ptrs).
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<ClientSession>> sessions_;
-  // Written by serving threads, read by the benchmarking thread.
+  int server_fd_;
+  int client_fd_;
+  // Written by the serving thread, read by the benchmarking thread.
   std::atomic<uint64_t> bytes_sent_{0};
+  // Last: the serving thread uses every member above.
+  std::thread thread_;
 };
 
 /// Client side: sends SQL, deserializes the response into a materialized

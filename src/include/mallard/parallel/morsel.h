@@ -71,15 +71,6 @@ class TableMorselSource {
 
 namespace parallel {
 
-/// A planned parallel scan of the table under `subtree`: how many
-/// workers to launch and the morsel source they share. `threads == 1`
-/// (and a null source) means the subtree has no parallel implementation,
-/// no scheduler is attached, or the table is too small to split.
-struct ParallelRun {
-  int threads = 1;
-  std::shared_ptr<TableMorselSource> source;
-};
-
 /// Resolves how wide a parallel phase launched right now may fan out:
 /// the connection's PRAGMA threads override, or the governor's effective
 /// budget clamped to the query's fair share of the pool (when the
@@ -90,60 +81,27 @@ struct ParallelRun {
 /// partition-task fan-out) resolves through it.
 int ResolveLaunchWidth(const ExecutionContext* context, idx_t item_count);
 
-/// Decides the degree of parallelism for sinking `subtree`:
-/// ResolveLaunchWidth over the number of row-group morsels the leaf
-/// table offers.
-ParallelRun PlanParallelScan(ExecutionContext* context,
-                             const PhysicalOperator* subtree);
-
 /// A pipeline worker's body: `scan` is the worker's own state of the
 /// shared subtree, whose scan leaf claims morsels from the shared source.
 using MorselTask = std::function<Status(int worker, OperatorState* scan)>;
 
-/// A resumable morsel pipeline: Plan() decides parallelism and builds
-/// one state of the shared subtree per worker; each RunPass() then fans
-/// the workers out over whatever morsels remain unclaimed (the shared
-/// source's atomic counter persists across passes). Sinks that must
-/// bound how much they materialize per fan-out — the parallel probe's
-/// result buffers — run several passes, draining between them;
-/// single-shot sinks use RunMorselPipeline below.
-class MorselPipeline {
- public:
-  /// Plans the scan and builds the per-worker states. Returns false
-  /// (and stays unplanned) when the subtree stays serial.
-  bool Plan(ExecutionContext* context, const PhysicalOperator* subtree);
-
-  /// Launches one pass: `worker(w, state_w)` for every planned worker.
-  /// NOTE: the scheduler may clamp a governed pass below the planned
-  /// width, in which case worker indices at and above the clamp are
-  /// never invoked in that pass — a multi-pass sink whose per-worker
-  /// state must make progress regardless should claim work items from
-  /// a shared queue inside `worker` (keyed by worker index via state()),
-  /// not rely on its own index being launched.
-  Status RunPass(ExecutionContext* context, const MorselTask& worker);
-
-  int threads() const { return run_.threads; }
-  /// Worker w's state of the subtree — for passes that drive another
-  /// worker's pending state after a governed clamp (see RunPass note).
-  OperatorState* state(int w) { return states_[w].get(); }
-
- private:
-  ParallelRun run_;
-  std::vector<StatePtr> states_;
-};
-
-/// The shared launch protocol of every parallel sink: plan the scan,
-/// build one state of the subtree per worker, and run
-/// `worker(w, state_w)` on the scheduler (width pinned when the
-/// connection's PRAGMA threads override is set, governed otherwise).
-/// `prepare(workers)` runs once on the calling thread before fan-out —
-/// size per-worker results there. Sets `*ran` = false (without calling
-/// anything) when the subtree stays serial; the caller then runs its
-/// serial loop. Workers the scheduler clamps away below the planned
-/// width simply never run — their morsels are claimed by the others,
-/// so per-worker results must tolerate untouched slots.
+/// The one launcher of every parallel sink (hash-join build, grouped and
+/// ungrouped aggregation). Readies `serial_state` (the sink's own state
+/// of `subtree`) through PipelineSource, which builds every hash join of
+/// the pipeline on the calling thread; then, when the subtree has a
+/// morsel table and the launch width is above 1, builds one worker state
+/// per worker from `serial_state` and runs `worker(w, state_w)` on the
+/// scheduler (width pinned when the connection's PRAGMA threads override
+/// is set, governed otherwise). `prepare(workers)` runs once on the
+/// calling thread before fan-out — size per-worker results there. Sets
+/// `*ran` = false (without calling either) when the subtree stays
+/// serial; the caller then pulls `serial_state` in its serial loop.
+/// Workers the scheduler clamps away below the planned width simply
+/// never run — their morsels are claimed by the others, so per-worker
+/// results must tolerate untouched slots.
 Status RunMorselPipeline(ExecutionContext* context,
-                         const PhysicalOperator* subtree, bool* ran,
+                         const PhysicalOperator* subtree,
+                         OperatorState* serial_state, bool* ran,
                          const std::function<void(idx_t workers)>& prepare,
                          const MorselTask& worker);
 

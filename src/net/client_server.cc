@@ -54,96 +54,56 @@ Result<std::vector<uint8_t>> ReadFrame(int fd) {
 
 Result<std::unique_ptr<QueryServer>> QueryServer::Start(Database* db,
                                                         Protocol protocol) {
-  auto server =
-      std::unique_ptr<QueryServer>(new QueryServer(db, protocol));
-  MALLARD_RETURN_NOT_OK(server->NewSession().status());
-  return server;
-}
-
-Result<QueryServer::ClientSession*> QueryServer::NewSession() {
   int fds[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
     return Status::IOError("socketpair failed");
   }
-  auto session = std::make_unique<ClientSession>();
-  session->server_fd = fds[0];
-  session->client_fd = fds[1];
-  ClientSession* raw = session.get();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    sessions_.push_back(std::move(session));
-  }
-  raw->thread = std::thread([this, raw] { Run(raw); });
-  return raw;
-}
-
-Result<int> QueryServer::AddClient() {
-  MALLARD_ASSIGN_OR_RETURN(ClientSession * session, NewSession());
-  return session->client_fd;
-}
-
-size_t QueryServer::client_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return sessions_.size();
-}
-
-int QueryServer::client_fd() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return sessions_.front()->client_fd;
+  auto server = std::unique_ptr<QueryServer>(
+      new QueryServer(db, protocol, fds[0], fds[1]));
+  QueryServer* raw = server.get();
+  server->thread_ = std::thread([raw] { raw->Run(); });
+  return server;
 }
 
 QueryServer::~QueryServer() {
-  // Orderly shutdown: wake every serving thread out of recv, then join.
-  // In-flight statements run to completion — their sends fail once the
+  // Orderly shutdown: wake the serving thread out of recv, then join. An
+  // in-flight statement runs to completion — its sends fail once the
   // socket is down, which ends the loop cleanly.
-  std::vector<ClientSession*> sessions;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& session : sessions_) sessions.push_back(session.get());
-  }
-  for (ClientSession* session : sessions) {
-    ::shutdown(session->server_fd, SHUT_RDWR);
-    ::shutdown(session->client_fd, SHUT_RDWR);
-  }
-  for (ClientSession* session : sessions) {
-    if (session->thread.joinable()) session->thread.join();
-  }
-  for (ClientSession* session : sessions) {
-    ::close(session->server_fd);
-    ::close(session->client_fd);
-  }
+  ::shutdown(server_fd_, SHUT_RDWR);
+  ::shutdown(client_fd_, SHUT_RDWR);
+  if (thread_.joinable()) thread_.join();
+  ::close(server_fd_);
+  ::close(client_fd_);
 }
 
-void QueryServer::Run(ClientSession* session) {
-  // One persistent Connection per client: session state (priority,
-  // thread pins, open transactions) spans queries, and repeated query
-  // shapes hit the Database's shared plan cache.
+void QueryServer::Run() {
+  // One persistent Connection: session state (priority, thread pins,
+  // open transactions) spans queries, and repeated query shapes hit the
+  // Database's shared plan cache.
   Connection con(db_);
   while (true) {
-    auto frame = ReadFrame(session->server_fd);
+    auto frame = ReadFrame(server_fd_);
     if (!frame.ok()) return;  // client closed
     std::string sql(frame->begin(), frame->end());
-    if (sql.empty()) return;  // orderly per-client shutdown
-    Status status = ServeOne(&con, session, sql);
+    if (sql.empty()) return;  // orderly client shutdown
+    Status status = ServeOne(&con, sql);
     if (!status.ok()) return;
   }
 }
 
-Status QueryServer::SendAll(ClientSession* session, const void* data,
-                            size_t len) {
-  return WriteFrame(session->server_fd, data, static_cast<uint32_t>(len),
+Status QueryServer::SendAll(const void* data, size_t len) {
+  return WriteFrame(server_fd_, data, static_cast<uint32_t>(len),
                     &bytes_sent_);
 }
 
-Status QueryServer::ServeOne(Connection* con, ClientSession* session,
-                             const std::string& sql) {
+Status QueryServer::ServeOne(Connection* con, const std::string& sql) {
   auto result = con->Query(sql);
   // Status frame: [u8 ok][message].
   BinaryWriter status_frame;
   status_frame.WriteU8(result.ok() ? 1 : 0);
   status_frame.WriteString(result.ok() ? "" : result.status().ToString());
   MALLARD_RETURN_NOT_OK(
-      SendAll(session, status_frame.data().data(), status_frame.size()));
+      SendAll(status_frame.data().data(), status_frame.size()));
   if (!result.ok()) return Status::OK();
 
   // Schema frame.
@@ -153,7 +113,7 @@ Status QueryServer::ServeOne(Connection* con, ClientSession* session,
     schema.WriteString((*result)->names()[c]);
     schema.WriteU8(static_cast<uint8_t>((*result)->types()[c]));
   }
-  MALLARD_RETURN_NOT_OK(SendAll(session, schema.data().data(), schema.size()));
+  MALLARD_RETURN_NOT_OK(SendAll(schema.data().data(), schema.size()));
 
   // Data frames, ended by an empty frame.
   while (true) {
@@ -174,9 +134,9 @@ Status QueryServer::ServeOne(Connection* con, ClientSession* session,
         }
       }
     }
-    MALLARD_RETURN_NOT_OK(SendAll(session, frame.data().data(), frame.size()));
+    MALLARD_RETURN_NOT_OK(SendAll(frame.data().data(), frame.size()));
   }
-  return SendAll(session, nullptr, 0);
+  return SendAll(nullptr, 0);
 }
 
 Status QueryClient::SendAll(const void* data, size_t len) {

@@ -57,50 +57,33 @@ int ResolveLaunchWidth(const ExecutionContext* context, idx_t item_count) {
       static_cast<idx_t>(std::max(width, 1)), item_count));
 }
 
-ParallelRun PlanParallelScan(ExecutionContext* context,
-                             const PhysicalOperator* subtree) {
-  ParallelRun run;
-  if (!context || !context->scheduler || !context->governor) return run;
-  const DataTable* table = subtree->ParallelSourceTable();
-  if (!table) return run;
-  idx_t groups = table->RowGroupCount();
-  int threads = ResolveLaunchWidth(context, groups);
-  if (threads <= 1) return run;
-  run.threads = threads;
-  run.source = std::make_shared<TableMorselSource>(
-      groups, context->governor, context->thread_limit, context->scheduler,
-      context->ticket);
-  return run;
-}
-
-bool MorselPipeline::Plan(ExecutionContext* context,
-                          const PhysicalOperator* subtree) {
-  run_ = PlanParallelScan(context, subtree);
-  if (run_.threads <= 1) return false;
-  for (int w = 0; w < run_.threads; w++) {
-    MorselWorker seat{run_.source, w};
-    states_.push_back(subtree->MakeState(&seat));
-  }
-  return true;
-}
-
-Status MorselPipeline::RunPass(ExecutionContext* context,
-                               const MorselTask& worker) {
-  auto task = [&](int w) -> Status { return worker(w, states_[w].get()); };
-  return context->scheduler->Run(static_cast<int>(states_.size()), task,
-                                 /*governed=*/context->thread_limit == 0,
-                                 context->ticket);
-}
-
 Status RunMorselPipeline(ExecutionContext* context,
-                         const PhysicalOperator* subtree, bool* ran,
+                         const PhysicalOperator* subtree,
+                         OperatorState* serial_state, bool* ran,
                          const std::function<void(idx_t workers)>& prepare,
                          const MorselTask& worker) {
   *ran = false;
-  MorselPipeline pipeline;
-  if (!pipeline.Plan(context, subtree)) return Status::OK();
-  prepare(pipeline.threads());
-  MALLARD_RETURN_NOT_OK(pipeline.RunPass(context, worker));
+  if (!context || !context->scheduler || !context->governor) {
+    return Status::OK();
+  }
+  MALLARD_ASSIGN_OR_RETURN(const DataTable* table,
+                           subtree->PipelineSource(context, serial_state));
+  if (!table) return Status::OK();
+  idx_t groups = table->RowGroupCount();
+  int threads = ResolveLaunchWidth(context, groups);
+  if (threads <= 1) return Status::OK();
+  auto source = std::make_shared<TableMorselSource>(
+      groups, context->governor, context->thread_limit, context->scheduler,
+      context->ticket);
+  std::vector<StatePtr> states;
+  for (int w = 0; w < threads; w++) {
+    MorselWorker seat{source, w};
+    states.push_back(subtree->MakeState(&seat, serial_state));
+  }
+  prepare(threads);
+  MALLARD_RETURN_NOT_OK(context->scheduler->Run(
+      threads, [&](int w) { return worker(w, states[w].get()); },
+      /*governed=*/context->thread_limit == 0, context->ticket));
   *ran = true;
   return Status::OK();
 }

@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "mallard/governor/resource_governor.h"
 #include "mallard/main/appender.h"
@@ -430,9 +431,10 @@ TEST_F(ParallelSqlTest, PragmaThreadsReadbackReportsEffectiveBudget) {
 
 TEST_F(ParallelSqlTest, HashJoinProbeMatchesSerialAcrossThreadCounts) {
   // The PROBE side spans many row groups while the build side fits in
-  // one, so the parallel phase under test is the probe (the build stays
-  // serial: one row group = nothing to split). Keys duplicate on both
-  // sides and go NULL every 97th row (FillKeyed).
+  // one (the build stays serial: one row group = nothing to split). A
+  // join at the root probes serially; under count(*) its probe runs in
+  // the aggregate's workers. Keys duplicate on both sides and go NULL
+  // every 97th row (FillKeyed).
   FillKeyed("probe_t", 50000, 400);
   FillKeyed("build_t", 5000, 400);
   const std::string inner =
@@ -445,7 +447,7 @@ TEST_F(ParallelSqlTest, HashJoinProbeMatchesSerialAcrossThreadCounts) {
                                                      << " threads";
   }
   // Left join emits the NULL-padded build columns; semi/anti emit probe
-  // rows only. All three probe morsel-parallel through the same cursor.
+  // rows only. All three probe through the same cursor.
   for (const char* shape :
        {"SELECT probe_t.k, probe_t.v, build_t.v FROM probe_t "
         "LEFT JOIN build_t ON probe_t.k = build_t.k "
@@ -458,8 +460,8 @@ TEST_F(ParallelSqlTest, HashJoinProbeMatchesSerialAcrossThreadCounts) {
     auto four = RowsAtThreads(4, shape);
     EXPECT_EQ(one, four) << shape;
   }
-  // Both sides multi-row-group: parallel build AND parallel probe in
-  // one query.
+  // Both sides multi-row-group: parallel build, then the probe in the
+  // aggregate's workers.
   FillKeyed("big_build", 30000, 400);
   const std::string both =
       "SELECT count(*), sum(probe_t.v + big_build.v) FROM probe_t "
@@ -469,9 +471,9 @@ TEST_F(ParallelSqlTest, HashJoinProbeMatchesSerialAcrossThreadCounts) {
 
 TEST_F(ParallelSqlTest, HighFanoutParallelProbeRunsInBoundedPasses) {
   // Every probe key matches ~50 build rows: the join output (~3M rows)
-  // is far larger than one pass's per-worker byte budget under a small
-  // memory limit, so the probe must run several drain/resume passes —
-  // and still produce exactly the serial result.
+  // is far larger than the small memory limit. Under the aggregate the
+  // probe streams in its workers and still produces exactly the serial
+  // result.
   FillKeyed("probe_t", 60000, 100);
   FillKeyed("build_t", 5000, 100);
   ASSERT_TRUE(con_->Query("PRAGMA memory_limit = 16000000").ok());
@@ -483,12 +485,10 @@ TEST_F(ParallelSqlTest, HighFanoutParallelProbeRunsInBoundedPasses) {
 }
 
 TEST_F(ParallelSqlTest, SustainedBudgetCollapseDrainsMultiPassProbe) {
-  // A multi-pass probe (small memory limit + high fanout) whose
-  // reactive budget collapses to 1 mid-query and STAYS there: later
-  // passes launch a single runner, which must still drive every
-  // pass-budget-paused cursor to completion (cursors are claimed from a
-  // queue, not bound to runner indices) — a starved cursor would spin
-  // GetChunk forever.
+  // A high-fanout probe under a small memory limit whose reactive
+  // budget collapses to 1 mid-query and STAYS there: surplus workers
+  // stop at their next morsel boundary, worker 0 probes every remaining
+  // morsel, and the result stays exact.
   FillKeyed("probe_t", 60000, 100);
   FillKeyed("build_t", 5000, 100);
   ASSERT_TRUE(con_->Query("PRAGMA memory_limit = 16000000").ok());
@@ -503,7 +503,7 @@ TEST_F(ParallelSqlTest, SustainedBudgetCollapseDrainsMultiPassProbe) {
   monitor.SetCpu(0.0);
   auto expected = Rows(sql);
   for (int round = 0; round < 5; round++) {
-    monitor.SetCpu(0.0);  // full budget at plan time: probe fans out
+    monitor.SetCpu(0.0);  // full budget at launch: probe fans out
     std::thread collapse([&] {
       std::this_thread::sleep_for(std::chrono::milliseconds(2 * round));
       monitor.SetCpu(1.0);  // budget -> 1, permanently, mid-query
@@ -551,9 +551,9 @@ TEST_F(ParallelSqlTest, MidProbeBudgetShrinkKeepsJoinExact) {
 }
 
 TEST_F(ParallelSqlTest, ParallelProbeAbandonedMidStreamThenReExecuted) {
-  // Extends JoinResetMidProbeDiscardsStaleState to the parallel probe:
-  // abandoning a streamed join mid-drain and re-executing must clear the
-  // per-worker result buffers and the drain cursor, not replay them.
+  // Extends JoinResetMidProbeDiscardsStaleState to a connection pinned
+  // to 4 threads: abandoning a streamed join mid-probe and re-executing
+  // starts from fresh state, not a replay of the first execution's.
   FillKeyed("probe_t", 40000, 200);
   FillKeyed("build_t", 3000, 200);
   ASSERT_TRUE(con_->Query("PRAGMA threads = 4").ok());
@@ -567,7 +567,7 @@ TEST_F(ParallelSqlTest, ParallelProbeAbandonedMidStreamThenReExecuted) {
   ASSERT_TRUE(prepared.ok());
   auto stream = (*prepared)->ExecuteStream();
   ASSERT_TRUE(stream.ok());
-  auto chunk = (*stream)->Fetch();  // join is now mid-drain
+  auto chunk = (*stream)->Fetch();  // join is now mid-probe
   ASSERT_TRUE(chunk.ok());
   ASSERT_NE(chunk->get(), nullptr);
   ASSERT_TRUE((*stream)->Close().ok());
@@ -575,6 +575,103 @@ TEST_F(ParallelSqlTest, ParallelProbeAbandonedMidStreamThenReExecuted) {
   auto full = (*prepared)->Execute();
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   EXPECT_EQ((*full)->RowCount(), expected.size());
+}
+
+TEST_F(ParallelSqlTest, JoinChainUnderSinksMatchesAcrossThreadCounts) {
+  // a probes an inner, a LEFT and an ANTI join in a chain, with filters
+  // above the joins: under a sink every join probes in the sink's
+  // workers, each feeding the next one in the same worker.
+  FillKeyed("a", 60000, 1000);
+  FillKeyed("b", 2000, 1000);  // ~2 rows per key
+  FillKeyed("c", 500, 1000);   // half the keys: LEFT pads the rest
+  FillKeyed("d", 20000, 1000);
+  ASSERT_TRUE(con_->Query("PRAGMA join_order=syntactic").ok());
+  const std::string chain =
+      " FROM a JOIN b ON a.k = b.k LEFT JOIN c ON a.k = c.k "
+      "ANTI JOIN d ON a.v = d.v "
+      "WHERE (a.v + b.v) % 3 <> 0 AND (c.v IS NULL OR c.v < a.v)";
+  for (const std::string& sql :
+       {"SELECT a.k % 7, count(*), sum(a.v), sum(b.v), count(c.v), "
+        "min(c.v), max(b.v)" +
+            chain + " GROUP BY a.k % 7",
+        "SELECT count(*), sum(a.v - b.v), count(c.v)" + chain}) {
+    auto serial = RowsAtThreads(1, sql);
+    ASSERT_FALSE(serial.empty()) << sql;
+    for (int threads : {2, 4}) {
+      EXPECT_EQ(serial, RowsAtThreads(threads, sql))
+          << threads << " threads: " << sql;
+    }
+  }
+}
+
+TEST_F(ParallelSqlTest, CountStarOverHighFanoutJoinBuffersNoProbeOutput) {
+  // Every probe key matches ~50 build rows (~3M join rows). Under
+  // count(*) the probe streams in the aggregate's workers, so the
+  // buffer manager holds what the serial plan holds (the build table)
+  // plus kSlack: one 256 KiB spill segment per worker for allocation
+  // order. Buffering the probe output would add tens of MB.
+  constexpr int64_t kSlack = 2 * (256 << 10);
+  const std::string sql =
+      "SELECT count(*) FROM probe_t JOIN build_t ON probe_t.k = build_t.k";
+  auto peak_at = [&](int threads, std::multiset<std::string>* rows) {
+    con_.reset();
+    db_.reset();
+    SetUp();
+    FillKeyed("probe_t", 60000, 100);
+    FillKeyed("build_t", 5000, 100);
+    *rows = RowsAtThreads(threads, sql);
+    auto r = con_->Query("PRAGMA buffer_stats");
+    EXPECT_TRUE(r.ok());
+    for (idx_t c = 0; r.ok() && c < (*r)->ColumnCount(); c++) {
+      if ((*r)->names()[c] == "peak_memory") {
+        return (*r)->GetValue(c, 0).GetBigInt();
+      }
+    }
+    ADD_FAILURE() << "no peak_memory in PRAGMA buffer_stats";
+    return int64_t{-1};
+  };
+  std::multiset<std::string> serial_rows, parallel_rows;
+  int64_t serial_peak = peak_at(1, &serial_rows);
+  int64_t parallel_peak = peak_at(2, &parallel_rows);
+  EXPECT_EQ(serial_rows, parallel_rows);
+  EXPECT_LE(parallel_peak, serial_peak + kSlack)
+      << "serial peak " << serial_peak;
+}
+
+TEST_F(ParallelSqlTest, GraceJoinUnderParallelSinkStaysExact) {
+  // A 2 MiB limit sends every join with a multi-row-group build side
+  // into grace mode: such a join keeps its pipeline serial, whether it
+  // is the chain's inner or outer join or builds another join's table.
+  FillKeyed("a", 40000, 4000);
+  FillKeyed("b", 30000, 4000);
+  FillKeyed("c", 20000, 4000);
+  ASSERT_TRUE(con_->Query("PRAGMA join_order=syntactic").ok());
+  const std::vector<std::string> queries = {
+      "SELECT a.k % 5, count(*), sum(a.v + b.v) FROM a JOIN b "
+      "ON a.k = b.k GROUP BY a.k % 5",
+      "SELECT count(*), sum(b.v), sum(c.v) FROM a JOIN b ON a.k = b.k "
+      "JOIN c ON a.v = c.v",
+      "SELECT count(*), sum(a.v) FROM a JOIN "
+      "(SELECT b.k AS k, c.v AS v FROM b JOIN c ON b.k = c.k) bc "
+      "ON a.v = bc.v"};
+  std::vector<std::multiset<std::string>> expected;
+  for (const std::string& sql : queries) {
+    expected.push_back(RowsAtThreads(1, sql));
+  }
+  ASSERT_TRUE(con_->Query("PRAGMA memory_limit = 2097152").ok());
+  for (size_t q = 0; q < queries.size(); q++) {
+    for (int threads : {2, 4}) {
+      EXPECT_EQ(expected[q], RowsAtThreads(threads, queries[q]))
+          << threads << " threads: " << queries[q];
+    }
+  }
+  auto r = con_->Query("PRAGMA buffer_stats");
+  ASSERT_TRUE(r.ok());
+  for (idx_t c = 0; c < (*r)->ColumnCount(); c++) {
+    if ((*r)->names()[c] == "spill_count") {
+      EXPECT_GT((*r)->GetValue(c, 0).GetBigInt(), 0);
+    }
+  }
 }
 
 TEST_F(ParallelSqlTest, RadixMergeEquivalenceAcrossGroupCounts) {

@@ -196,6 +196,29 @@ TEST_F(ProjectionPruningTest, FromSubqueryIsPrunedFromTheOutside) {
   EXPECT_EQ(ScanColumns(plan, "t"), Columns{"a"}) << plan;
 }
 
+TEST_F(ProjectionPruningTest, SubqueryLevelsStackNoIdentityProjection) {
+  auto projections = [&](const std::string& sql) {
+    std::string plan = Explain(sql);
+    size_t count = 0;
+    for (size_t at = plan.find("PROJECTION("); at != std::string::npos;
+         at = plan.find("PROJECTION(", at + 1)) {
+      count++;
+    }
+    return count;
+  };
+  EXPECT_EQ(projections("SELECT a FROM (SELECT a, s FROM t) s1"), 1u);
+  const std::string three_levels =
+      "SELECT x FROM (SELECT * FROM (SELECT a AS x, s FROM t) s1) s2";
+  EXPECT_EQ(projections(three_levels), 1u);
+  EXPECT_EQ(First(three_levels + " WHERE x = 7"), "7");
+  Q("CREATE VIEW v AS SELECT a, s FROM t");
+  EXPECT_EQ(projections("SELECT a, s FROM v"), 1u);
+  // Reordering is not an identity: the outer projection stays.
+  const std::string reordered = "SELECT s, a FROM (SELECT a, s FROM t) s1";
+  EXPECT_EQ(projections(reordered), 2u);
+  EXPECT_EQ(First(reordered + " WHERE a = 7"), "v7");
+}
+
 TEST_F(ProjectionPruningTest, AggregateSubqueryKeepsEveryAggregate) {
   std::string plan = Explain(
       "SELECT g FROM (SELECT s AS g, count(*), sum(a) FROM t GROUP BY s) x");

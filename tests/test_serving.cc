@@ -3,7 +3,7 @@
 // admission control (bounded queue, priority classes, shed/timeout with
 // kResourceExhausted), Connection::Interrupt at chunk/morsel/spill
 // boundaries, the cross-connection shared plan cache with literal
-// normalization, the multi-client QueryServer, and a mixed
+// normalization, the socket QueryServer, and a mixed
 // read/write/DDL concurrency stress. The whole file runs under TSAN in
 // CI (serving-stress job, MALLARD_THREADS=4).
 
@@ -809,41 +809,7 @@ TEST_F(ServingTest, PointQueriesProgressUnderALongScan) {
   EXPECT_GE(Counter("scheduler_stats", "runs"), 1u);
 }
 
-// --- Multi-client server ---------------------------------------------------
-
-TEST_F(ServingTest, ServerServesConcurrentClients) {
-  Fill("t", 5000);
-  auto server = net::QueryServer::Start(db_.get(),
-                                        net::Protocol::kBinaryColumnar);
-  ASSERT_TRUE(server.ok());
-  std::vector<int> fds = {(*server)->client_fd()};
-  for (int i = 0; i < 3; i++) {
-    auto fd = (*server)->AddClient();
-    ASSERT_TRUE(fd.ok());
-    fds.push_back(*fd);
-  }
-  EXPECT_EQ((*server)->client_count(), 4u);
-
-  std::atomic<int> failures{0};
-  std::vector<std::thread> clients;
-  for (size_t c = 0; c < fds.size(); c++) {
-    clients.emplace_back([&, c] {
-      net::QueryClient client(fds[c], net::Protocol::kBinaryColumnar);
-      for (int i = 0; i < 25; i++) {
-        int64_t key = static_cast<int64_t>((c * 25 + i) % 5000);
-        auto r = client.Query("SELECT count(*) FROM t WHERE k = " +
-                              std::to_string(key));
-        if (!r.ok() || (*r)->GetValue(0, 0).GetBigInt() != 1) {
-          failures.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& t : clients) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_GT((*server)->bytes_sent(), 0u);
-  // Destructor performs the orderly shutdown (joins all four threads).
-}
+// --- Socket server ---------------------------------------------------------
 
 TEST_F(ServingTest, ServerConnectionsPersistAcrossQueries) {
   auto server = net::QueryServer::Start(db_.get(), net::Protocol::kText);
